@@ -43,10 +43,8 @@ from .modes import (
     schmidt_coefficients,
 )
 from .quadrature import (
-    InsufficientOrderError,
     MomentTable,
     QuadratureConfig,
-    expectation_mean,
     gauss_nodes,
     moments,
     wigner_moments,
@@ -55,7 +53,6 @@ from .specfun import hermite, laguerre, ln_factorial
 from .wigner import (
     EllipticalParams,
     NumericWignerPlan,
-    PhasePoint,
     WignerArgs,
     elliptical_field,
     elliptical_transform,
@@ -78,13 +75,12 @@ __all__ = [
     # specfun
     "laguerre", "hermite", "ln_factorial",
     # wigner
-    "PhasePoint", "WignerArgs", "EllipticalParams", "wigner_args", "wigner_lg",
+    "WignerArgs", "EllipticalParams", "wigner_args", "wigner_lg",
     "wigner_transform", "wigner_numeric", "NumericWignerPlan", "lg_numeric_plan",
     "lg_transform_evaluator", "elliptical_field", "wigner_elliptical",
     "elliptical_transform", "elliptical_transform_evaluator",
     # quadrature
-    "QuadratureConfig", "MomentTable", "InsufficientOrderError", "gauss_nodes",
-    "moments", "expectation_mean", "wigner_moments",
+    "QuadratureConfig", "MomentTable", "gauss_nodes", "moments", "wigner_moments",
     # bell
     "RESTRICTED", "GENERAL", "BellSettingsRestricted", "BellSettingsGeneral",
     "OptimizerConfig", "OptimizationResult", "EllipticalProfile",

@@ -13,8 +13,8 @@ Scalar results are JSON on stdout (with an embedded run manifest); tables are
 CSV with one header row, written to stdout or --out (file outputs get a
 sidecar <out>.manifest.json). All numbers carry 17 significant digits.
 
-Exit codes: 0 success, 2 argument error, 3 optimizer non-convergence,
-4 I/O error.
+Exit codes: 0 success, 2 argument error (a bad flag, or a ValueError from
+the library's input validation), 3 optimizer non-convergence, 4 I/O error.
 """
 
 import argparse
@@ -36,7 +36,7 @@ from .bell import (
 )
 from .correlation import correlation_scan, max_correlation
 from .modes import ModeIndex, lg_amplitude, schmidt_coefficients
-from .quadrature import InsufficientOrderError, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .wigner import (
     EllipticalParams,
     NumericWignerPlan,
@@ -95,25 +95,15 @@ def _emit_csv(header, rows, out, manifest):
             handle.write(json.dumps(manifest, indent=2) + "\n")
 
 
-def _mode_from(args):
-    try:
-        return ModeIndex(args.n, args.m)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _optimizer_config(args):
-    try:
-        return OptimizerConfig(
-            grid_bounds=args.grid_bounds,
-            grid_points=args.grid_points,
-            restarts=args.restarts,
-            simplex_tol=args.simplex_tol,
-            max_iters=args.max_iters,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return OptimizerConfig(
+        grid_bounds=args.grid_bounds,
+        grid_points=args.grid_points,
+        restarts=args.restarts,
+        simplex_tol=args.simplex_tol,
+        max_iters=args.max_iters,
+        seed=args.seed,
+    )
 
 
 def _add_mode_flags(parser):
@@ -135,7 +125,7 @@ def _add_optimizer_flags(parser):
 
 
 def _cmd_bell_max(args):
-    mode = _mode_from(args)
+    mode = ModeIndex(args.n, args.m)
     cfg = _optimizer_config(args)
     kind = RESTRICTED if args.settings == "restricted" else GENERAL
     result = maximize_bell(lg_transform_evaluator(mode), kind, cfg)
@@ -151,11 +141,7 @@ def _cmd_bell_max(args):
 
 
 def _cmd_bell_scan(args):
-    mode = _mode_from(args)
-    if args.samples < 2:
-        raise _UsageError(f"--samples must be >= 2, got {args.samples}")
-    if not (math.isfinite(args.x_min) and math.isfinite(args.x_max)) or args.x_max < args.x_min:
-        raise _UsageError(f"bad scan range [{args.x_min}, {args.x_max}]")
+    mode = ModeIndex(args.n, args.m)
     py = None if args.py is None else float(args.py)
     rows = bell_scan(mode, (args.x_min, args.x_max), args.samples, py=py)
     _emit_csv("x,py,abs_B", rows, args.out, _manifest("bell-scan", args))
@@ -163,38 +149,25 @@ def _cmd_bell_scan(args):
 
 
 def _cmd_corr(args):
-    mode = _mode_from(args)
-    quad = None
-    if args.order is not None:
-        try:
-            quad = QuadratureConfig(order=args.order)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-    try:
-        if args.max:
-            payload = {
-                "n": mode.n,
-                "m": mode.m,
-                "c_max": max_correlation(mode, quad),
-                "manifest": _manifest("corr", args),
-            }
-            _emit_json(payload, args.out)
-            return EXIT_OK
-        for name in ("theta_samples", "phi_samples"):
-            if getattr(args, name) < 1:
-                raise _UsageError(f"--{name.replace('_', '-')} must be >= 1")
-        thetas = np.linspace(args.theta_min, args.theta_max, args.theta_samples,
-                             endpoint=False)
-        phis = np.linspace(args.phi_min, args.phi_max, args.phi_samples, endpoint=False)
-        rows = correlation_scan(mode, thetas, phis, quad)
-    except InsufficientOrderError as exc:
-        raise _UsageError(str(exc)) from exc
+    mode = ModeIndex(args.n, args.m)
+    if args.max:
+        payload = {
+            "n": mode.n,
+            "m": mode.m,
+            "c_max": max_correlation(mode),
+            "manifest": _manifest("corr", args),
+        }
+        _emit_json(payload, args.out)
+        return EXIT_OK
+    thetas = np.linspace(args.theta_min, args.theta_max, args.theta_samples, endpoint=False)
+    phis = np.linspace(args.phi_min, args.phi_max, args.phi_samples, endpoint=False)
+    rows = correlation_scan(mode, thetas, phis)
     _emit_csv("theta,phi,c", rows, args.out, _manifest("corr", args))
     return EXIT_OK
 
 
 def _cmd_schmidt(args):
-    mode = _mode_from(args)
+    mode = ModeIndex(args.n, args.m)
     terms = []
     total = 0.0
     for k, term in enumerate(schmidt_coefficients(mode)):
@@ -228,30 +201,24 @@ def _cmd_wigner(args):
         raise _UsageError("a mode needs both --n and --m (or use --elliptical-t)")
     if args.grid_samples < 1:
         raise _UsageError(f"--grid-samples must be >= 1, got {args.grid_samples}")
-    if args.grid_max < args.grid_min:
+    if not -math.inf < args.grid_min <= args.grid_max < math.inf:
         raise _UsageError(f"bad grid range [{args.grid_min}, {args.grid_max}]")
 
     if elliptical:
-        try:
-            params = EllipticalParams(args.elliptical_t, args.sign)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        params = EllipticalParams(args.elliptical_t, args.sign)
         closed = lambda pt: wigner_elliptical(params, pt)
         numeric_field = lambda X, Y: elliptical_field(params, X, Y)
         half_width = 8.0
     else:
-        mode = _mode_from(args)
+        mode = ModeIndex(args.n, args.m)
         closed = lambda pt: wigner_lg(mode, pt)
         numeric_field = lambda X, Y: lg_amplitude(mode, X, Y)
         half_width = 4.0 + math.sqrt(2.0 * mode.total + 1.0)
 
     if args.numeric:
-        try:
-            config = QuadratureConfig(order=args.order or 96, half_width=half_width,
-                                      rule="gauss_legendre")
-            evaluate = NumericWignerPlan(numeric_field, config)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        config = QuadratureConfig(order=96 if args.order is None else args.order,
+                                  half_width=half_width)
+        evaluate = NumericWignerPlan(numeric_field, config)
     else:
         evaluate = closed
 
@@ -274,8 +241,6 @@ def _cmd_elliptical_profile(args):
         )
     if args.t_samples < 1:
         raise _UsageError(f"--t-samples must be >= 1, got {args.t_samples}")
-    if args.sign not in (1, -1):
-        raise _UsageError(f"--sign must be 1 or -1, got {args.sign}")
     cfg = _optimizer_config(args)
     kind = RESTRICTED if args.settings == "restricted" else GENERAL
     ts = np.linspace(args.t_min, args.t_max, args.t_samples)
@@ -327,7 +292,6 @@ def _build_parser():
     p.add_argument("--phi-min", type=float, default=0.0)
     p.add_argument("--phi-max", type=float, default=2.0 * math.pi)
     p.add_argument("--phi-samples", type=int, default=24)
-    p.add_argument("--order", type=int, default=None, help="quadrature order override")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_corr)
@@ -379,7 +343,7 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE

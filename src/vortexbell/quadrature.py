@@ -1,64 +1,51 @@
-"""Gaussian quadrature plans and second-moment tables of vortex beams.
+"""Second-moment tables of vortex beams and the Gauss-Legendre node sets of
+the numeric Wigner engine.
 
-Moments drive the quadrature-correlation analysis: position moments are
-plain density integrals, momentum moments come from analytic derivatives of
-the field (never finite differences), and everything is cross-checkable
-against 4D Wigner-side integrals.
+The second moments of an LG mode are exact closed forms,
+
+    <X^2> = <Y^2> = <P_X^2> = <P_Y^2> = (n + m + 1)/2,
+    <X P_Y> = -<Y P_X> = (n - m)/2,
+
+with every other entry zero, so <X P_Y - Y P_X> = l = n - m is the orbital
+angular momentum per photon (Allen et al. 1992, PRA 45, 8185). The
+independent route integrates the 4D Wigner function (``wigner_moments``);
+the test suite also checks the table against Gauss-Hermite integrals of the
+field and its analytic gradient.
 
 Summation is deterministic: terms are sorted by magnitude (ascending) and
 added with numpy's pairwise sum, so identical inputs give identical bits.
 """
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .modes import as_mode
+
 __all__ = [
-    "RULE_GAUSS_HERMITE",
-    "RULE_GAUSS_LEGENDRE",
     "QuadratureConfig",
     "MomentTable",
-    "InsufficientOrderError",
     "gauss_nodes",
-    "tensor_grid_2d",
-    "integrate_2d",
     "moments",
-    "expectation_mean",
     "wigner_moments",
-    "default_moment_config",
 ]
 
-RULE_GAUSS_HERMITE = "gauss_hermite"
-RULE_GAUSS_LEGENDRE = "gauss_legendre"
-
 MAX_ORDER = 256
-# reported integrals (moments and friends) refuse orders below this band;
-# bare node sets are still available down to order 1
-MIN_REPORTED_ORDER = 8
-
-
-class InsufficientOrderError(ValueError):
-    """A quadrature order too low for the requested integral."""
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Nodes-per-axis, box half-width (Legendre only) and rule selection."""
+    """Gauss-Legendre nodes per axis and the box half-width they span."""
 
     order: int = 64
     half_width: float = 8.0
-    rule: str = RULE_GAUSS_HERMITE
 
     def __post_init__(self):
         if not isinstance(self.order, (int, np.integer)) or isinstance(self.order, bool):
             raise TypeError(f"order must be an integer, got {self.order!r}")
         if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
-        if self.rule not in (RULE_GAUSS_HERMITE, RULE_GAUSS_LEGENDRE):
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if self.rule == RULE_GAUSS_LEGENDRE and not self.half_width > 0.0:
+        if not self.half_width > 0.0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
 
@@ -79,20 +66,11 @@ class MomentTable:
 
 
 def gauss_nodes(config):
-    """Nodes and weights for the configured rule.
-
-    gauss_hermite integrates against exp(-x^2) on the whole line;
-    gauss_legendre integrates a bare integrand on [-half_width, half_width].
-    """
+    """Gauss-Legendre nodes and weights for a bare integrand on [-half_width, half_width]."""
     if not isinstance(config, QuadratureConfig):
         raise TypeError("config must be a QuadratureConfig")
-    if config.rule == RULE_GAUSS_HERMITE:
-        nodes, weights = np.polynomial.hermite.hermgauss(config.order)
-    else:
-        nodes, weights = np.polynomial.legendre.leggauss(config.order)
-        nodes = nodes * config.half_width
-        weights = weights * config.half_width
-    return nodes, weights
+    nodes, weights = np.polynomial.legendre.leggauss(config.order)
+    return nodes * config.half_width, weights * config.half_width
 
 
 def _stable_sum(terms):
@@ -101,130 +79,22 @@ def _stable_sum(terms):
     return flat[order].sum()
 
 
-def tensor_grid_2d(config):
-    """(X, Y, W) meshgrids such that Int f dX dY ~= sum(W * f(X, Y)).
-
-    For the Hermite rule the exp(+x^2) reweighting is folded into W, so the
-    rule applies directly to integrands with their own Gaussian decay.
-    """
-    nodes, weights = gauss_nodes(config)
-    if config.rule == RULE_GAUSS_HERMITE:
-        weights = weights * np.exp(nodes * nodes)
-    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-    W = np.outer(weights, weights)
-    return X, Y, W
-
-
-def integrate_2d(func, config):
-    """Deterministic 2D integral of func(X, Y) under the configured rule."""
-    X, Y, W = tensor_grid_2d(config)
-    return _stable_sum(W * np.asarray(func(X, Y)))
-
-
-def default_moment_config(mode):
-    """Hermite rule sized for exactness on the given mode's moment integrands."""
-    from .modes import as_mode
-
+def moments(mode):
+    """Exact second-moment table of an LG mode."""
     mode = as_mode(mode)
-    return QuadratureConfig(order=min(MAX_ORDER, max(32, 2 * mode.total + 16)))
-
-
-def _moment_fields(mode, order):
-    from .modes import lg_amplitude, lg_gradient
-
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    weights = weights * np.exp(nodes * nodes)
-    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-    W = np.outer(weights, weights)
-    amp = lg_amplitude(mode, X, Y)
-    grad_x, grad_y = lg_gradient(mode, X, Y)
-    dens = W * np.abs(amp) ** 2
-    mom_x = -1j * grad_x  # P_X acting on the field
-    mom_y = -1j * grad_y
-    conj_amp = np.conj(amp)
-    return {
-        "xx": _stable_sum(dens * X * X).real,
-        "yy": _stable_sum(dens * Y * Y).real,
-        "pxpx": _stable_sum(W * np.abs(grad_x) ** 2).real,
-        "pypy": _stable_sum(W * np.abs(grad_y) ** 2).real,
-        "xy": _stable_sum(dens * X * Y).real,
-        "pxpy": _stable_sum(W * (np.conj(mom_x) * mom_y)).real,
-        "xpy": _stable_sum(W * (conj_amp * X * mom_y)).real,
-        "ypx": _stable_sum(W * (conj_amp * Y * mom_x)).real,
-        "xpx_sym": _stable_sum(W * (conj_amp * X * mom_x)).real,
-        "ypy_sym": _stable_sum(W * (conj_amp * Y * mom_y)).real,
-    }
-
-
-@lru_cache(maxsize=256)
-def _moments_cached(mode, order, check_stability):
-    values = _moment_fields(mode, order)
-    if check_stability:
-        # 320 nodes is the most the exp(+x^2) reweighting tolerates in doubles
-        doubled = _moment_fields(mode, min(2 * order, 320))
-        drift = max(abs(values[key] - doubled[key]) for key in values)
-        if drift > 1e-8:
-            raise InsufficientOrderError(
-                f"moments for mode {mode} drift by {drift:.3g} when the order is "
-                f"doubled; raise the order above {order}"
-            )
-    return MomentTable(**values)
-
-
-def moments(mode, config=None, check_stability=True):
-    """Second-moment table of an LG mode.
-
-    Position moments integrate |amplitude|^2 against monomials; momentum
-    moments use the analytic gradient, e.g. <P_Y^2> = Int |dY amplitude|^2
-    and <X P_Y> = Re Int conj(amplitude) X (-i dY amplitude). A doubled-order
-    stability check guards every reported table.
-    """
-    from .modes import as_mode
-
-    mode = as_mode(mode)
-    if config is None:
-        config = default_moment_config(mode)
-    required = 2 * mode.total + 16
-    if config.order < max(required, MIN_REPORTED_ORDER):
-        raise InsufficientOrderError(
-            f"moments for mode ({mode.n},{mode.m}) need order >= {required}, got {config.order}"
-        )
-    if config.rule != RULE_GAUSS_HERMITE:
-        raise ValueError("moment tables use the gauss_hermite rule")
-    return _moments_cached(mode, config.order, bool(check_stability))
-
-
-_MEAN_COMPONENTS = ("X", "Y", "P_X", "P_Y")
-
-
-def expectation_mean(mode, which, config=None):
-    """First moment <which> of an LG mode; zero for every vortex mode."""
-    from .modes import as_mode, lg_amplitude, lg_gradient
-
-    mode = as_mode(mode)
-    if which not in _MEAN_COMPONENTS:
-        raise ValueError(f"which must be one of {_MEAN_COMPONENTS}, got {which!r}")
-    if config is None:
-        config = default_moment_config(mode)
-    required = 2 * mode.total + 16
-    if config.order < max(required, MIN_REPORTED_ORDER):
-        raise InsufficientOrderError(
-            f"first moments for mode ({mode.n},{mode.m}) need order >= {required}"
-        )
-    nodes, weights = np.polynomial.hermite.hermgauss(config.order)
-    weights = weights * np.exp(nodes * nodes)
-    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-    W = np.outer(weights, weights)
-    amp = lg_amplitude(mode, X, Y)
-    if which == "X":
-        integrand = np.abs(amp) ** 2 * X
-    elif which == "Y":
-        integrand = np.abs(amp) ** 2 * Y
-    else:
-        grad_x, grad_y = lg_gradient(mode, X, Y)
-        grad = grad_x if which == "P_X" else grad_y
-        integrand = np.conj(amp) * (-1j) * grad
-    return _stable_sum(W * integrand).real
+    diagonal = (mode.total + 1) / 2.0
+    return MomentTable(
+        xx=diagonal,
+        yy=diagonal,
+        pxpx=diagonal,
+        pypy=diagonal,
+        xy=0.0,
+        pxpy=0.0,
+        xpy=(mode.n - mode.m) / 2.0,
+        ypx=(mode.m - mode.n) / 2.0,
+        xpx_sym=0.0,
+        ypy_sym=0.0,
+    )
 
 
 def wigner_moments(mode, order=None):
@@ -233,7 +103,6 @@ def wigner_moments(mode, order=None):
     The exp(-4 Q0) factor matches the Hermite weight axis by axis, so the
     rule is exact once the order clears the polynomial degree.
     """
-    from .modes import as_mode
     from .wigner import wigner_lg
 
     mode = as_mode(mode)

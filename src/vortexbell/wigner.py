@@ -28,7 +28,6 @@ from .quadrature import QuadratureConfig, gauss_nodes
 from .specfun import laguerre, laguerre_scaled
 
 __all__ = [
-    "PhasePoint",
     "WignerArgs",
     "EllipticalParams",
     "wigner_args",
@@ -51,15 +50,6 @@ _PI_SQ = math.pi**2
 _LOG_DOMAIN_THRESHOLD = 60.0
 
 MAX_SQUEEZE = 5.0
-
-
-class PhasePoint(NamedTuple):
-    """Scaled 4D phase-space point (X, P_X, Y, P_Y)."""
-
-    x: float
-    px: float
-    y: float
-    py: float
 
 
 class WignerArgs(NamedTuple):
@@ -167,9 +157,7 @@ class NumericWignerPlan:
 
     def __init__(self, field, config=None, norm_tol=1e-3):
         if config is None:
-            config = QuadratureConfig(order=96, half_width=8.0, rule="gauss_legendre")
-        if config.rule != "gauss_legendre":
-            raise ValueError("the Wigner integral needs a gauss_legendre rule")
+            config = QuadratureConfig(order=96, half_width=8.0)
         nodes, weights = gauss_nodes(config)
         xi_x, xi_y = np.meshgrid(nodes, nodes, indexing="ij")
         self._field = field
@@ -205,7 +193,7 @@ def lg_numeric_plan(mode, order=96):
     """Numeric-Wigner plan for an LG mode, box sized to the mode's extent."""
     mode = as_mode(mode)
     half_width = 4.0 + math.sqrt(2.0 * mode.total + 1.0)
-    config = QuadratureConfig(order=order, half_width=half_width, rule="gauss_legendre")
+    config = QuadratureConfig(order=order, half_width=half_width)
     return NumericWignerPlan(lambda X, Y: lg_amplitude(mode, X, Y), config)
 
 

@@ -1,9 +1,11 @@
 """Independent oracles for the test suite.
 
-Nothing in here goes through the package's evaluation paths: polynomial
-series run in exact rational arithmetic, fields come from the literal polar
-formulas with scipy polynomials, and integrals rebuild Gauss-Hermite rules
-straight from numpy.
+Nothing in here goes through the package's evaluation paths, save the
+moment integrals: polynomial series run in exact rational arithmetic, fields
+come from the literal polar formulas with scipy polynomials, and integrals
+rebuild Gauss-Hermite rules straight from numpy. The moment integrals take
+the package's field and analytic gradient, so they check the closed-form
+moment table against the fields it describes.
 """
 
 import cmath
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import eval_genlaguerre
+
+from vortexbell.modes import as_mode, lg_amplitude, lg_gradient
 
 
 def laguerre_series(p, alpha, x):
@@ -71,3 +75,41 @@ def gauss_hermite_grid(order):
 def integrate_gh2(func, order=48):
     X, Y, W = gauss_hermite_grid(order)
     return complex(np.sum(W * func(X, Y)))
+
+
+# each second moment is Re Int conj(A psi) (B psi) for a pair of operators
+_MOMENT_PAIRS = {
+    "xx": ("X", "X"), "yy": ("Y", "Y"), "pxpx": ("P_X", "P_X"), "pypy": ("P_Y", "P_Y"),
+    "xy": ("X", "Y"), "pxpy": ("P_X", "P_Y"), "xpy": ("X", "P_Y"), "ypx": ("Y", "P_X"),
+    "xpx_sym": ("X", "P_X"), "ypy_sym": ("Y", "P_Y"),
+}
+
+
+def _operator_images(nm):
+    """Weights, field and {X, Y, P_X, P_Y} applied to the field on a Hermite grid.
+
+    The order clears the polynomial degree of every moment integrand; the
+    momentum images use the analytic gradient, P = -i d.
+    """
+    mode = as_mode(nm)
+    X, Y, W = gauss_hermite_grid(2 * mode.total + 16)
+    amp = lg_amplitude(mode, X, Y)
+    grad_x, grad_y = lg_gradient(mode, X, Y)
+    return W, amp, {"X": X * amp, "Y": Y * amp, "P_X": -1j * grad_x, "P_Y": -1j * grad_y}
+
+
+def gauss_hermite_moments(nm):
+    """Second-moment table (MomentTable field names) by Gauss-Hermite integrals of the field."""
+    W, _, image = _operator_images(nm)
+    return {
+        key: np.sum(W * np.conj(image[a]) * image[b]).real
+        for key, (a, b) in _MOMENT_PAIRS.items()
+    }
+
+
+def gauss_hermite_mean(nm, which):
+    """First moment <which> (X, Y, P_X or P_Y) by a Gauss-Hermite integral of the field."""
+    W, amp, image = _operator_images(nm)
+    if which not in image:
+        raise ValueError(f"which must be one of {tuple(image)}, got {which!r}")
+    return np.sum(W * np.conj(amp) * image[which]).real

@@ -150,9 +150,10 @@ class TestCorr:
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert max(values) == pytest.approx(0.5, abs=1e-9)
 
-    def test_insufficient_order_is_usage_error(self, capsys):
+    def test_order_flag_is_unknown_argument(self, capsys):
         code = main(["corr", "--n", "8", "--m", "0", "--max", "--order", "16"])
         assert code == 2
+        assert "unrecognized arguments: --order" in capsys.readouterr().err
 
 
 class TestSchmidt:
@@ -270,6 +271,16 @@ class TestEllipticalProfile:
 class TestHarness:
     def test_unknown_command_exits_two(self, capsys):
         assert main(["bogus"]) == 2
+        # input the library rejects is a usage error, not a traceback
+        for argv in (
+            ["wigner", "--n", "1", "--m", "0", "--grid-min", "nan"],
+            ["wigner", "--elliptical-t", "0.5", "--grid-min", "nan"],
+            ["corr", "--n", "1", "--m", "0", "--theta-min", "nan"],
+            ["wigner", "--n", "1", "--m", "0", "--numeric", "--order", "0"],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert "usage" in capsys.readouterr().err, argv
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -141,6 +141,19 @@ class TestCorrelationScan:
         assert rows[:, 0].tolist() == [0.1, 0.1, 0.2, 0.2]
         assert rows[:, 1].tolist() == [0.3, 0.4, 0.3, 0.4]
 
+    def test_matches_scalar_cell_by_cell(self):
+        thetas = np.linspace(-1.0, 7.0, 13)
+        phis = np.linspace(0.5, -6.0, 11)
+        for nm in [(1, 0), (3, 1), (0, 5), (40, 20)]:
+            rows = correlation.correlation_scan(nm, thetas, phis)
+            for theta, phi, c in rows:
+                scalar = correlation.quadrature_correlation(nm, (theta, phi))
+                assert abs(c - scalar) <= 1e-15, (nm, theta, phi)
+
+    def test_rejects_nonfinite_angle(self):
+        with pytest.raises(ValueError, match="finite"):
+            correlation.correlation_scan((1, 0), [0.1, math.nan], [0.3])
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             correlation.correlation_scan((1, 0), [], [0.1])

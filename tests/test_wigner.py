@@ -169,7 +169,7 @@ class TestNumericEngine:
         assert worst <= 1e-6
 
     def test_one_shot_wrapper_matches_plan(self):
-        config = QuadratureConfig(order=64, half_width=7.0, rule="gauss_legendre")
+        config = QuadratureConfig(order=64, half_width=7.0)
         field = lambda X, Y: modes.lg_amplitude((1, 0), X, Y)
         pt = (0.2, 0.1, -0.4, 0.6)
         assert wigner.wigner_numeric(field, pt, config) == pytest.approx(
@@ -184,11 +184,6 @@ class TestNumericEngine:
     def test_norm_residual_diagnostic(self):
         plan = wigner.lg_numeric_plan((2, 1))
         assert plan.norm_residual < 1e-9
-
-    def test_rejects_hermite_rule(self):
-        field = lambda X, Y: modes.lg_amplitude((0, 0), X, Y)
-        with pytest.raises(ValueError, match="legendre"):
-            wigner.NumericWignerPlan(field, QuadratureConfig(order=32))
 
 
 class TestElliptical:
@@ -235,7 +230,7 @@ class TestElliptical:
         params = wigner.EllipticalParams(t, +1)
         plan = wigner.NumericWignerPlan(
             lambda X, Y: wigner.elliptical_field(params, X, Y),
-            QuadratureConfig(order=96, half_width=8.0, rule="gauss_legendre"),
+            QuadratureConfig(order=96, half_width=8.0),
         )
         rng = np.random.default_rng(41)
         for _ in range(6):
