@@ -8,14 +8,15 @@ form varies only X on one side and P_Y on the other,
 while the general form assigns each side two full phase-plane settings.
 |B| > 2 signals correlations that no local model of the two transverse
 modes reproduces. Maximization is multi-start Nelder-Mead over grid plus
-PCG64-seeded candidates; everything is deterministic for a fixed seed.
+PCG64-seeded candidates; everything is deterministic for a fixed seed. The
+simplex search is numpy-only and replays scipy's Nelder-Mead step for step,
+so it returns bit for bit what ``scipy.optimize.minimize`` would.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .modes import as_mode
 from .wigner import elliptical_transform_evaluator, lg_transform_evaluator
@@ -174,6 +175,82 @@ def _seed_points(kind, cfg):
     return np.vstack([np.zeros((1, 8)), lattice[picks], uniform])
 
 
+class _EvaluationCap(Exception):
+    """A Nelder-Mead step asked for one evaluation more than maxfev allows."""
+
+
+def _nelder_mead(f, x0, tol, maxiter, maxfev):
+    """Minimize f from the float array x0; returns (x, fun, nfev, success).
+
+    Non-adaptive Nelder-Mead (Lagarias et al. 1998, SIAM J. Optim. 9:112):
+    reflection 1, expansion 2, contraction and shrink 1/2. It replays scipy
+    1.17's unbounded ``_minimize_neldermead`` step for step: the same initial
+    simplex, floating-point expressions, argsort tie-breaking, stopping test
+    (``xatol = fatol = tol``) and evaluation cap (a step that would exceed
+    ``maxfev`` is abandoned midway and the simplex re-sorted), so x, fun,
+    nfev and success are bit-identical to scipy's. f receives a list of
+    floats.
+    """
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[:] = x0
+    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationCap
+        nfev += 1
+        return f(x.tolist())
+
+    def ranked(sim, fsim):
+        ind = fsim.argsort()
+        return sim.take(ind, 0), fsim.take(ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _EvaluationCap:
+        pass
+    sim, fsim = ranked(*ranked(sim, fsim))  # scipy sorts twice here
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if abs(sim[1:] - sim[0]).max() <= tol and abs(fsim[0] - fsim[1:]).max() <= tol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = call(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = call(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _EvaluationCap:
+            pass
+        sim, fsim = ranked(sim, fsim)
+    return sim[0], fsim.min(), nfev, nfev < maxfev and iterations < maxiter
+
+
 def maximize_bell(pi, kind, config=None):
     """Maximize |B| for a Wigner-transform evaluator.
 
@@ -209,23 +286,16 @@ def maximize_bell(pi, kind, config=None):
         return -abs(b)
 
     seeds = _seed_points(kind, cfg)
-    seed_values = np.array([objective(s) for s in seeds])
-    ranking = np.argsort(seed_values, kind="stable")[: cfg.restarts]
+    seed_values = np.array([objective(s) for s in seeds.tolist()])
+    ranking = seed_values.argsort(kind="stable")[: cfg.restarts]
+    maxfev = max(cfg.max_iters, 10 * seeds.shape[1])
 
     best = None  # (value, argmax_tuple, converged)
     for idx in ranking:
-        res = minimize(
-            objective,
-            seeds[idx],
-            method="Nelder-Mead",
-            options={
-                "xatol": cfg.simplex_tol,
-                "fatol": cfg.simplex_tol,
-                "maxiter": cfg.max_iters,
-                "maxfev": max(cfg.max_iters, 10 * len(seeds[idx])),
-            },
+        x, fun, _, success = _nelder_mead(
+            objective, seeds[idx], cfg.simplex_tol, cfg.max_iters, maxfev
         )
-        candidate = (float(res.fun), tuple(float(c) for c in res.x), bool(res.success))
+        candidate = (float(fun), tuple(x.tolist()), success)
         if best is None or candidate[:2] < best[:2]:
             best = candidate
     fun, argmax, converged = best

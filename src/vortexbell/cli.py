@@ -15,11 +15,14 @@ sidecar <out>.manifest.json). All numbers carry 17 significant digits.
 
 Exit codes: 0 success, 2 argument error (a bad flag, or a ValueError from
 the library's input validation), 3 optimizer non-convergence, 4 I/O error.
+A reader that closes stdout early (``| head``) is not an error: the command
+stops writing and exits 0.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -215,21 +218,16 @@ def _cmd_wigner(args):
         numeric_field = lambda X, Y: lg_amplitude(mode, X, Y)
         half_width = 4.0 + math.sqrt(2.0 * mode.total + 1.0)
 
+    axis = np.linspace(args.grid_min, args.grid_max, args.grid_samples)
+    grid = [g.ravel() for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
     if args.numeric:
         config = QuadratureConfig(order=96 if args.order is None else args.order,
                                   half_width=half_width)
-        evaluate = NumericWignerPlan(numeric_field, config)
+        plan = NumericWignerPlan(numeric_field, config)
+        w = np.array([plan(point) for point in zip(*grid)])
     else:
-        evaluate = closed
-
-    axis = np.linspace(args.grid_min, args.grid_max, args.grid_samples)
-    rows = []
-    for x in axis:
-        for px in axis:
-            for y in axis:
-                for py in axis:
-                    w = evaluate((x, px, y, py))
-                    rows.append((x, px, y, py, w, math.pi**2 * w))
+        w = closed(grid)
+    rows = np.column_stack([*grid, w, math.pi**2 * w])
     _emit_csv("x,px,y,py,w,pi", rows, args.out, _manifest("wigner", args))
     return EXIT_OK
 
@@ -342,11 +340,17 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); send the unflushed rest nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

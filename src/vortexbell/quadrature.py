@@ -16,6 +16,7 @@ Summation is deterministic: terms are sorted by magnitude (ascending) and
 added with numpy's pairwise sum, so identical inputs give identical bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class QuadratureConfig:
             raise TypeError(f"order must be an integer, got {self.order!r}")
         if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
-        if not self.half_width > 0.0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
 
 @dataclass(frozen=True)

@@ -150,9 +150,10 @@ class NumericWignerPlan:
 
     The plan is immutable after construction and may be shared across
     concurrent evaluations. Construction verifies the field's L2 norm on the
-    plan's own grid: a residual beyond ``norm_tol`` rejects the field (either
-    it is not unit-normalized or the order/half-width cannot resolve it; the
-    residual is kept as the ``norm_residual`` diagnostic either way).
+    plan's own grid: a residual beyond ``norm_tol``, or a NaN one, rejects the
+    field (either it is not unit-normalized or the order/half-width cannot
+    resolve it; the residual is kept as the ``norm_residual`` diagnostic
+    either way).
     """
 
     def __init__(self, field, config=None, norm_tol=1e-3):
@@ -168,7 +169,7 @@ class NumericWignerPlan:
         amp = np.asarray(field(self._xi_x, self._xi_y))
         norm = float(np.sum(self._ww * np.abs(amp) ** 2))
         self.norm_residual = abs(norm - 1.0)
-        if self.norm_residual > norm_tol:
+        if not self.norm_residual <= norm_tol:
             raise ValueError(
                 f"field norm on the quadrature grid is {norm:.6g}, off by "
                 f"{self.norm_residual:.3g} (> {norm_tol:g}): either the field is not "

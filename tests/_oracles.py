@@ -1,11 +1,13 @@
 """Independent oracles for the test suite.
 
 Nothing in here goes through the package's evaluation paths, save the
-moment integrals: polynomial series run in exact rational arithmetic, fields
-come from the literal polar formulas with scipy polynomials, and integrals
-rebuild Gauss-Hermite rules straight from numpy. The moment integrals take
-the package's field and analytic gradient, so they check the closed-form
-moment table against the fields it describes.
+moment integrals and the Bell search: polynomial series run in exact
+rational arithmetic, fields come from the literal polar formulas with scipy
+polynomials, and integrals rebuild Gauss-Hermite rules straight from numpy.
+The moment integrals take the package's field and analytic gradient, so they
+check the closed-form moment table against the fields it describes. The
+Bell search is the package's multi-start loop driven by scipy's
+Nelder-Mead, so it checks the in-house simplex search against scipy's.
 """
 
 import cmath
@@ -13,8 +15,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre
 
+from vortexbell import bell
 from vortexbell.modes import as_mode, lg_amplitude, lg_gradient
 
 
@@ -113,3 +117,45 @@ def gauss_hermite_mean(nm, which):
     if which not in image:
         raise ValueError(f"which must be one of {tuple(image)}, got {which!r}")
     return np.sum(W * np.conj(amp) * image[which]).real
+
+
+def scipy_maximize_bell(pi, kind, config=None):
+    """``bell.maximize_bell`` with every restart run by ``scipy.optimize.minimize``.
+
+    The same seeds, objective, restart ranking and tie rule; only the
+    simplex search is scipy's.
+    """
+    cfg = config if config is not None else bell.OptimizerConfig()
+    evaluations = 0
+
+    def objective(v):
+        nonlocal evaluations
+        evaluations += 1
+        if kind == bell.RESTRICTED:
+            b = bell.bell_sum_restricted(pi, (float(v[0]), float(v[1])))
+        else:
+            b = bell.bell_sum_general(pi, v)
+        return math.inf if not math.isfinite(b) else -abs(b)
+
+    seeds = bell._seed_points(kind, cfg)
+    seed_values = np.array([objective(s) for s in seeds])
+    best = None
+    for idx in np.argsort(seed_values, kind="stable")[: cfg.restarts]:
+        res = minimize(
+            objective,
+            seeds[idx],
+            method="Nelder-Mead",
+            options={
+                "xatol": cfg.simplex_tol,
+                "fatol": cfg.simplex_tol,
+                "maxiter": cfg.max_iters,
+                "maxfev": max(cfg.max_iters, 10 * len(seeds[idx])),
+            },
+        )
+        candidate = (float(res.fun), tuple(float(c) for c in res.x), bool(res.success))
+        if best is None or candidate[:2] < best[:2]:
+            best = candidate
+    fun, argmax, converged = best
+    return bell.OptimizationResult(
+        best_value=-fun, argmax=argmax, evaluations=evaluations, converged=converged
+    )

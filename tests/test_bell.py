@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from vortexbell import bell, wigner
+
+from _oracles import scipy_maximize_bell
 
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
@@ -147,6 +150,92 @@ class TestMaximize:
             bell.OptimizerConfig(simplex_tol=1e-13)
         with pytest.raises(ValueError):
             bell.OptimizerConfig(grid_points=2)
+
+
+def _rosenbrock(x):
+    return (1.0 - x[0]) * (1.0 - x[0]) + 100.0 * (x[1] - x[0] * x[0]) * (x[1] - x[0] * x[0])
+
+
+def _restricted_10(v):
+    return -abs(bell.bell_sum_restricted(PI_10, (v[0], v[1])))
+
+
+_PI_ELLIPTICAL_19 = wigner.elliptical_transform_evaluator((1.9, +1))
+
+
+def _general_elliptical_19(v):
+    return -abs(bell.bell_sum_general(_PI_ELLIPTICAL_19, v))
+
+
+def _infinite_half_plane(x):
+    # finite only where x0 + x1 >= 0, minimum on the boundary: the simplex
+    # keeps several infinite vertices, so argsort ties decide the path
+    if x[0] + x[1] < 0.0:
+        return math.inf
+    return (x[0] + 2.0) * (x[0] + 2.0) + 10.0 * (x[1] - 1.0) * (x[1] - 1.0) + x[2] * x[2]
+
+
+class TestNelderMead:
+    """The in-house simplex search replays scipy's Nelder-Mead bit for bit."""
+
+    @pytest.mark.parametrize(
+        "f, x0, maxfev",
+        [
+            (_rosenbrock, [-1.2, 1.0], 4000),
+            (_restricted_10, [0.3, 0.0], 4000),
+            # the all-zero general seed at t = 1.9, seed 12345: stops at maxfev
+            (_general_elliptical_19, [0.0] * 8, 4000),
+            (_infinite_half_plane, [0.2, -0.1, 0.0], 4000),
+            (_rosenbrock, [-1.2, 1.0], 50),
+        ],
+        ids=["rosenbrock", "restricted-10", "elliptical-1.9", "inf-half-plane",
+             "rosenbrock-maxfev-50"],
+    )
+    def test_matches_scipy(self, f, x0, maxfev):
+        x0 = np.array(x0)
+        tol, maxiter = 1e-9, 4000
+        with np.errstate(invalid="ignore"):  # inf - inf in the stopping test
+            ref = minimize(f, x0, method="Nelder-Mead",
+                           options={"xatol": tol, "fatol": tol, "maxiter": maxiter,
+                                    "maxfev": maxfev})
+            x, fun, nfev, success = bell._nelder_mead(f, x0, tol, maxiter, maxfev)
+        assert x.tobytes() == ref.x.tobytes()
+        assert fun == ref.fun
+        assert nfev == ref.nfev
+        assert success == ref.success
+
+    def test_elliptical_case_hits_the_evaluation_cap(self):
+        x0 = np.zeros(8)
+        _, _, nfev, success = bell._nelder_mead(_general_elliptical_19, x0, 1e-9, 4000, 4000)
+        assert (nfev, success) == (4000, False)
+
+    def test_objective_gets_a_list_of_floats(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return _rosenbrock(x)
+
+        bell._nelder_mead(f, np.array([0.5, 0.5]), 1e-6, 10, 100)
+        assert all(type(x) is list and all(type(c) is float for c in x) for x in seen)
+
+    @pytest.mark.parametrize(
+        "pi, kind",
+        [
+            (PI_10, bell.RESTRICTED),
+            (wigner.lg_transform_evaluator((30, 0)), bell.RESTRICTED),
+            (wigner.lg_transform_evaluator((20, 10)), bell.RESTRICTED),
+            (PI_10, bell.GENERAL),
+            (wigner.elliptical_transform_evaluator((1.1, +1)), bell.GENERAL),
+            (_PI_ELLIPTICAL_19, bell.GENERAL),
+        ],
+        ids=["restricted-10", "restricted-30-0", "restricted-20-10", "general-10",
+             "elliptical-1.1", "elliptical-1.9"],
+    )
+    def test_maximize_bell_matches_scipy_restart_loop(self, pi, kind):
+        cfg = bell.OptimizerConfig(seed=12345)
+        expected = scipy_maximize_bell(pi, kind, cfg)
+        assert bell.maximize_bell(pi, kind, cfg) == expected  # bit-identical dataclasses
 
 
 class TestScan:

@@ -3,17 +3,36 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vortexbell import wigner
 from vortexbell.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_json(capsys, argv):
     code = main(argv)
     payload = json.loads(capsys.readouterr().out)
     return code, payload
+
+
+def _child_env(unbuffered=None):
+    """The parent's environment with this checkout's src first on the path.
+
+    ``unbuffered`` True/False sets/clears PYTHONUNBUFFERED; stdout buffering
+    decides whether a closed pipe fails a write or the final flush.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def strip_timestamps(obj):
@@ -224,6 +243,29 @@ class TestWigner:
         assert code == 0
         assert float(row.split(",")[5]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "flags, pi",
+        [
+            (["--n", "30", "--m", "0"], wigner.lg_transform_evaluator((30, 0))),
+            (["--n", "2", "--m", "3"], wigner.lg_transform_evaluator((2, 3))),
+            (["--elliptical-t", "0.7", "--sign", "-1"],
+             wigner.elliptical_transform_evaluator((0.7, -1))),
+        ],
+        ids=["lg-30-0", "lg-2-3", "elliptical"],
+    )
+    def test_rows_match_point_by_point_values(self, capsys, flags, pi):
+        code = main(["wigner", *flags, "--grid-min", "-1.5", "--grid-max", "1",
+                     "--grid-samples", "5"])
+        lines = capsys.readouterr().out.strip().split("\n")
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert code == 0
+        axis = np.linspace(-1.5, 1.0, 5)
+        expected = [(x, px, y, py) for x in axis for px in axis for y in axis for py in axis]
+        assert np.array_equal(rows[:, :4], expected)
+        values = np.array([pi(point) for point in expected])
+        assert np.max(np.abs(rows[:, 5] - values)) <= 1e-12
+        assert np.max(np.abs(rows[:, 4] - values / math.pi**2)) <= 1e-12
+
     def test_mode_and_elliptical_flags_conflict(self, capsys):
         code = main(["wigner", "--n", "1", "--m", "0", "--elliptical-t", "0.5"])
         assert code == 2
@@ -284,6 +326,47 @@ class TestHarness:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, vortexbell, vortexbell.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=120, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_gone_before_output_exits_zero(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "vortexbell", "corr", "--n", "40", "--m", "20", "--max"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=_child_env(unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0
+        assert result.stderr == ""
+
+    def test_reader_closing_midway_exits_zero(self):
+        # 2.3 MB of CSV, far more than a pipe holds, written through a buffered
+        # stdout: the write after the reader leaves fails with EPIPE
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vortexbell", "corr", "--n", "40", "--m", "20",
+             "--theta-samples", "200", "--phi-samples", "200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(unbuffered=False),
+        )
+        head = [proc.stdout.readline() for _ in range(4)]
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert head[0] == b"theta,phi,c\n"
+        assert stderr == b""
 
     def test_console_script_installed(self):
         result = subprocess.run(

@@ -58,6 +58,11 @@ class TestGaussNodes:
         with pytest.raises(ValueError):
             quadrature.QuadratureConfig(order=16, half_width=math.nan)
 
+    def test_rejects_infinite_half_width(self):
+        # infinite nodes would give an elliptical-beam plan a NaN norm
+        with pytest.raises(ValueError, match="finite"):
+            quadrature.QuadratureConfig(order=8, half_width=math.inf)
+
 
 class TestMoments:
     def test_ground_mode(self):

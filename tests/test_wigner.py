@@ -181,6 +181,11 @@ class TestNumericEngine:
         with pytest.raises(ValueError, match="norm"):
             wigner.NumericWignerPlan(bad)
 
+    def test_rejects_nan_norm(self):
+        nan_field = lambda X, Y: np.full(np.shape(X), np.nan)
+        with pytest.raises(ValueError, match="norm"):
+            wigner.NumericWignerPlan(nan_field)
+
     def test_norm_residual_diagnostic(self):
         plan = wigner.lg_numeric_plan((2, 1))
         assert plan.norm_residual < 1e-9
