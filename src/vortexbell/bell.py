@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import as_mode
 from .wigner import elliptical_transform_evaluator, lg_transform_evaluator
 
 __all__ = [
@@ -90,17 +89,26 @@ class BellSettingsGeneral:
         return (*self.a1, *self.a2, *self.b1, *self.b2)
 
 
+def _general(pi, v):
+    """The CHSH sum for v = (X1, P_X1, X2, P_X2, Y1, P_Y1, Y2, P_Y2)."""
+    return (
+        pi((v[0], v[1], v[4], v[5]))
+        + pi((v[2], v[3], v[4], v[5]))
+        + pi((v[0], v[1], v[6], v[7]))
+        - pi((v[2], v[3], v[6], v[7]))
+    )
+
+
+def _restricted(pi, x, py):
+    """The general sum at a1 = b1 = (0, 0), a2 = (x, 0), b2 = (0, py)."""
+    return _general(pi, (0.0, 0.0, x, 0.0, 0.0, 0.0, 0.0, py))
+
+
 def bell_sum_restricted(pi, settings):
     """Restricted four-term Bell sum of the Wigner transform pi."""
     if not isinstance(settings, BellSettingsRestricted):
         settings = BellSettingsRestricted(*settings)
-    x, py = settings.x, settings.py
-    return (
-        pi((0.0, 0.0, 0.0, 0.0))
-        + pi((x, 0.0, 0.0, 0.0))
-        + pi((0.0, 0.0, 0.0, py))
-        - pi((x, 0.0, 0.0, py))
-    )
+    return _restricted(pi, settings.x, settings.py)
 
 
 def bell_closed_form_10(x, py):
@@ -119,13 +127,7 @@ def bell_sum_general(pi, settings):
     """General four-term CHSH sum; the (a2, b2) term enters with a minus sign."""
     if not isinstance(settings, BellSettingsGeneral):
         settings = BellSettingsGeneral.from_vector(settings)
-    a1, a2, b1, b2 = settings.a1, settings.a2, settings.b1, settings.b2
-    return (
-        pi((a1[0], a1[1], b1[0], b1[1]))
-        + pi((a2[0], a2[1], b1[0], b1[1]))
-        + pi((a1[0], a1[1], b2[0], b2[1]))
-        - pi((a2[0], a2[1], b2[0], b2[1]))
-    )
+    return _general(pi, settings.to_vector())
 
 
 @dataclass(frozen=True)
@@ -140,13 +142,17 @@ class OptimizerConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        if not self.grid_bounds > 0.0:
-            raise ValueError(f"grid_bounds must be positive, got {self.grid_bounds}")
+        for name in ("grid_points", "restarts", "max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not 0.0 < self.grid_bounds < math.inf:
+            raise ValueError(f"grid_bounds must be positive and finite, got {self.grid_bounds}")
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.simplex_tol < 1e-12:
+        if not self.simplex_tol >= 1e-12:
             raise ValueError(f"simplex_tol must be >= 1e-12, got {self.simplex_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
@@ -263,24 +269,13 @@ def maximize_bell(pi, kind, config=None):
     if kind not in (RESTRICTED, GENERAL):
         raise ValueError(f"kind must be {RESTRICTED!r} or {GENERAL!r}, got {kind!r}")
     cfg = config if config is not None else OptimizerConfig()
-    if kind == RESTRICTED:
-        def signed_sum(v):
-            return bell_sum_restricted(pi, BellSettingsRestricted(float(v[0]), float(v[1])))
-    else:
-        def signed_sum(v):
-            return (
-                pi((v[0], v[1], v[4], v[5]))
-                + pi((v[2], v[3], v[4], v[5]))
-                + pi((v[0], v[1], v[6], v[7]))
-                - pi((v[2], v[3], v[6], v[7]))
-            )
-
+    restricted = kind == RESTRICTED
     evaluations = 0
 
     def objective(v):
         nonlocal evaluations
         evaluations += 1
-        b = signed_sum(v)
+        b = _restricted(pi, v[0], v[1]) if restricted else _general(pi, v)
         if not math.isfinite(b):
             return math.inf
         return -abs(b)
@@ -314,13 +309,10 @@ def bell_scan(mode, x_range, samples, py=None):
     lo, hi = (float(x_range[0]), float(x_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ValueError(f"bad scan range [{lo}, {hi}]")
-    pi = lg_transform_evaluator(as_mode(mode))
     xs = np.linspace(lo, hi, samples)
-    rows = np.empty((samples, 3))
-    for i, x in enumerate(xs):
-        y = float(x) if py is None else float(py)
-        rows[i] = (x, y, abs(bell_sum_restricted(pi, BellSettingsRestricted(float(x), y))))
-    return rows
+    pys = xs if py is None else np.full(samples, float(py))
+    b = _restricted(lg_transform_evaluator(mode), xs, pys)
+    return np.column_stack([xs, pys, np.abs(b)])
 
 
 @dataclass(frozen=True)

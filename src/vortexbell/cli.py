@@ -59,10 +59,6 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
 def _manifest(command, args, skip=("func", "out", "command")):
     parameters = {
         key: value for key, value in sorted(vars(args).items()) if key not in skip
@@ -86,8 +82,9 @@ def _emit_json(payload, out):
 
 
 def _emit_csv(header, rows, out, manifest):
+    row_format = ",".join(["%.17g"] * (header.count(",") + 1))
     lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_format % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import hermite, laguerre, ln_factorial
+from .specfun import _check_degree, hermite, laguerre, ln_factorial
 
 __all__ = [
     "MAX_TOTAL_ORDER",
@@ -53,11 +53,7 @@ class ModeIndex:
 
     def __post_init__(self):
         for name in ("n", "m"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+            _check_degree(getattr(self, name), name, cap=None)
         if self.n + self.m > MAX_TOTAL_ORDER:
             raise ValueError(
                 f"total order n+m={self.n + self.m} exceeds the cap {MAX_TOTAL_ORDER}"
@@ -82,7 +78,7 @@ def as_mode(mode):
     if isinstance(mode, ModeIndex):
         return mode
     n, m = mode
-    return ModeIndex(int(n), int(m))
+    return ModeIndex(n, m)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Polynomials are evaluated with three-term recurrences (never factorial
 series), which stay accurate for the degrees this package needs. Scalar
-inputs run on plain floats; array inputs broadcast through numpy.
+inputs run on plain floats and array inputs broadcast through numpy, except
+``laguerre_scaled``, which always returns numpy arrays.
 """
 
 import math
@@ -51,6 +52,18 @@ def _as_finite(x):
     return x
 
 
+def _laguerre(p, alpha, x):
+    """The L_p^alpha recurrence on a float or a float array, unvalidated."""
+    one = x * 0.0 + 1.0
+    if p == 0:
+        return one
+    prev = one
+    cur = 1.0 + alpha - x
+    for k in range(2, p + 1):
+        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
+    return cur
+
+
 def laguerre(p, alpha, x):
     """Generalized Laguerre polynomial L_p^alpha(x).
 
@@ -63,51 +76,33 @@ def laguerre(p, alpha, x):
     x : float or ndarray
         Evaluation point(s); must be finite.
     """
-    p = _check_degree(p, "p")
-    alpha = _check_degree(alpha, "alpha", cap=None)
-    x = _as_finite(x)
-    one = x * 0.0 + 1.0
-    if p == 0:
-        return one
-    prev = one
-    cur = 1.0 + alpha - x
-    for k in range(2, p + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
-    return cur
+    return _laguerre(_check_degree(p, "p"), _check_degree(alpha, "alpha", cap=None), _as_finite(x))
 
 
 def laguerre_scaled(p, alpha, x):
-    """L_p^alpha(x) as (mantissa, log_scale) with value = mantissa * exp(log_scale).
+    """L_p^alpha(x) as numpy (mantissa, log_scale), value = mantissa * exp(log_scale).
 
     The recurrence renormalizes whenever intermediates exceed 1e150, so the
     pair stays representable for any argument the Wigner evaluator can
-    produce. Scalar in, scalar pair out; arrays broadcast.
+    produce. Both parts are arrays of the shape of x, 0-d for a scalar x.
     """
     p = _check_degree(p, "p")
     alpha = _check_degree(alpha, "alpha", cap=None)
-    x = _as_finite(x)
-    scalar = isinstance(x, float)
-    one = x * 0.0 + 1.0
+    x = np.asarray(_as_finite(x))
+    shift = np.zeros_like(x)
     if p == 0:
-        return one, x * 0.0
-    prev = one
+        return np.ones_like(x), shift
+    prev = np.ones_like(x)
     cur = 1.0 + alpha - x
-    shift = x * 0.0
     for k in range(2, p + 1):
         prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
-        if scalar:
-            if abs(cur) > _RESCALE or abs(prev) > _RESCALE:
-                prev /= _RESCALE
-                cur /= _RESCALE
-                shift += _LN_RESCALE
-        else:
-            big = (np.abs(cur) > _RESCALE) | (np.abs(prev) > _RESCALE)
-            if np.any(big):
-                factor = np.where(big, 1.0 / _RESCALE, 1.0)
-                prev = prev * factor
-                cur = cur * factor
-                shift = shift + np.where(big, _LN_RESCALE, 0.0)
-    return cur, shift
+        big = (np.abs(cur) > _RESCALE) | (np.abs(prev) > _RESCALE)
+        if np.any(big):
+            divisor = np.where(big, _RESCALE, 1.0)
+            prev = prev / divisor
+            cur = cur / divisor
+            shift = shift + np.where(big, _LN_RESCALE, 0.0)
+    return np.asarray(cur), np.asarray(shift)
 
 
 def hermite(n, x):
@@ -126,12 +121,7 @@ def hermite(n, x):
 
 def ln_factorial(n):
     """ln(n!) for 0 <= n <= 1e6, relative error below 1e-12."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise TypeError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n > MAX_FACTORIAL_ARG:
-        raise ValueError(f"n={n} exceeds the supported cap {MAX_FACTORIAL_ARG}")
+    n = _check_degree(n, "n", cap=MAX_FACTORIAL_ARG)
     if n < _LN_FACT_TABLE.size:
         return float(_LN_FACT_TABLE[n])
     return math.lgamma(n + 1.0)

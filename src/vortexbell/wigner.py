@@ -9,6 +9,10 @@ with Q0 = (X^2+Y^2+P_X^2+P_Y^2)/4 and Q2 = (X P_Y - Y P_X)/2, normalized to
 unit integral over the four phase-space variables. The transform
 Pi = pi^2 W is the parity-expectation analog and satisfies |Pi| <= 1.
 
+Each closed form has one Pi evaluator, for a point of floats or of arrays;
+beyond a Laguerre argument of 60 the LG one works on the numpy arrays that
+``laguerre_scaled`` returns.
+
 The numeric engine evaluates the symmetric-point Fourier integral
 
     W(R, P) = pi^{-2} Int d^2 xi  e^{2 i P.xi} E*(R + xi) E(R - xi)
@@ -25,7 +29,7 @@ import numpy as np
 
 from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import laguerre, laguerre_scaled
+from .specfun import _laguerre, laguerre_scaled
 
 __all__ = [
     "WignerArgs",
@@ -50,6 +54,8 @@ _PI_SQ = math.pi**2
 _LOG_DOMAIN_THRESHOLD = 60.0
 
 MAX_SQUEEZE = 5.0
+
+_SCALAR_TYPES = (int, float, np.floating, np.integer)
 
 
 class WignerArgs(NamedTuple):
@@ -83,66 +89,61 @@ def wigner_args(point):
     return WignerArgs(q0, q2)
 
 
-def _pi_lg_scalar(n, m, x, px, y, py):
-    """Pi_nm at a scalar point, pure-float fast path with log-domain fallback."""
-    fourq0 = x * x + y * y + px * px + py * py
-    fourq2 = 2.0 * (x * py - y * px)
-    up = fourq0 + fourq2
-    um = fourq0 - fourq2
-    sign = -1.0 if (n + m) % 2 else 1.0
-    if max(abs(up), abs(um)) <= _LOG_DOMAIN_THRESHOLD:
-        return sign * laguerre(n, 0, up) * laguerre(m, 0, um) * math.exp(-fourq0)
+def _coords(point):
+    """The four coordinates as floats, or as broadcast float arrays if any is an array."""
+    x, px, y, py = point
+    if (isinstance(x, _SCALAR_TYPES) and isinstance(px, _SCALAR_TYPES)
+            and isinstance(y, _SCALAR_TYPES) and isinstance(py, _SCALAR_TYPES)):
+        return float(x), float(px), float(y), float(py)
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, px, y, py)))
+
+
+def _pi_lg_log_domain(n, m, sign, up, um, fourq0):
+    """Pi_nm on float arrays from log magnitudes and tracked signs."""
     mn, sn = laguerre_scaled(n, 0, up)
     mm, sm = laguerre_scaled(m, 0, um)
-    if mn == 0.0 or mm == 0.0:
-        return 0.0
-    if mn < 0.0:
-        sign = -sign
-    if mm < 0.0:
-        sign = -sign
-    # |Pi| <= 1 keeps the exponent nonpositive, so exp never overflows
-    return sign * math.exp(math.log(abs(mn)) + math.log(abs(mm)) + sn + sm - fourq0)
-
-
-def _pi_lg_array(n, m, x, px, y, py):
-    fourq0 = x * x + y * y + px * px + py * py
-    fourq2 = 2.0 * (x * py - y * px)
-    sign = -1.0 if (n + m) % 2 else 1.0
-    mn, sn = laguerre_scaled(n, 0, fourq0 + fourq2)
-    mm, sm = laguerre_scaled(m, 0, fourq0 - fourq2)
-    signs = sign * np.sign(mn) * np.sign(mm)
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.abs(mn)) + np.log(np.abs(mm)) + sn + sm - fourq0
-    return signs * np.exp(log_mag)
+    # |Pi| <= 1 keeps the exponent nonpositive, so exp never overflows
+    return sign * np.sign(mn) * np.sign(mm) * np.exp(log_mag)
+
+
+def lg_transform_evaluator(mode):
+    """Bind a mode, validated once, into a Pi evaluator for a point or coordinate arrays."""
+    mode = as_mode(mode)
+    n, m = mode.n, mode.m
+    sign = -1.0 if (n + m) % 2 else 1.0
+
+    def pi(point):
+        x, px, y, py = _coords(point)
+        fourq0 = x * x + y * y + px * px + py * py
+        fourq2 = 2.0 * (x * py - y * px)
+        up = fourq0 + fourq2
+        um = fourq0 - fourq2
+        # max(|up|, |um|); a NaN or inf point goes to laguerre_scaled, which rejects it
+        near = fourq0 + abs(fourq2) <= _LOG_DOMAIN_THRESHOLD
+        if isinstance(x, float):
+            if near:
+                return sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * math.exp(-fourq0)
+            return float(_pi_lg_log_domain(n, m, sign, up, um, fourq0))
+        with np.errstate(over="ignore", invalid="ignore"):  # far points are overwritten
+            out = np.asarray(sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * np.exp(-fourq0))
+        far = ~near
+        if far.any():
+            out[far] = _pi_lg_log_domain(n, m, sign, up[far], um[far], fourq0[far])
+        return out
+
+    return pi
 
 
 def wigner_transform(mode, point):
     """Pi_nm(point) = pi^2 W_nm(point); bounded by 1 in magnitude."""
-    mode = as_mode(mode)
-    x, px, y, py = point
-    if all(isinstance(v, (int, float, np.floating, np.integer)) for v in (x, px, y, py)):
-        return _pi_lg_scalar(mode.n, mode.m, float(x), float(px), float(y), float(py))
-    x, px, y, py = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, px, y, py))
-    )
-    return _pi_lg_array(mode.n, mode.m, x, px, y, py)
+    return lg_transform_evaluator(mode)(point)
 
 
 def wigner_lg(mode, point):
     """Closed-form Wigner function of the LG mode at a phase-space point."""
     return wigner_transform(mode, point) / _PI_SQ
-
-
-def lg_transform_evaluator(mode):
-    """Bind a mode into a fast scalar Pi evaluator for Bell-sum scans."""
-    mode = as_mode(mode)
-    n, m = mode.n, mode.m
-
-    def pi(point):
-        x, px, y, py = point
-        return _pi_lg_scalar(n, m, float(x), float(px), float(y), float(py))
-
-    return pi
 
 
 class NumericWignerPlan:
@@ -210,20 +211,7 @@ def elliptical_field(params, X, Y):
 
 def elliptical_transform(params, point):
     """Pi of the elliptical beam: a positive Gaussian bounded by 1."""
-    if not isinstance(params, EllipticalParams):
-        params = EllipticalParams(*params)
-    x, px, y, py = point
-    c2t = math.cosh(2.0 * params.t)
-    s2t = math.sinh(2.0 * params.t)
-    arg = (
-        -(x * x + y * y) * c2t
-        + 2.0 * params.sign * x * y * s2t
-        - (px * px + py * py) * c2t
-        - 2.0 * params.sign * px * py * s2t
-    )
-    if isinstance(arg, (int, float)):
-        return math.exp(arg)
-    return np.exp(arg)
+    return elliptical_transform_evaluator(params)(point)
 
 
 def wigner_elliptical(params, point):
@@ -232,16 +220,15 @@ def wigner_elliptical(params, point):
 
 
 def elliptical_transform_evaluator(params):
-    """Bind elliptical parameters into a fast scalar Pi evaluator."""
+    """Bind elliptical parameters into a Pi evaluator for a point or coordinate arrays."""
     if not isinstance(params, EllipticalParams):
         params = EllipticalParams(*params)
     c2t = math.cosh(2.0 * params.t)
     s2t = float(params.sign) * math.sinh(2.0 * params.t)
 
     def pi(point):
-        x, px, y, py = (float(v) for v in point)
-        return math.exp(
-            -(x * x + y * y + px * px + py * py) * c2t + 2.0 * s2t * (x * y - px * py)
-        )
+        x, px, y, py = _coords(point)
+        arg = -(x * x + y * y + px * px + py * py) * c2t + 2.0 * s2t * (x * y - px * py)
+        return math.exp(arg) if isinstance(x, float) else np.exp(arg)
 
     return pi

@@ -150,6 +150,14 @@ class TestMaximize:
             bell.OptimizerConfig(simplex_tol=1e-13)
         with pytest.raises(ValueError):
             bell.OptimizerConfig(grid_points=2)
+        for bad in ({"simplex_tol": math.nan}, {"grid_bounds": math.inf},
+                    {"grid_bounds": math.nan}, {"grid_bounds": -1.0}):
+            with pytest.raises(ValueError):
+                bell.OptimizerConfig(**bad)
+        for bad in ({"max_iters": math.nan}, {"max_iters": 4000.0},
+                    {"grid_points": 21.5}, {"restarts": True}):
+            with pytest.raises(TypeError):
+                bell.OptimizerConfig(**bad)
 
 
 def _rosenbrock(x):
@@ -265,6 +273,8 @@ class TestScan:
             bell.bell_scan((1, 0), (0.0, 1.0), 1)
         with pytest.raises(ValueError):
             bell.bell_scan((1, 0), (2.0, 1.0), 5)
+        with pytest.raises(ValueError):
+            bell.bell_scan((1, 0), (0.0, 1.0), 5, py=math.nan)
 
 
 class TestEllipticalProfile:

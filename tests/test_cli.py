@@ -319,6 +319,8 @@ class TestHarness:
             ["wigner", "--elliptical-t", "0.5", "--grid-min", "nan"],
             ["corr", "--n", "1", "--m", "0", "--theta-min", "nan"],
             ["wigner", "--n", "1", "--m", "0", "--numeric", "--order", "0"],
+            ["bell-max", "--n", "1", "--m", "0", "--settings", "general", "--grid-bounds", "inf"],
+            ["bell-max", "--n", "1", "--m", "0", "--simplex-tol", "nan"],
         ):
             capsys.readouterr()
             assert main(argv) == 2, argv

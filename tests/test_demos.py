@@ -7,8 +7,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the demos that exercise the moment, correlation and numeric-Wigner APIs
-SMOKE_DEMOS = ["01_modes_and_schmidt.py", "02_wigner_functions.py", "05_correlations.py"]
+# the demos that exercise the moment, correlation, numeric-Wigner, Bell-sum
+# and elliptical-beam APIs
+SMOKE_DEMOS = [
+    "01_modes_and_schmidt.py",
+    "02_wigner_functions.py",
+    "03_bell_violation.py",
+    "04_elliptical_beam.py",
+    "05_correlations.py",
+]
 
 
 @pytest.mark.parametrize("script", SMOKE_DEMOS)

@@ -208,3 +208,9 @@ class TestModeIndex:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             modes.ModeIndex(1.5, 0)
+
+    def test_as_mode_does_not_truncate(self):
+        assert modes.as_mode((np.int64(2), 1)) == modes.ModeIndex(2, 1)
+        for pair in [(1.7, 0), (True, 0), (0, 2.0)]:
+            with pytest.raises(TypeError):
+                modes.as_mode(pair)

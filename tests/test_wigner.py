@@ -114,11 +114,14 @@ class TestClosedForm:
                     assert marginal >= -1e-6
 
     def test_log_domain_agrees_with_plain_product(self):
-        # straddle the switchover and compare against the naive formula
+        # straddle the switchover and compare against the naive formula, at
+        # each scalar point and at all of them as one array
         from vortexbell.specfun import laguerre
 
+        rs = (3.5, 4.2, 5.0, 7.0)
         for nm in [(4, 0), (3, 3)]:
-            for r in (3.5, 4.2, 5.0, 7.0):
+            naives = []
+            for r in rs:
                 pt = (r, 0.0, 0.0, r)
                 q0, q2 = wigner.wigner_args(pt)
                 naive = (
@@ -127,9 +130,37 @@ class TestClosedForm:
                     * laguerre(nm[1], 0, 4 * (q0 - q2))
                     * math.exp(-4 * q0)
                 )
+                naives.append(naive)
                 assert wigner.wigner_transform(nm, pt) == pytest.approx(
                     naive, rel=1e-11, abs=1e-300
                 )
+            r = np.array(rs)
+            assert wigner.wigner_transform(nm, (r, 0.0, 0.0, r)) == pytest.approx(
+                naives, rel=1e-11, abs=1e-300
+            )
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (30, 0), (64, 0), (32, 32)])
+    def test_array_matches_scalar(self, n, m):
+        rng = np.random.default_rng(47)
+        pts = rng.uniform(-8, 8, (3000, 4))
+        q0, q2 = wigner.wigner_args(tuple(pts.T))
+        reach = 4 * q0 + 4 * np.abs(q2)
+        assert np.any(reach <= 60.0) and np.any(reach > 60.0)
+        pi = wigner.lg_transform_evaluator((n, m))
+        array = pi(tuple(pts.T))
+        scalar = np.array([pi(tuple(p)) for p in pts.tolist()])
+        assert np.max(np.abs(array - scalar)) <= 1e-16
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_point(self, bad):
+        pi = wigner.lg_transform_evaluator((2, 1))
+        array = np.array([0.5, bad, -0.3])
+        for point in [(bad, 0.0, 0.0, 0.0), (0.1, 0.2, 0.3, bad), (array, 0.0, 0.0, 0.0)]:
+            # numpy warns about inf * 0 in the cross term before the point is rejected
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                pi(point)
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                wigner.wigner_transform((2, 1), point)
 
     def test_extreme_points_stay_finite(self):
         for nm in [(30, 0), (32, 32)]:
