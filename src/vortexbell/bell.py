@@ -332,11 +332,13 @@ def elliptical_profile(t_values=None, kind=GENERAL, sign=+1, config=None):
     one onto the other), so the per-t maxima are sign-independent and the
     search runs once on the canonical +1 branch. The supremum over the
     scanned grid is reported alongside the profile; ties resolve to the
-    smallest t.
+    smallest t. An empty ``t_values`` raises ValueError.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     ts = DEFAULT_T_GRID if t_values is None else tuple(float(t) for t in t_values)
+    if not ts:
+        raise ValueError("t_values must hold at least one squeeze value")
     rows = []
     sup_t, sup_value = None, -math.inf
     all_converged = True

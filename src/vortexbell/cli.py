@@ -38,12 +38,13 @@ from .bell import (
     maximize_bell,
 )
 from .correlation import correlation_scan, max_correlation
-from .modes import ModeIndex, lg_amplitude, schmidt_coefficients
+from .modes import ModeIndex, schmidt_coefficients
 from .quadrature import QuadratureConfig
 from .wigner import (
     EllipticalParams,
     NumericWignerPlan,
     elliptical_field,
+    lg_numeric_plan,
     lg_transform_evaluator,
     wigner_elliptical,
     wigner_lg,
@@ -207,20 +208,17 @@ def _cmd_wigner(args):
     if elliptical:
         params = EllipticalParams(args.elliptical_t, args.sign)
         closed = lambda pt: wigner_elliptical(params, pt)
-        numeric_field = lambda X, Y: elliptical_field(params, X, Y)
-        half_width = 8.0
+        numeric_plan = lambda order: NumericWignerPlan(
+            lambda X, Y: elliptical_field(params, X, Y), QuadratureConfig(order, 8.0))
     else:
         mode = ModeIndex(args.n, args.m)
         closed = lambda pt: wigner_lg(mode, pt)
-        numeric_field = lambda X, Y: lg_amplitude(mode, X, Y)
-        half_width = 4.0 + math.sqrt(2.0 * mode.total + 1.0)
+        numeric_plan = lambda order: lg_numeric_plan(mode, order)
 
     axis = np.linspace(args.grid_min, args.grid_max, args.grid_samples)
     grid = [g.ravel() for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
     if args.numeric:
-        config = QuadratureConfig(order=96 if args.order is None else args.order,
-                                  half_width=half_width)
-        plan = NumericWignerPlan(numeric_field, config)
+        plan = numeric_plan(96 if args.order is None else args.order)
         w = np.array([plan(point) for point in zip(*grid)])
     else:
         w = closed(grid)

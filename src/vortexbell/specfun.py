@@ -3,7 +3,7 @@
 Polynomials are evaluated with three-term recurrences (never factorial
 series), which stay accurate for the degrees this package needs. Scalar
 inputs run on plain floats and array inputs broadcast through numpy, except
-``laguerre_scaled``, which always returns numpy arrays.
+``laguerre_scaled``, which always returns numpy arrays; no evaluator calls it.
 """
 
 import math
@@ -82,9 +82,9 @@ def laguerre(p, alpha, x):
 def laguerre_scaled(p, alpha, x):
     """L_p^alpha(x) as numpy (mantissa, log_scale), value = mantissa * exp(log_scale).
 
-    The recurrence renormalizes whenever intermediates exceed 1e150, so the
-    pair stays representable for any argument the Wigner evaluator can
-    produce. Both parts are arrays of the shape of x, 0-d for a scalar x.
+    Intermediates are renormalized past 1e150, so any finite x is safe. No
+    evaluator calls it: it is the tests' far-range Pi oracle and a benchmark
+    probe. Both parts are arrays of the shape of x, 0-d for a scalar x.
     """
     p = _check_degree(p, "p")
     alpha = _check_degree(alpha, "alpha", cap=None)

@@ -9,9 +9,9 @@ with Q0 = (X^2+Y^2+P_X^2+P_Y^2)/4 and Q2 = (X P_Y - Y P_X)/2, normalized to
 unit integral over the four phase-space variables. The transform
 Pi = pi^2 W is the parity-expectation analog and satisfies |Pi| <= 1.
 
-Each closed form has one Pi evaluator, for a point of floats or of arrays;
-beyond a Laguerre argument of 60 the LG one works on the numpy arrays that
-``laguerre_scaled`` returns.
+Each closed form has one Pi evaluator, for a point of floats or of arrays,
+which rejects a non-finite coordinate. The LG one is the plain product at
+every point, and returns 0 where exp(-4 Q0) underflows (|Pi| < 1e-200 there).
 
 The numeric engine evaluates the symmetric-point Fourier integral
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import _laguerre, laguerre_scaled
+from .specfun import _laguerre
 
 __all__ = [
     "WignerArgs",
@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 _PI_SQ = math.pi**2
-
-# beyond this Laguerre argument the plain product risks over/underflow, so the
-# evaluation moves to the log domain with separate sign tracking
-_LOG_DOMAIN_THRESHOLD = 60.0
 
 MAX_SQUEEZE = 5.0
 
@@ -98,14 +94,11 @@ def _coords(point):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, px, y, py)))
 
 
-def _pi_lg_log_domain(n, m, sign, up, um, fourq0):
-    """Pi_nm on float arrays from log magnitudes and tracked signs."""
-    mn, sn = laguerre_scaled(n, 0, up)
-    mm, sm = laguerre_scaled(m, 0, um)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(mn)) + np.log(np.abs(mm)) + sn + sm - fourq0
-    # |Pi| <= 1 keeps the exponent nonpositive, so exp never overflows
-    return sign * np.sign(mn) * np.sign(mm) * np.exp(log_mag)
+def _flush(coords):
+    """Pi where its damping underflowed: 0, once every coordinate is checked finite."""
+    if not all(np.all(np.isfinite(c)) for c in coords):
+        raise ValueError("phase-space point must be finite")
+    return 0.0
 
 
 def lg_transform_evaluator(mode):
@@ -120,18 +113,18 @@ def lg_transform_evaluator(mode):
         fourq2 = 2.0 * (x * py - y * px)
         up = fourq0 + fourq2
         um = fourq0 - fourq2
-        # max(|up|, |um|); a NaN or inf point goes to laguerre_scaled, which rejects it
-        near = fourq0 + abs(fourq2) <= _LOG_DOMAIN_THRESHOLD
+        # damp is NaN for a NaN point, and 0 for an infinite one or on underflow
         if isinstance(x, float):
-            if near:
-                return sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * math.exp(-fourq0)
-            return float(_pi_lg_log_domain(n, m, sign, up, um, fourq0))
-        with np.errstate(over="ignore", invalid="ignore"):  # far points are overwritten
-            out = np.asarray(sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * np.exp(-fourq0))
-        far = ~near
-        if far.any():
-            out[far] = _pi_lg_log_domain(n, m, sign, up[far], um[far], fourq0[far])
-        return out
+            damp = math.exp(-fourq0)
+            if damp > 0.0:
+                return sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
+            return _flush((x, px, y, py))
+        damp = np.exp(-fourq0)
+        if not np.all(damp > 0.0):
+            _flush((x, px, y, py))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where damp is 0
+            out = sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
+        return np.where(damp > 0.0, out, 0.0)
 
     return pi
 
@@ -194,8 +187,7 @@ def wigner_numeric(field, point, config=None):
 def lg_numeric_plan(mode, order=96):
     """Numeric-Wigner plan for an LG mode, box sized to the mode's extent."""
     mode = as_mode(mode)
-    half_width = 4.0 + math.sqrt(2.0 * mode.total + 1.0)
-    config = QuadratureConfig(order=order, half_width=half_width)
+    config = QuadratureConfig(order=order, half_width=4.0 + math.sqrt(2.0 * mode.total + 1.0))
     return NumericWignerPlan(lambda X, Y: lg_amplitude(mode, X, Y), config)
 
 
@@ -228,7 +220,14 @@ def elliptical_transform_evaluator(params):
 
     def pi(point):
         x, px, y, py = _coords(point)
-        arg = -(x * x + y * y + px * px + py * py) * c2t + 2.0 * s2t * (x * y - px * py)
-        return math.exp(arg) if isinstance(x, float) else np.exp(arg)
+        # diag is -inf or NaN for a non-finite point, and -inf on overflow
+        diag = -(x * x + y * y + px * px + py * py) * c2t
+        arg = diag + 2.0 * s2t * (x * y - px * py)
+        if isinstance(x, float):
+            return math.exp(arg) if diag > -math.inf else _flush((x, px, y, py))
+        if not np.all(diag > -np.inf):
+            _flush((x, px, y, py))
+            arg = np.where(diag > -np.inf, arg, -np.inf)
+        return np.exp(arg)
 
     return pi

@@ -7,7 +7,9 @@ polynomials, and integrals rebuild Gauss-Hermite rules straight from numpy.
 The moment integrals take the package's field and analytic gradient, so they
 check the closed-form moment table against the fields it describes. The
 Bell search is the package's multi-start loop driven by scipy's
-Nelder-Mead, so it checks the in-house simplex search against scipy's.
+Nelder-Mead, so it checks the in-house simplex search against scipy's. The
+log-domain Pi takes the package's renormalizing ``laguerre_scaled``
+recurrence, so it checks the plain-product Pi far from the origin.
 """
 
 import cmath
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre
 
-from vortexbell import bell
+from vortexbell import bell, specfun, wigner
 from vortexbell.modes import as_mode, lg_amplitude, lg_gradient
 
 
@@ -159,3 +161,14 @@ def scipy_maximize_bell(pi, kind, config=None):
     return bell.OptimizationResult(
         best_value=-fun, argmax=argmax, evaluations=evaluations, converged=converged
     )
+
+
+def log_domain_pi(nm, point):
+    """(Pi_nm, 4Q0, 4Q2) at a point, Pi from laguerre_scaled log magnitudes and signs."""
+    n, m = nm
+    q0, q2 = wigner.wigner_args(point)
+    mn, sn = specfun.laguerre_scaled(n, 0, 4 * (q0 + q2))
+    mm, sm = specfun.laguerre_scaled(m, 0, 4 * (q0 - q2))
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(mn)) + np.log(np.abs(mm)) + sn + sm - 4 * q0
+    return (-1.0) ** (n + m) * np.sign(mn) * np.sign(mm) * np.exp(log_mag), 4 * q0, 4 * q2

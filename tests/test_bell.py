@@ -305,6 +305,11 @@ class TestEllipticalProfile:
                     plus, v
                 )
 
+    def test_rejects_bad_inputs(self):
+        for kwargs in [{"t_values": []}, {"t_values": ()}, {"sign": 0}]:
+            with pytest.raises(ValueError):
+                bell.elliptical_profile(**kwargs)
+
     def test_supremum_tracks_rows(self):
         cfg = bell.OptimizerConfig(restarts=3)
         profile = bell.elliptical_profile([0.0, 0.5, 1.0], config=cfg)

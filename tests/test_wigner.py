@@ -6,6 +6,8 @@ import pytest
 from vortexbell import modes, wigner
 from vortexbell.quadrature import QuadratureConfig
 
+from _oracles import log_domain_pi
+
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
 
@@ -114,8 +116,8 @@ class TestClosedForm:
                     assert marginal >= -1e-6
 
     def test_log_domain_agrees_with_plain_product(self):
-        # straddle the switchover and compare against the naive formula, at
-        # each scalar point and at all of them as one array
+        # points on both sides of a Laguerre argument of 60 against the naive
+        # formula, at each scalar point and at all of them as one array
         from vortexbell.specfun import laguerre
 
         rs = (3.5, 4.2, 5.0, 7.0)
@@ -153,20 +155,71 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_point(self, bad):
-        pi = wigner.lg_transform_evaluator((2, 1))
+        evaluators = [
+            wigner.lg_transform_evaluator((2, 1)),
+            lambda point: wigner.wigner_transform((2, 1), point),
+            wigner.elliptical_transform_evaluator((0.5, 1)),
+            lambda point: wigner.elliptical_transform((0.5, 1), point),
+        ]
         array = np.array([0.5, bad, -0.3])
-        for point in [(bad, 0.0, 0.0, 0.0), (0.1, 0.2, 0.3, bad), (array, 0.0, 0.0, 0.0)]:
-            # numpy warns about inf * 0 in the cross term before the point is rejected
-            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-                pi(point)
-            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-                wigner.wigner_transform((2, 1), point)
+        for pi in evaluators:
+            for point in [(bad, 0.0, 0.0, 0.0), (0.1, 0.2, 0.3, bad), (array, 0.0, 0.0, 0.0)]:
+                # numpy warns about inf * 0 in the cross term before the point is rejected
+                with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                    pi(point)
 
     def test_extreme_points_stay_finite(self):
-        for nm in [(30, 0), (32, 32)]:
-            val = wigner.wigner_transform(nm, (40.0, -40.0, 40.0, 40.0))
-            assert math.isfinite(val)
-            assert abs(val) <= 1.0
+        # beyond the first point exp(-4Q0) is 0; the Laguerre product overflows
+        # at the second for (64, 0) and at the third for every mode
+        points = [(40.0, -40.0, 40.0, 40.0), (500.0, -500.0, 500.0, 500.0), (3e5, 0.0, 0.0, 3e5)]
+        for point in points:
+            for nm in [(30, 0), (32, 32), (64, 0)]:
+                val = wigner.wigner_transform(nm, point)
+                assert math.isfinite(val)
+                assert abs(val) <= 1.0
+                arr = wigner.wigner_transform(nm, tuple(np.full(3, c) for c in point))
+                assert np.all(np.isfinite(arr)) and np.all(np.abs(arr) <= 1.0)
+
+
+class TestFarRange:
+    """The plain product beyond the Laguerre argument 60, against a log-domain oracle."""
+
+    MODES = [(1, 0), (5, 3), (30, 0), (64, 0), (32, 32)]
+
+    @staticmethod
+    def _points(lo, hi, count, seed):
+        # random directions at radii with 4Q0 = r^2 uniform in [lo, hi]
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=(4, count))
+        d /= np.linalg.norm(d, axis=0)
+        return tuple(d * np.sqrt(rng.uniform(lo, hi, count)))
+
+    @pytest.mark.parametrize("nm", MODES)
+    def test_matches_log_domain_oracle(self, nm):
+        pts = self._points(0.0, 700.0, 20_000, 53)
+        ref, fourq0, fourq2 = log_domain_pi(nm, pts)
+        far = (fourq0 + np.abs(fourq2) > 60.0) & (np.abs(ref) > 1e-290)
+        assert far.sum() > 10_000
+        pi = wigner.lg_transform_evaluator(nm)
+        assert pi(pts)[far] == pytest.approx(ref[far], rel=1e-11, abs=1e-300)
+        for k in np.flatnonzero(far)[:200]:
+            point = tuple(float(c[k]) for c in pts)
+            assert pi(point) == pytest.approx(ref[k], rel=1e-11, abs=1e-300)
+
+    @pytest.mark.parametrize("nm", MODES)
+    def test_underflow_returns_zero(self, nm):
+        # exp(-4Q0) turns subnormal near 4Q0 = 708 and reaches 0 near 745
+        pts = self._points(700.0, 2000.0, 5000, 59)
+        ref, fourq0, _ = log_domain_pi(nm, pts)
+        gone = np.exp(-fourq0) == 0.0
+        assert 3000 < gone.sum() < 5000
+        assert np.all(np.abs(ref[gone]) < 1e-200)
+        pi = wigner.lg_transform_evaluator(nm)
+        values = pi(pts)
+        assert np.all(values[gone] == 0.0)
+        assert np.max(np.abs(values - ref)) < 1e-200
+        for k in np.flatnonzero(gone)[:50]:
+            assert pi(tuple(float(c[k]) for c in pts)) == 0.0
 
 
 class TestNumericEngine:
