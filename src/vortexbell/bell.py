@@ -7,10 +7,12 @@ form varies only X on one side and P_Y on the other,
 
 while the general form assigns each side two full phase-plane settings.
 |B| > 2 signals correlations that no local model of the two transverse
-modes reproduces. Maximization is multi-start Nelder-Mead over grid plus
-PCG64-seeded candidates; everything is deterministic for a fixed seed. The
-simplex search is numpy-only and replays scipy's Nelder-Mead step for step,
-so it returns bit for bit what ``scipy.optimize.minimize`` would.
+modes reproduces. Maximization ranks grid or PCG64-seeded candidates and
+refines the best of them together by damped Newton ascent, with the exact
+gradient and Hessian that the Pi evaluators give at order 2 and Hessian
+eigenvalues flipped to ascend (modified Newton, Nocedal & Wright 2006,
+sec. 3.4). Every evaluation is batched over the starts; everything is
+deterministic for a fixed seed.
 """
 
 import math
@@ -47,6 +49,20 @@ _GENERAL_LATTICE_DRAWS = 16
 _GENERAL_UNIFORM_DRAWS = 64
 
 DEFAULT_T_GRID = tuple(round(0.1 * k, 1) for k in range(21))
+
+# term k of the CHSH sum is Pi at the settings _TERMS[k] of
+# (X1, P_X1, X2, P_X2, Y1, P_Y1, Y2, P_Y2), with sign _SIGNS[k]
+_TERMS = np.array([[0, 1, 4, 5], [2, 3, 4, 5], [0, 1, 6, 7], [2, 3, 6, 7]])
+_SIGNS = (1.0, 1.0, 1.0, -1.0)
+# restricted settings (x, py) sit at X2 and P_Y2, every other setting 0
+_RESTRICTED_SLOTS = np.array([2, 7])
+
+# Newton search: curvature floor relative to max|eigenvalue|, Armijo
+# sufficient-increase constant, and the gradient norm a converged maximum meets
+_CURVATURE_FLOOR = 1e-6
+_ARMIJO = 1e-4
+_GRADIENT_TOL = 1e-7
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -132,7 +148,13 @@ def bell_sum_general(pi, settings):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start search box, seeding, and simplex termination knobs."""
+    """Multi-start search box, seeding, and Newton termination knobs.
+
+    ``restarts`` seeds are refined. ``simplex_tol`` is the step and gain
+    tolerance at which a start retires (the name predates the Newton search),
+    and ``max_iters`` caps the Newton iterations of the lockstep phase and of
+    the polish each.
+    """
 
     grid_bounds: float = 2.0
     grid_points: int = 21
@@ -181,122 +203,161 @@ def _seed_points(kind, cfg):
     return np.vstack([np.zeros((1, 8)), lattice[picks], uniform])
 
 
-class _EvaluationCap(Exception):
-    """A Nelder-Mead step asked for one evaluation more than maxfev allows."""
+def _chsh(pi, v, order=0):
+    """B over the rows of v (N, 8) from one Pi call on the (N, 4) term points.
 
-
-def _nelder_mead(f, x0, tol, maxiter, maxfev):
-    """Minimize f from the float array x0; returns (x, fun, nfev, success).
-
-    Non-adaptive Nelder-Mead (Lagarias et al. 1998, SIAM J. Optim. 9:112):
-    reflection 1, expansion 2, contraction and shrink 1/2. It replays scipy
-    1.17's unbounded ``_minimize_neldermead`` step for step: the same initial
-    simplex, floating-point expressions, argsort tie-breaking, stopping test
-    (``xatol = fatol = tol``) and evaluation cap (a step that would exceed
-    ``maxfev`` is abandoned midway and the simplex re-sorted), so x, fun,
-    nfev and success are bit-identical to scipy's. f receives a list of
-    floats.
+    At order 2, the only other order, also the gradient (N, 8) and Hessian
+    (N, 8, 8) of B: each term's Pi derivatives summed into its four
+    settings with its sign.
     """
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[:] = x0
-    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.full(n + 1, np.inf)
-    nfev = 0
+    points = np.moveaxis(v[:, _TERMS], -1, 0)
+    if not order:
+        t = pi(points)
+        return t[:, 0] + t[:, 1] + t[:, 2] - t[:, 3]
+    t, grad_t, hess_t = pi(points, 2)
+    grad = np.zeros(v.shape)
+    hess = np.zeros(v.shape + v.shape[1:])
+    for k, cols in enumerate(_TERMS):
+        grad[:, cols] += _SIGNS[k] * grad_t[:, k]
+        hess[:, cols[:, None], cols] += _SIGNS[k] * hess_t[:, k]
+    return t[:, 0] + t[:, 1] + t[:, 2] - t[:, 3], grad, hess
 
-    def call(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _EvaluationCap
-        nfev += 1
-        return f(x.tolist())
 
-    def ranked(sim, fsim):
-        ind = fsim.argsort()
-        return sim.take(ind, 0), fsim.take(ind, 0)
+def _bell(pi, kind, u, order=0):
+    """B on rows of settings u, (N, 8) general or (N, 2) restricted (x, py);
+    at order 2 also its gradient and Hessian over those settings.
 
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _EvaluationCap:
-        pass
-    sim, fsim = ranked(*ranked(sim, fsim))  # scipy sorts twice here
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if abs(sim[1:] - sim[0]).max() <= tol and abs(fsim[0] - fsim[1:]).max() <= tol:
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = call(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = call(xc)
-                    accept = fxc <= fxr
-                else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = call(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = call(sim[j])
-            iterations += 1
-        except _EvaluationCap:
-            pass
-        sim, fsim = ranked(sim, fsim)
-    return sim[0], fsim.min(), nfev, nfev < maxfev and iterations < maxiter
+    Restricted settings are general ones at their fixed embedding, so their
+    derivatives are the general ones at the two embedded slots.
+    """
+    if kind == GENERAL:
+        return _chsh(pi, u, order)
+    v = np.zeros((len(u), 8))
+    v[:, _RESTRICTED_SLOTS] = u
+    if not order:
+        return _chsh(pi, v)
+    b, grad, hess = _chsh(pi, v, order)
+    slots = _RESTRICTED_SLOTS
+    return b, grad[:, slots], hess[:, slots[:, None], slots]
+
+
+def _newton_step(grad, hess):
+    """Modified-Newton ascent steps (Nocedal & Wright 2006, sec. 3.4), and
+    where each Hessian curves upward.
+
+    Every eigenvalue is replaced by -max(|lambda|, floor), floor = 1e-6 max|lambda|,
+    so the step ascends. Where the top eigenvalue exceeds the floor (a saddle
+    or a valley), the step also goes 1/sqrt(lambda_max) along its eigenvector,
+    uphill, which moves a start off a saddle where the gradient vanishes.
+    """
+    lam, vec = np.linalg.eigh(hess)
+    floor = _CURVATURE_FLOOR * np.abs(lam).max(axis=1)
+    scale = np.maximum(np.abs(lam), np.maximum(floor, _TINY)[:, None])
+    step = np.einsum("nij,nj->ni", vec, np.einsum("nij,ni->nj", vec, grad) / scale)
+    top, top_vec = lam[:, -1], vec[:, :, -1]
+    uphill = np.where(np.einsum("ni,ni->n", grad, top_vec) < 0.0, -1.0, 1.0)
+    escape = np.where(top > floor, uphill / np.sqrt(np.maximum(top, _TINY)), 0.0)
+    return step + escape[:, None] * top_vec, top > floor
+
+
+def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
+    """Damped modified-Newton ascent of sigma * B from every row of x, in lockstep.
+
+    ``bell(u, order)`` evaluates B on rows of settings. A start retires when
+    its step, or its gradient with no uphill curvature left, is within
+    ``tol``, when backtracking finds no Armijo point with a step above
+    ``tol``, or, with ``gain_rule``, when its gain in sigma * B is within
+    ``tol``. Returns x, f = sigma * B, whether each start retired within
+    ``max_iters``, and the gradient and Hessian of sigma * B at the last
+    point where they were taken.
+    """
+    x, f = x.copy(), f.copy()
+    active = np.isfinite(f)
+    grad = np.zeros(x.shape)
+    hess = np.zeros(x.shape + x.shape[1:])
+    for _ in range(max_iters):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        _, g, h = bell(x[idx], 2)
+        g *= sigma[idx, None]
+        h *= sigma[idx, None, None]
+        grad[idx], hess[idx] = g, h
+        finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
+        step = np.zeros(g.shape)
+        curved = np.zeros(idx.size, dtype=bool)
+        if finite.any():
+            step[finite], curved[finite] = _newton_step(g[finite], h[finite])
+        gnorm = np.linalg.norm(g, axis=1)
+        size = np.linalg.norm(step, axis=1)
+        moving = finite & (size > tol) & ~((gnorm <= tol) & ~curved)
+        active[idx[~moving]] = False
+        idx, g, step, size = idx[moving], g[moving], step[moving], size[moving]
+        # Armijo backtracking, halving in lockstep over the starts still searching
+        slope = np.einsum("ni,ni->n", g, step)
+        alpha = np.ones(idx.size)
+        pending = np.arange(idx.size)
+        while pending.size:
+            rows = idx[pending]
+            trial = x[rows] + alpha[pending, None] * step[pending]
+            ft = sigma[rows] * bell(trial)
+            ok = np.isfinite(ft) & (ft >= f[rows] + _ARMIJO * alpha[pending] * slope[pending])
+            gain = ft[ok] - f[rows[ok]]
+            x[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
+            if gain_rule:
+                active[rows[ok][gain <= tol]] = False
+            pending = pending[~ok]
+            alpha[pending] *= 0.5
+            spent = alpha[pending] * size[pending] <= tol
+            active[idx[pending[spent]]] = False
+            pending = pending[~spent]
+    return x, f, ~active, grad, hess
 
 
 def maximize_bell(pi, kind, config=None):
     """Maximize |B| for a Wigner-transform evaluator.
 
     Seeds come from a deterministic grid (restricted) or a PCG64-keyed
-    lattice subsample plus uniform draws (general); the best ``restarts``
-    seeds are refined by Nelder-Mead until the simplex diameter drops below
-    ``simplex_tol``. Non-finite evaluations are clamped out of the search.
+    lattice subsample plus uniform draws (general). The best ``restarts``
+    seeds ascend together by damped modified Newton on sigma * B, sigma the
+    sign of B at the seed, with the gradient and Hessian from ``pi(point, 2)``;
+    a start retires once its step, gradient or gain is within
+    ``simplex_tol``. The best start is then polished alone, without the gain
+    rule. ``converged`` means the polish stopped within ``max_iters``, with
+    |grad B| <= 1e-7 and no Hessian eigenvalue above 1e-6 max|lambda| (zero
+    modes of the beam's rotation symmetry are allowed). ``evaluations``
+    counts Bell sums, value or derivative. Non-finite values are rejected.
     The result is bit-reproducible for a fixed config.
     """
     if kind not in (RESTRICTED, GENERAL):
         raise ValueError(f"kind must be {RESTRICTED!r} or {GENERAL!r}, got {kind!r}")
     cfg = config if config is not None else OptimizerConfig()
-    restricted = kind == RESTRICTED
     evaluations = 0
 
-    def objective(v):
+    def bell(u, order=0):
         nonlocal evaluations
-        evaluations += 1
-        b = _restricted(pi, v[0], v[1]) if restricted else _general(pi, v)
-        if not math.isfinite(b):
-            return math.inf
-        return -abs(b)
+        evaluations += len(u)
+        return _bell(pi, kind, u, order)
 
     seeds = _seed_points(kind, cfg)
-    seed_values = np.array([objective(s) for s in seeds.tolist()])
-    ranking = seed_values.argsort(kind="stable")[: cfg.restarts]
-    maxfev = max(cfg.max_iters, 10 * seeds.shape[1])
-
-    best = None  # (value, argmax_tuple, converged)
-    for idx in ranking:
-        x, fun, _, success = _nelder_mead(
-            objective, seeds[idx], cfg.simplex_tol, cfg.max_iters, maxfev
-        )
-        candidate = (float(fun), tuple(x.tolist()), success)
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-    fun, argmax, converged = best
-    return OptimizationResult(
-        best_value=-fun, argmax=argmax, evaluations=evaluations, converged=converged
+    values = bell(seeds)
+    key = np.where(np.isfinite(values), -np.abs(values), np.inf)
+    starts = key.argsort(kind="stable")[: cfg.restarts]
+    sigma = np.where(values[starts] < 0.0, -1.0, 1.0)
+    x, f, _, _, _ = _ascend(bell, seeds[starts], sigma * values[starts], sigma,
+                            cfg.simplex_tol, cfg.max_iters, gain_rule=True)
+    w = [int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))]
+    x, f, stopped, grad, hess = _ascend(bell, x[w], f[w], sigma[w],
+                                        cfg.simplex_tol, cfg.max_iters, gain_rule=False)
+    lam = np.linalg.eigvalsh(hess[0]) if np.all(np.isfinite(hess)) else np.array([np.nan])
+    converged = bool(
+        stopped[0]
+        and np.isfinite(f[0])
+        and np.linalg.norm(grad[0]) <= _GRADIENT_TOL
+        and lam[-1] <= _CURVATURE_FLOOR * np.abs(lam).max()
     )
+    return OptimizationResult(best_value=float(f[0]), argmax=tuple(x[0].tolist()),
+                              evaluations=evaluations, converged=converged)
 
 
 def bell_scan(mode, x_range, samples, py=None):

@@ -11,7 +11,10 @@ elliptical-profile  per-t Bell maxima of the squeezed elliptical beam
 
 Scalar results are JSON on stdout (with an embedded run manifest); tables are
 CSV with one header row, written to stdout or --out (file outputs get a
-sidecar <out>.manifest.json). All numbers carry 17 significant digits.
+sidecar <out>.manifest.json). elliptical-profile adds sup_t, sup_best_abs_B
+and converged to its manifest, which goes to stderr when the CSV goes to
+stdout, so no stream mixes two formats. All numbers carry 17
+significant digits.
 
 Exit codes: 0 success, 2 argument error (a bad flag, or a ValueError from
 the library's input validation), 3 optimizer non-convergence, 4 I/O error.
@@ -118,11 +121,11 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--grid-points", type=int, default=21,
                         help="grid points per axis for restricted seeding")
     parser.add_argument("--restarts", type=int, default=8,
-                        help="number of seeds refined by the simplex")
+                        help="number of best seeds refined together by Newton ascent")
     parser.add_argument("--simplex-tol", type=float, default=1e-9,
-                        help="simplex diameter at which refinement stops")
+                        help="step, gradient and gain tolerance at which a start stops")
     parser.add_argument("--max-iters", type=int, default=4000,
-                        help="simplex iteration cap per restart")
+                        help="Newton iteration cap for the refinement and for the polish")
 
 
 def _cmd_bell_max(args):
@@ -238,15 +241,16 @@ def _cmd_elliptical_profile(args):
     kind = RESTRICTED if args.settings == "restricted" else GENERAL
     ts = np.linspace(args.t_min, args.t_max, args.t_samples)
     profile = elliptical_profile(ts, kind=kind, sign=args.sign, config=cfg)
-    _emit_csv("t,best_abs_B", profile.rows, args.out,
-              _manifest("elliptical-profile", args))
-    footer = {
+    summary = {
         "sup_t": profile.sup_t,
         "sup_best_abs_B": profile.sup_value,
         "converged": profile.all_converged,
-        "manifest": _manifest("elliptical-profile", args),
+        **_manifest("elliptical-profile", args),
     }
-    print(json.dumps(footer, indent=2))
+    _emit_csv("t,best_abs_B", profile.rows, args.out, summary)
+    if args.out is None:
+        # stdout carries the CSV alone
+        print(json.dumps(summary, indent=2), file=sys.stderr)
     return EXIT_OK if profile.all_converged else EXIT_NOT_CONVERGED
 
 

@@ -10,7 +10,8 @@ unit integral over the four phase-space variables. The transform
 Pi = pi^2 W is the parity-expectation analog and satisfies |Pi| <= 1.
 
 Each closed form has one Pi evaluator, for a point of floats or of arrays,
-which rejects a non-finite coordinate. The LG one is the plain product at
+which rejects a non-finite coordinate; a positional order 1 or 2 adds the
+exact gradient and Hessian over (X, P_X, Y, P_Y). The LG one is the plain product at
 every point, and returns 0 where exp(-4 Q0) underflows (|Pi| < 1e-200 there).
 
 The numeric engine evaluates the symmetric-point Fourier integral
@@ -94,20 +95,90 @@ def _coords(point):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, px, y, py)))
 
 
-def _flush(coords):
-    """Pi where its damping underflowed: 0, once every coordinate is checked finite."""
+def _flush(coords, order=0):
+    """Pi where its damping underflowed: 0, with zero derivatives at order 1 or 2,
+    once every coordinate is checked finite."""
     if not all(np.all(np.isfinite(c)) for c in coords):
         raise ValueError("phase-space point must be finite")
-    return 0.0
+    return (0.0, np.zeros(4), np.zeros((4, 4)))[: order + 1] if order else 0.0
+
+
+def _check_order(order):
+    if order not in (1, 2) or isinstance(order, bool):
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
+
+
+def _stack(coords):
+    """The coordinates as one (..., 4) array, ordered (X, P_X, Y, P_Y)."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
+def _outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
+# 4 Q2 = z^T J z for z = (X, P_X, Y, P_Y), so its gradient is 2 J z
+_J = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
+               [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+_EYE = np.eye(4)
+
+
+def _damped_derivatives(p, u, lp):
+    """D L_p(u) and D^2 L_p(u), D = d/du - 1/2: the derivatives of L_p(u) e^{-u/2} over e^{-u/2}.
+
+    L_p' = -L_{p-1}^(1) and L_p'' = L_{p-2}^(2).
+    """
+    d1 = -_laguerre(p - 1, 1, u) if p >= 1 else 0.0 * u
+    d2 = _laguerre(p - 2, 2, u) if p >= 2 else 0.0 * u
+    return d1 - 0.5 * lp, d2 - d1 + 0.25 * lp
+
+
+def _lg_derivatives(n, m, weight, coords, up, um, ln, lm, order):
+    """Gradient (..., 4) and, at order 2, Hessian (..., 4, 4) of
+    weight * L_n(u+) L_m(u-), with weight = sign * e^{-(u+ + u-)/2}.
+
+    u+- = 4Q0 +- 4Q2 = z^T (I +- J) z, so grad u+- = 2 (I +- J) z.
+    """
+    z = _stack(coords)
+    jz = z @ _J
+    gp, gm = 2.0 * (z + jz), 2.0 * (z - jz)
+    a1, a2 = _damped_derivatives(n, up, ln)
+    b1, b2 = _damped_derivatives(m, um, lm)
+    cp = np.asarray(weight * a1 * lm)[..., None]  # d Pi / d u+
+    cm = np.asarray(weight * ln * b1)[..., None]  # d Pi / d u-
+    grad = cp * gp + cm * gm
+    if order == 1:
+        return (grad,)
+    cpp = np.asarray(weight * a2 * lm)[..., None, None]
+    cpm = np.asarray(weight * a1 * b1)[..., None, None]
+    cmm = np.asarray(weight * ln * b2)[..., None, None]
+    hess = (cpp * _outer(gp, gp) + cpm * (_outer(gp, gm) + _outer(gm, gp))
+            + cmm * _outer(gm, gm) + 2.0 * cp[..., None] * (_EYE + _J)
+            + 2.0 * cm[..., None] * (_EYE - _J))
+    return grad, hess
+
+
+def _masked(live, derivatives):
+    """Zero the derivatives wherever Pi underflowed to 0."""
+    return tuple(np.where(live[(...,) + (None,) * (d.ndim - live.ndim)], d, 0.0)
+                 for d in derivatives)
 
 
 def lg_transform_evaluator(mode):
-    """Bind a mode, validated once, into a Pi evaluator for a point or coordinate arrays."""
+    """Bind a mode, validated once, into a Pi evaluator for a point or coordinate arrays.
+
+    ``pi(point)`` is Pi. ``pi(point, 1)`` is (Pi, gradient) and ``pi(point, 2)``
+    is (Pi, gradient, Hessian), the derivatives over (X, P_X, Y, P_Y) on
+    trailing axes of shape (4,) and (4, 4); Pi itself is bit-identical to
+    ``pi(point)``.
+    """
     mode = as_mode(mode)
     n, m = mode.n, mode.m
     sign = -1.0 if (n + m) % 2 else 1.0
 
-    def pi(point):
+    def pi(point, order=0):
+        if order:
+            _check_order(order)
         x, px, y, py = _coords(point)
         fourq0 = x * x + y * y + px * px + py * py
         fourq2 = 2.0 * (x * py - y * px)
@@ -116,15 +187,25 @@ def lg_transform_evaluator(mode):
         # damp is NaN for a NaN point, and 0 for an infinite one or on underflow
         if isinstance(x, float):
             damp = math.exp(-fourq0)
-            if damp > 0.0:
-                return sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
-            return _flush((x, px, y, py))
+            if not damp > 0.0:
+                return _flush((x, px, y, py), order)
+            ln, lm = _laguerre(n, 0, up), _laguerre(m, 0, um)
+            value = sign * ln * lm * damp
+            if not order:
+                return value
+            return (value, *_lg_derivatives(n, m, sign * damp, (x, px, y, py),
+                                            up, um, ln, lm, order))
         damp = np.exp(-fourq0)
         if not np.all(damp > 0.0):
             _flush((x, px, y, py))
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where damp is 0
-            out = sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
-        return np.where(damp > 0.0, out, 0.0)
+            if not order:  # keeps no polynomial array alive past the product, as large grids need
+                out = sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
+                return np.where(damp > 0.0, out, 0.0)
+            ln, lm = _laguerre(n, 0, up), _laguerre(m, 0, um)
+            live = damp > 0.0
+            return (np.where(live, sign * ln * lm * damp, 0.0), *_masked(live, _lg_derivatives(
+                n, m, sign * damp, (x, px, y, py), up, um, ln, lm, order)))
 
     return pi
 
@@ -212,22 +293,45 @@ def wigner_elliptical(params, point):
 
 
 def elliptical_transform_evaluator(params):
-    """Bind elliptical parameters into a Pi evaluator for a point or coordinate arrays."""
+    """Bind elliptical parameters into a Pi evaluator for a point or coordinate arrays.
+
+    Pi = exp(z^T K z) for z = (X, P_X, Y, P_Y). ``pi(point, 1)`` and
+    ``pi(point, 2)`` add the gradient 2 Pi K z and the Hessian
+    Pi (4 K z z^T K + 2 K), as for the LG evaluator.
+    """
     if not isinstance(params, EllipticalParams):
         params = EllipticalParams(*params)
     c2t = math.cosh(2.0 * params.t)
     s2t = float(params.sign) * math.sinh(2.0 * params.t)
+    kernel = np.array([[-c2t, 0.0, s2t, 0.0], [0.0, -c2t, 0.0, -s2t],
+                       [s2t, 0.0, -c2t, 0.0], [0.0, -s2t, 0.0, -c2t]])
 
-    def pi(point):
+    def derivatives(value, coords, order):
+        kz = _stack(coords) @ kernel
+        grad = 2.0 * np.asarray(value)[..., None] * kz
+        if order == 1:
+            return (grad,)
+        return grad, np.asarray(value)[..., None, None] * (4.0 * _outer(kz, kz) + 2.0 * kernel)
+
+    def pi(point, order=0):
+        if order:
+            _check_order(order)
         x, px, y, py = _coords(point)
         # diag is -inf or NaN for a non-finite point, and -inf on overflow
         diag = -(x * x + y * y + px * px + py * py) * c2t
         arg = diag + 2.0 * s2t * (x * y - px * py)
         if isinstance(x, float):
-            return math.exp(arg) if diag > -math.inf else _flush((x, px, y, py))
+            if not diag > -math.inf:
+                return _flush((x, px, y, py), order)
+            value = math.exp(arg)
+            return (value, *derivatives(value, (x, px, y, py), order)) if order else value
         if not np.all(diag > -np.inf):
             _flush((x, px, y, py))
             arg = np.where(diag > -np.inf, arg, -np.inf)
-        return np.exp(arg)
+        value = np.exp(arg)
+        if not order:
+            return value
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where Pi is 0
+            return (value, *_masked(value > 0.0, derivatives(value, (x, px, y, py), order)))
 
     return pi

@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from vortexbell import bell, wigner
-
-from _oracles import scipy_maximize_bell
 
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
@@ -82,6 +79,46 @@ class TestBellSums:
             bell.BellSettingsGeneral.from_vector([0.0] * 7)
 
 
+def _central_differences(f, v, h):
+    """Gradient of the scalar f and Jacobian of the vector grad, by central differences."""
+    eye = np.eye(v.size)
+    grad = np.array([(f(v + h * e)[0] - f(v - h * e)[0]) / (2 * h) for e in eye])
+    hess = np.array([(f(v + h * e)[1] - f(v - h * e)[1]) / (2 * h) for e in eye])
+    return grad, hess
+
+
+class TestBellDerivatives:
+    @pytest.mark.parametrize(
+        "pi",
+        [PI_10, wigner.lg_transform_evaluator((5, 3)),
+         wigner.elliptical_transform_evaluator((0.7, +1))],
+        ids=["lg-1-0", "lg-5-3", "elliptical-0.7"],
+    )
+    @pytest.mark.parametrize("kind", [bell.GENERAL, bell.RESTRICTED])
+    def test_jet_matches_finite_differences(self, pi, kind):
+        rng = np.random.default_rng(67)
+        dim = 8 if kind == bell.GENERAL else 2
+        u = rng.uniform(-0.8, 0.8, (5, dim))
+        b, grad, hess = bell._bell(pi, kind, u, 2)
+        assert grad.shape == (5, dim) and hess.shape == (5, dim, dim)
+        assert np.array_equal(b, bell._bell(pi, kind, u))
+        for row in range(5):
+            def jet(v):
+                _, g, h = bell._bell(pi, kind, v[None, :], 2)
+                return bell._bell(pi, kind, v[None, :])[0], g[0]
+            fd_grad, fd_hess = _central_differences(jet, u[row], 1e-6)
+            assert np.max(np.abs(grad[row] - fd_grad)) <= 1e-8
+            assert np.max(np.abs(hess[row] - fd_hess)) <= 1e-7
+            assert np.array_equal(hess[row], hess[row].T)
+
+    def test_values_match_scalar_sums(self):
+        rng = np.random.default_rng(71)
+        u = rng.uniform(-2, 2, (20, 8))
+        batched = bell._bell(PI_10, bell.GENERAL, u)
+        scalar = [bell.bell_sum_general(PI_10, row) for row in u]
+        assert np.max(np.abs(batched - scalar)) <= 1e-14
+
+
 class TestMaximize:
     def test_restricted_lowest_vortex(self):
         result = bell.maximize_bell(PI_10, bell.RESTRICTED)
@@ -125,21 +162,50 @@ class TestMaximize:
         assert result.best_value >= worst_seed - 1e-12
 
     def test_nonfinite_evaluations_clamped(self):
-        def flaky_pi(point):
-            x = point[0]
-            if abs(x) > 1.0:
-                return math.nan
-            return PI_10(point)
+        def flaky_pi(point, order=0):
+            # NaN wherever |X| > 1, in Pi and in its derivatives
+            nan = np.where(np.abs(point[0]) > 1.0, math.nan, 0.0)
+            if not order:
+                return PI_10(point) + nan
+            return tuple(d + nan[(...,) + (None,) * (d.ndim - nan.ndim)]
+                         for d in PI_10(point, order))
 
         result = bell.maximize_bell(flaky_pi, bell.RESTRICTED)
         assert math.isfinite(result.best_value)
         assert result.best_value > 2.0
+
+    def test_all_nonfinite_reported_not_converged(self):
+        def nan_pi(point):
+            return np.full(np.shape(point[0]), math.nan)
+
+        result = bell.maximize_bell(nan_pi, bell.RESTRICTED)
+        assert not result.converged
+        assert math.isnan(result.best_value)
 
     def test_nonconvergence_reported_not_raised(self):
         cfg = bell.OptimizerConfig(max_iters=1, restarts=1)
         result = bell.maximize_bell(PI_10, bell.RESTRICTED, cfg)
         assert not result.converged
         assert math.isfinite(result.best_value)
+
+    @pytest.mark.parametrize(
+        "mode, kind, best_known",
+        [((1, 0), bell.GENERAL, 2.2386784207), ((30, 0), bell.GENERAL, 2.5446000714),
+         ((30, 0), bell.RESTRICTED, 2.3323059355)],
+        ids=["general-1-0", "general-30-0", "restricted-30-0"],
+    )
+    def test_reaches_best_known_maximum(self, mode, kind, best_known):
+        pi = wigner.lg_transform_evaluator(mode)
+        result = bell.maximize_bell(pi, kind)
+        assert result.converged
+        assert result.best_value >= best_known - 1e-9
+        # the argmax is stationary: central differences of |B| vanish there
+        total = bell.bell_sum_general if kind == bell.GENERAL else bell.bell_sum_restricted
+        v, h = np.array(result.argmax), 1e-5
+        grad = [(abs(total(pi, v + h * e)) - abs(total(pi, v - h * e))) / (2 * h)
+                for e in np.eye(v.size)]
+        assert np.linalg.norm(grad) <= 1e-6
+        assert abs(total(pi, v)) == pytest.approx(result.best_value, abs=1e-12)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -158,92 +224,6 @@ class TestMaximize:
                     {"grid_points": 21.5}, {"restarts": True}):
             with pytest.raises(TypeError):
                 bell.OptimizerConfig(**bad)
-
-
-def _rosenbrock(x):
-    return (1.0 - x[0]) * (1.0 - x[0]) + 100.0 * (x[1] - x[0] * x[0]) * (x[1] - x[0] * x[0])
-
-
-def _restricted_10(v):
-    return -abs(bell.bell_sum_restricted(PI_10, (v[0], v[1])))
-
-
-_PI_ELLIPTICAL_19 = wigner.elliptical_transform_evaluator((1.9, +1))
-
-
-def _general_elliptical_19(v):
-    return -abs(bell.bell_sum_general(_PI_ELLIPTICAL_19, v))
-
-
-def _infinite_half_plane(x):
-    # finite only where x0 + x1 >= 0, minimum on the boundary: the simplex
-    # keeps several infinite vertices, so argsort ties decide the path
-    if x[0] + x[1] < 0.0:
-        return math.inf
-    return (x[0] + 2.0) * (x[0] + 2.0) + 10.0 * (x[1] - 1.0) * (x[1] - 1.0) + x[2] * x[2]
-
-
-class TestNelderMead:
-    """The in-house simplex search replays scipy's Nelder-Mead bit for bit."""
-
-    @pytest.mark.parametrize(
-        "f, x0, maxfev",
-        [
-            (_rosenbrock, [-1.2, 1.0], 4000),
-            (_restricted_10, [0.3, 0.0], 4000),
-            # the all-zero general seed at t = 1.9, seed 12345: stops at maxfev
-            (_general_elliptical_19, [0.0] * 8, 4000),
-            (_infinite_half_plane, [0.2, -0.1, 0.0], 4000),
-            (_rosenbrock, [-1.2, 1.0], 50),
-        ],
-        ids=["rosenbrock", "restricted-10", "elliptical-1.9", "inf-half-plane",
-             "rosenbrock-maxfev-50"],
-    )
-    def test_matches_scipy(self, f, x0, maxfev):
-        x0 = np.array(x0)
-        tol, maxiter = 1e-9, 4000
-        with np.errstate(invalid="ignore"):  # inf - inf in the stopping test
-            ref = minimize(f, x0, method="Nelder-Mead",
-                           options={"xatol": tol, "fatol": tol, "maxiter": maxiter,
-                                    "maxfev": maxfev})
-            x, fun, nfev, success = bell._nelder_mead(f, x0, tol, maxiter, maxfev)
-        assert x.tobytes() == ref.x.tobytes()
-        assert fun == ref.fun
-        assert nfev == ref.nfev
-        assert success == ref.success
-
-    def test_elliptical_case_hits_the_evaluation_cap(self):
-        x0 = np.zeros(8)
-        _, _, nfev, success = bell._nelder_mead(_general_elliptical_19, x0, 1e-9, 4000, 4000)
-        assert (nfev, success) == (4000, False)
-
-    def test_objective_gets_a_list_of_floats(self):
-        seen = []
-
-        def f(x):
-            seen.append(x)
-            return _rosenbrock(x)
-
-        bell._nelder_mead(f, np.array([0.5, 0.5]), 1e-6, 10, 100)
-        assert all(type(x) is list and all(type(c) is float for c in x) for x in seen)
-
-    @pytest.mark.parametrize(
-        "pi, kind",
-        [
-            (PI_10, bell.RESTRICTED),
-            (wigner.lg_transform_evaluator((30, 0)), bell.RESTRICTED),
-            (wigner.lg_transform_evaluator((20, 10)), bell.RESTRICTED),
-            (PI_10, bell.GENERAL),
-            (wigner.elliptical_transform_evaluator((1.1, +1)), bell.GENERAL),
-            (_PI_ELLIPTICAL_19, bell.GENERAL),
-        ],
-        ids=["restricted-10", "restricted-30-0", "restricted-20-10", "general-10",
-             "elliptical-1.1", "elliptical-1.9"],
-    )
-    def test_maximize_bell_matches_scipy_restart_loop(self, pi, kind):
-        cfg = bell.OptimizerConfig(seed=12345)
-        expected = scipy_maximize_bell(pi, kind, cfg)
-        assert bell.maximize_bell(pi, kind, cfg) == expected  # bit-identical dataclasses
 
 
 class TestScan:
@@ -309,6 +289,12 @@ class TestEllipticalProfile:
         for kwargs in [{"t_values": []}, {"t_values": ()}, {"sign": 0}]:
             with pytest.raises(ValueError):
                 bell.elliptical_profile(**kwargs)
+
+    def test_default_profile_converges_and_rises(self):
+        profile = bell.elliptical_profile()
+        assert profile.all_converged
+        values = [v for _, v in profile.rows]
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_supremum_tracks_rows(self):
         cfg = bell.OptimizerConfig(restarts=3)

@@ -64,6 +64,14 @@ class TestBellMax:
         assert payload["best_value"] == pytest.approx(2.24, abs=0.01)
         assert len(payload["argmax"]) == 8
 
+    def test_general_vortex_30_exits_zero(self, capsys):
+        code, payload = run_json(
+            capsys, ["bell-max", "--n", "30", "--m", "0", "--settings", "general"]
+        )
+        assert code == 0
+        assert payload["converged"] is True
+        assert payload["best_value"] >= 2.5446000714 - 1e-9
+
     def test_ground_mode_bounded(self, capsys):
         code, payload = run_json(
             capsys, ["bell-max", "--n", "0", "--m", "0", "--settings", "restricted"]
@@ -284,14 +292,18 @@ class TestEllipticalProfile:
             ["elliptical-profile", "--t-min", "0", "--t-max", "0.4", "--t-samples", "3",
              "--restarts", "3", "--out", str(out)]
         )
-        footer = json.loads(capsys.readouterr().out)
+        streams = capsys.readouterr()
+        assert (streams.out, streams.err) == ("", "")
+        manifest = json.loads((tmp_path / "profile.csv.manifest.json").read_text())
         assert code == 0
+        assert manifest["command"] == "elliptical-profile"
+        assert manifest["converged"] is True
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,best_abs_B"
         assert len(lines) == 4
         first = float(lines[1].split(",")[1])
         assert first <= 2.0 + 1e-9
-        assert footer["sup_best_abs_B"] == pytest.approx(
+        assert manifest["sup_best_abs_B"] == pytest.approx(
             max(float(l.split(",")[1]) for l in lines[1:]), abs=1e-12
         )
 
@@ -299,12 +311,23 @@ class TestEllipticalProfile:
         argv = ["elliptical-profile", "--t-min", "0.2", "--t-max", "0.4",
                 "--t-samples", "2", "--restarts", "2"]
         main(argv + ["--sign", "1"])
-        plus = capsys.readouterr().out
+        plus = capsys.readouterr()
         main(argv + ["--sign", "-1"])
-        minus = capsys.readouterr().out
-        plus_csv = plus.split("{")[0]
-        minus_csv = minus.split("{")[0]
-        assert plus_csv == minus_csv
+        minus = capsys.readouterr()
+        # stdout is the CSV alone; the summary is JSON on stderr
+        assert plus.out == minus.out
+        assert plus.out.splitlines()[0] == "t,best_abs_B"
+        assert len(plus.out.splitlines()) == 3
+        summary = json.loads(plus.err)
+        assert summary["sup_t"] == 0.4
+        assert summary["converged"] is True
+
+    def test_default_profile_exits_zero(self, capsys):
+        assert main(["elliptical-profile"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 21
+        values = [float(v) for _, v in rows]
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_out_of_range_t_is_usage_error(self, capsys):
         assert main(["elliptical-profile", "--t-min", "0", "--t-max", "3"]) == 2

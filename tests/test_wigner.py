@@ -352,3 +352,102 @@ class TestElliptical:
             wigner.EllipticalParams(5.5, +1)
         with pytest.raises(ValueError):
             wigner.EllipticalParams(0.5, 2)
+
+
+def _rotate(point, theta, mirror):
+    """Rotate (X, P_X) by theta and (Y, P_Y) by theta, or by -theta when mirror."""
+    x, px, y, py = point
+    c, s = np.cos(theta), np.sin(theta)
+    t = -s if mirror else s
+    return c * x - s * px, s * x + c * px, c * y - t * py, t * y + c * py
+
+
+class TestDerivatives:
+    """pi(point, 1) and pi(point, 2): gradient and Hessian over (X, P_X, Y, P_Y)."""
+
+    EVALUATORS = [
+        *(((n, m), 1.0 / math.sqrt(n + m + 1.0), wigner.lg_transform_evaluator((n, m)))
+          for n, m in [(1, 0), (5, 3), (30, 0), (64, 0), (32, 32)]),
+        *((t, math.exp(-t), wigner.elliptical_transform_evaluator((t, +1)))
+          for t in (0.0, 0.7, 2.0, 5.0)),
+    ]
+    IDS = ["lg-1-0", "lg-5-3", "lg-30-0", "lg-64-0", "lg-32-32",
+           "elliptical-0", "elliptical-0.7", "elliptical-2", "elliptical-5"]
+
+    @pytest.mark.parametrize("label, scale, pi", EVALUATORS, ids=IDS)
+    def test_match_central_differences(self, label, scale, pi):
+        rng = np.random.default_rng(73)
+        pts = rng.uniform(-1.5 * scale, 1.5 * scale, (4, 30))
+        value, grad, hess = pi(tuple(pts), 2)
+        assert grad.shape == (30, 4) and hess.shape == (30, 4, 4)
+        h = 1e-6 * scale
+        fd_grad = np.empty_like(grad)
+        fd_hess = np.empty_like(hess)
+        for i, e in enumerate(np.eye(4)):
+            up, down = tuple(pts + h * e[:, None]), tuple(pts - h * e[:, None])
+            fd_grad[:, i] = (pi(up) - pi(down)) / (2 * h)
+            fd_hess[:, i] = (pi(up, 1)[1] - pi(down, 1)[1]) / (2 * h)
+        assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+        assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+        # float points give the array results, up to the scalar exp's rounding
+        for k in range(0, 30, 7):
+            point = tuple(float(c) for c in pts[:, k])
+            v, g, hk = pi(point, 2)
+            assert isinstance(v, float) and g.shape == (4,) and hk.shape == (4, 4)
+            assert v == pytest.approx(value[k], rel=1e-14, abs=1e-300)
+            assert np.allclose(g, grad[k], rtol=1e-12, atol=1e-12 * np.max(np.abs(grad)))
+            assert np.allclose(hk, hess[k], rtol=1e-12, atol=1e-12 * np.max(np.abs(hess)))
+
+    @pytest.mark.parametrize("label, scale, pi", EVALUATORS, ids=IDS)
+    def test_value_part_is_bit_identical(self, label, scale, pi):
+        rng = np.random.default_rng(79)
+        pts = tuple(rng.uniform(-2 * scale, 2 * scale, (4, 7, 3)))
+        plain = pi(pts)
+        for order in (1, 2):
+            assert np.array_equal(pi(pts, order)[0], plain)
+        assert np.array_equal(pi(pts, 1)[1], pi(pts, 2)[1])
+        for k in range(3):
+            point = tuple(float(c[k, 1]) for c in pts)
+            assert pi(point, 2)[0] == pi(point, 1)[0] == pi(point)
+
+    def test_zero_where_pi_underflows(self):
+        far = (40.0, -40.0, 40.0, 40.0)
+        for pi in (wigner.lg_transform_evaluator((30, 0)),
+                   wigner.elliptical_transform_evaluator((1.0, +1))):
+            value, grad, hess = pi(far, 2)
+            assert value == 0.0 and not grad.any() and not hess.any()
+            arrays = tuple(np.array([c, 0.1]) for c in far)
+            value, grad, hess = pi(arrays, 2)
+            assert value[0] == 0.0 and not grad[0].any() and not hess[0].any()
+            assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+            assert grad[1].any()
+
+    def test_rejects_bad_order_and_points(self):
+        pi = wigner.lg_transform_evaluator((1, 0))
+        for order in (3, -1, True):
+            with pytest.raises(ValueError):
+                pi((0.1, 0.2, 0.3, 0.4), order)
+        for order in (1, 2):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                pi((math.nan, 0.0, 0.0, 0.0), order)
+
+
+class TestPhaseRotationSymmetry:
+    """The invariance behind the zero Hessian eigenvalue at a general Bell maximum."""
+
+    @pytest.mark.parametrize("nm", [(1, 0), (5, 3)])
+    def test_lg_invariant_under_equal_rotations(self, nm):
+        rng = np.random.default_rng(83)
+        pts = rng.uniform(-2, 2, (4, 1000)) / math.sqrt(sum(nm) + 1)
+        theta = rng.uniform(0, 2 * math.pi, 1000)
+        pi = wigner.lg_transform_evaluator(nm)
+        assert np.max(np.abs(pi(_rotate(pts, theta, mirror=False)) - pi(tuple(pts)))) <= 1e-15
+
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_elliptical_invariant_under_opposite_rotations(self, t):
+        rng = np.random.default_rng(89)
+        pts = rng.uniform(-2, 2, (4, 1000))
+        theta = rng.uniform(0, 2 * math.pi, 1000)
+        pi = wigner.elliptical_transform_evaluator((t, +1))
+        assert np.max(np.abs(pi(_rotate(pts, theta, mirror=True)) - pi(tuple(pts)))) <= 1e-15
