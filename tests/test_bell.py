@@ -5,6 +5,8 @@ import pytest
 
 from vortexbell import bell, wigner
 
+from _oracles import scipy_maximize_bell
+
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
 
@@ -224,6 +226,31 @@ class TestMaximize:
                     {"grid_points": 21.5}, {"restarts": True}):
             with pytest.raises(TypeError):
                 bell.OptimizerConfig(**bad)
+
+
+class TestNelderMead:
+    """The Newton search reaches the maximum of scipy's Nelder-Mead restart loop."""
+
+    @pytest.mark.parametrize(
+        "pi, kind",
+        [
+            (PI_10, bell.RESTRICTED),
+            (wigner.lg_transform_evaluator((30, 0)), bell.RESTRICTED),
+            (wigner.lg_transform_evaluator((20, 10)), bell.RESTRICTED),
+            (PI_10, bell.GENERAL),
+            (wigner.elliptical_transform_evaluator((1.1, +1)), bell.GENERAL),
+            # scipy's restarts stop at their evaluation cap here
+            (wigner.elliptical_transform_evaluator((1.9, +1)), bell.GENERAL),
+        ],
+        ids=["restricted-10", "restricted-30-0", "restricted-20-10", "general-10",
+             "elliptical-1.1", "elliptical-1.9"],
+    )
+    def test_maximize_bell_matches_scipy_restart_loop(self, pi, kind):
+        cfg = bell.OptimizerConfig(seed=12345)
+        expected = scipy_maximize_bell(pi, kind, cfg)
+        result = bell.maximize_bell(pi, kind, cfg)
+        assert result.converged
+        assert result.best_value >= expected.best_value - 1e-12
 
 
 class TestScan:
