@@ -2,7 +2,7 @@
 
 The package evaluates LG/HG transverse modes and their Schmidt (LG -> HG)
 decomposition, closed-form and numeric Wigner functions, Bell-CHSH sums over
-phase-space settings with derivative-free maximization, and quadrature
+phase-space settings with exact-derivative Newton maximization, and quadrature
 correlation coefficients — everything in dimensionless scaled coordinates.
 """
 

@@ -105,45 +105,33 @@ class BellSettingsGeneral:
         return (*self.a1, *self.a2, *self.b1, *self.b2)
 
 
-def _general(pi, v):
-    """The CHSH sum for v = (X1, P_X1, X2, P_X2, Y1, P_Y1, Y2, P_Y2)."""
-    return (
-        pi((v[0], v[1], v[4], v[5]))
-        + pi((v[2], v[3], v[4], v[5]))
-        + pi((v[0], v[1], v[6], v[7]))
-        - pi((v[2], v[3], v[6], v[7]))
-    )
-
-
-def _restricted(pi, x, py):
-    """The general sum at a1 = b1 = (0, 0), a2 = (x, 0), b2 = (0, py)."""
-    return _general(pi, (0.0, 0.0, x, 0.0, 0.0, 0.0, 0.0, py))
-
-
 def bell_sum_restricted(pi, settings):
-    """Restricted four-term Bell sum of the Wigner transform pi."""
+    """Restricted four-term Bell sum, a float, from one call of pi on coordinate arrays."""
     if not isinstance(settings, BellSettingsRestricted):
         settings = BellSettingsRestricted(*settings)
-    return _restricted(pi, settings.x, settings.py)
+    return float(_bell(pi, RESTRICTED, np.array([[settings.x, settings.py]]))[0])
 
 
 def bell_closed_form_10(x, py):
     """Closed-form restricted Bell sum for the lowest vortex mode (1, 0)."""
     if not (math.isfinite(x) and math.isfinite(py)):
         raise ValueError("settings must be finite")
-    return (
-        math.exp(-py * py) * (py * py - 1.0)
-        + math.exp(-x * x) * (x * x - 1.0)
-        - math.exp(-py * py - x * x) * ((py + x) ** 2 - 1.0)
-        - 1.0
-    )
+    return (_damped(py * py, py * py) + _damped(x * x, x * x)
+            - _damped(py * py + x * x, (py + x) * (py + x)) - 1.0)
+
+
+def _damped(s, q):
+    """e^{-s} (q - 1), and 0 where e^{-s} underflows, even if q overflowed to inf."""
+    damp = math.exp(-s)
+    return damp * (q - 1.0) if damp > 0.0 else 0.0
 
 
 def bell_sum_general(pi, settings):
-    """General four-term CHSH sum; the (a2, b2) term enters with a minus sign."""
+    """General four-term CHSH sum, a float, from one call of pi on coordinate arrays;
+    the (a2, b2) term enters with a minus sign."""
     if not isinstance(settings, BellSettingsGeneral):
         settings = BellSettingsGeneral.from_vector(settings)
-    return _general(pi, settings.to_vector())
+    return float(_bell(pi, GENERAL, np.array([settings.to_vector()]))[0])
 
 
 @dataclass(frozen=True)
@@ -164,7 +152,7 @@ class OptimizerConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        for name in ("grid_points", "restarts", "max_iters"):
+        for name in ("grid_points", "restarts", "max_iters", "seed"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -178,6 +166,8 @@ class OptimizerConfig:
             raise ValueError(f"simplex_tol must be >= 1e-12, got {self.simplex_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -372,7 +362,7 @@ def bell_scan(mode, x_range, samples, py=None):
         raise ValueError(f"bad scan range [{lo}, {hi}]")
     xs = np.linspace(lo, hi, samples)
     pys = xs if py is None else np.full(samples, float(py))
-    b = _restricted(lg_transform_evaluator(mode), xs, pys)
+    b = _bell(lg_transform_evaluator(mode), RESTRICTED, np.column_stack([xs, pys]))
     return np.column_stack([xs, pys, np.abs(b)])
 
 

@@ -9,10 +9,13 @@ with Q0 = (X^2+Y^2+P_X^2+P_Y^2)/4 and Q2 = (X P_Y - Y P_X)/2, normalized to
 unit integral over the four phase-space variables. The transform
 Pi = pi^2 W is the parity-expectation analog and satisfies |Pi| <= 1.
 
-Each closed form has one Pi evaluator, for a point of floats or of arrays,
-which rejects a non-finite coordinate; a positional order 1 or 2 adds the
-exact gradient and Hessian over (X, P_X, Y, P_Y). The LG one is the plain product at
-every point, and returns 0 where exp(-4 Q0) underflows (|Pi| < 1e-200 there).
+Each closed form has one Pi evaluator with one array path. A point of four
+floats is evaluated as 0-d arrays and gives a float with the same bits as the
+same point inside an array; it costs about as much as a small batch, so loops
+over points should batch them. A non-finite coordinate is rejected; a
+positional order 1 or 2 adds the exact gradient and Hessian over
+(X, P_X, Y, P_Y). The LG one is the plain product at every point, and returns
+0 where exp(-4 Q0) underflows (|Pi| < 1e-200 there).
 
 The numeric engine evaluates the symmetric-point Fourier integral
 
@@ -52,8 +55,6 @@ _PI_SQ = math.pi**2
 
 MAX_SQUEEZE = 5.0
 
-_SCALAR_TYPES = (int, float, np.floating, np.integer)
-
 
 class WignerArgs(NamedTuple):
     """The rotation-invariant arguments (Q0, Q2) of the closed-form Wigner function."""
@@ -87,30 +88,18 @@ def wigner_args(point):
 
 
 def _coords(point):
-    """The four coordinates as floats, or as broadcast float arrays if any is an array."""
-    x, px, y, py = point
-    if (isinstance(x, _SCALAR_TYPES) and isinstance(px, _SCALAR_TYPES)
-            and isinstance(y, _SCALAR_TYPES) and isinstance(py, _SCALAR_TYPES)):
-        return float(x), float(px), float(y), float(py)
-    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, px, y, py)))
+    """The four coordinates as broadcast float arrays, 0-d for a point of floats."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in point))
 
 
-def _flush(coords, order=0):
-    """Pi where its damping underflowed: 0, with zero derivatives at order 1 or 2,
-    once every coordinate is checked finite."""
+def _check_finite(coords):
     if not all(np.all(np.isfinite(c)) for c in coords):
         raise ValueError("phase-space point must be finite")
-    return (0.0, np.zeros(4), np.zeros((4, 4)))[: order + 1] if order else 0.0
 
 
 def _check_order(order):
     if order not in (1, 2) or isinstance(order, bool):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
-
-
-def _stack(coords):
-    """The coordinates as one (..., 4) array, ordered (X, P_X, Y, P_Y)."""
-    return np.stack(np.broadcast_arrays(*coords), axis=-1)
 
 
 def _outer(u, v):
@@ -139,19 +128,19 @@ def _lg_derivatives(n, m, weight, coords, up, um, ln, lm, order):
 
     u+- = 4Q0 +- 4Q2 = z^T (I +- J) z, so grad u+- = 2 (I +- J) z.
     """
-    z = _stack(coords)
+    z = np.stack(coords, axis=-1)
     jz = z @ _J
     gp, gm = 2.0 * (z + jz), 2.0 * (z - jz)
     a1, a2 = _damped_derivatives(n, up, ln)
     b1, b2 = _damped_derivatives(m, um, lm)
-    cp = np.asarray(weight * a1 * lm)[..., None]  # d Pi / d u+
-    cm = np.asarray(weight * ln * b1)[..., None]  # d Pi / d u-
+    cp = (weight * a1 * lm)[..., None]  # d Pi / d u+
+    cm = (weight * ln * b1)[..., None]  # d Pi / d u-
     grad = cp * gp + cm * gm
     if order == 1:
         return (grad,)
-    cpp = np.asarray(weight * a2 * lm)[..., None, None]
-    cpm = np.asarray(weight * a1 * b1)[..., None, None]
-    cmm = np.asarray(weight * ln * b2)[..., None, None]
+    cpp = (weight * a2 * lm)[..., None, None]
+    cpm = (weight * a1 * b1)[..., None, None]
+    cmm = (weight * ln * b2)[..., None, None]
     hess = (cpp * _outer(gp, gp) + cpm * (_outer(gp, gm) + _outer(gm, gp))
             + cmm * _outer(gm, gm) + 2.0 * cp[..., None] * (_EYE + _J)
             + 2.0 * cm[..., None] * (_EYE - _J))
@@ -179,33 +168,24 @@ def lg_transform_evaluator(mode):
     def pi(point, order=0):
         if order:
             _check_order(order)
-        x, px, y, py = _coords(point)
-        fourq0 = x * x + y * y + px * px + py * py
-        fourq2 = 2.0 * (x * py - y * px)
-        up = fourq0 + fourq2
-        um = fourq0 - fourq2
-        # damp is NaN for a NaN point, and 0 for an infinite one or on underflow
-        if isinstance(x, float):
-            damp = math.exp(-fourq0)
-            if not damp > 0.0:
-                return _flush((x, px, y, py), order)
-            ln, lm = _laguerre(n, 0, up), _laguerre(m, 0, um)
-            value = sign * ln * lm * damp
-            if not order:
-                return value
-            return (value, *_lg_derivatives(n, m, sign * damp, (x, px, y, py),
-                                            up, um, ln, lm, order))
-        damp = np.exp(-fourq0)
-        if not np.all(damp > 0.0):
-            _flush((x, px, y, py))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where damp is 0
+        x, px, y, py = coords = _coords(point)
+        # a huge point overflows to inf quietly, and inf * 0 is masked where damp is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            fourq0 = x * x + y * y + px * px + py * py
+            fourq2 = 2.0 * (x * py - y * px)
+            up = fourq0 + fourq2
+            um = fourq0 - fourq2
+            # damp is NaN for a NaN point, and 0 for an infinite one or on underflow
+            damp = np.exp(-fourq0)
+            if not np.all(damp > 0.0):
+                _check_finite(coords)
             if not order:  # keeps no polynomial array alive past the product, as large grids need
                 out = sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
-                return np.where(damp > 0.0, out, 0.0)
+                return np.where(damp > 0.0, out, 0.0)[()]
             ln, lm = _laguerre(n, 0, up), _laguerre(m, 0, um)
             live = damp > 0.0
-            return (np.where(live, sign * ln * lm * damp, 0.0), *_masked(live, _lg_derivatives(
-                n, m, sign * damp, (x, px, y, py), up, um, ln, lm, order)))
+            return (np.where(live, sign * ln * lm * damp, 0.0)[()], *_masked(live, _lg_derivatives(
+                n, m, sign * damp, coords, up, um, ln, lm, order)))
 
     return pi
 
@@ -307,31 +287,27 @@ def elliptical_transform_evaluator(params):
                        [s2t, 0.0, -c2t, 0.0], [0.0, -s2t, 0.0, -c2t]])
 
     def derivatives(value, coords, order):
-        kz = _stack(coords) @ kernel
-        grad = 2.0 * np.asarray(value)[..., None] * kz
+        kz = np.stack(coords, axis=-1) @ kernel
+        grad = 2.0 * value[..., None] * kz
         if order == 1:
             return (grad,)
-        return grad, np.asarray(value)[..., None, None] * (4.0 * _outer(kz, kz) + 2.0 * kernel)
+        return grad, value[..., None, None] * (4.0 * _outer(kz, kz) + 2.0 * kernel)
 
     def pi(point, order=0):
         if order:
             _check_order(order)
-        x, px, y, py = _coords(point)
-        # diag is -inf or NaN for a non-finite point, and -inf on overflow
-        diag = -(x * x + y * y + px * px + py * py) * c2t
-        arg = diag + 2.0 * s2t * (x * y - px * py)
-        if isinstance(x, float):
-            if not diag > -math.inf:
-                return _flush((x, px, y, py), order)
-            value = math.exp(arg)
-            return (value, *derivatives(value, (x, px, y, py), order)) if order else value
-        if not np.all(diag > -np.inf):
-            _flush((x, px, y, py))
-            arg = np.where(diag > -np.inf, arg, -np.inf)
-        value = np.exp(arg)
-        if not order:
-            return value
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where Pi is 0
-            return (value, *_masked(value > 0.0, derivatives(value, (x, px, y, py), order)))
+        x, px, y, py = coords = _coords(point)
+        # a huge point overflows to inf quietly, and inf * 0 is masked where Pi is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # diag is -inf or NaN for a non-finite point, and -inf on overflow
+            diag = -(x * x + y * y + px * px + py * py) * c2t
+            arg = diag + 2.0 * s2t * (x * y - px * py)
+            if not np.all(diag > -np.inf):
+                _check_finite(coords)
+                arg = np.where(diag > -np.inf, arg, -np.inf)
+            value = np.exp(arg)
+            if not order:
+                return value[()]
+            return (value[()], *_masked(value > 0.0, derivatives(value, coords, order)))
 
     return pi

@@ -28,6 +28,22 @@ class TestBellSums:
             bell.bell_sum_restricted(PI_10, (3.0, -3.0)), abs=1e-12
         )
 
+    def test_closed_form_finite_at_extreme_settings(self):
+        # huge settings, and terms at the edge where exp(-s) underflows (s near 745)
+        edge = [math.sqrt(s) for s in (700.0, 708.0, 740.0, 745.0, 746.0)]
+        points = [(1e200, 0.0), (1e160, 1e160), (0.0, -1e300), (1e308, -1e308)]
+        points += [(e, 0.3) for e in edge] + [(0.2, -e) for e in edge]
+        points += [(e / math.sqrt(2), e / math.sqrt(2)) for e in edge]
+        for x, py in points:
+            closed = bell.bell_closed_form_10(x, py)
+            assert math.isfinite(closed), (x, py)
+            assert closed == pytest.approx(bell.bell_sum_restricted(PI_10, (x, py)), abs=1e-12)
+
+    def test_sums_return_floats(self):
+        for pi in (PI_10, wigner.elliptical_transform_evaluator((0.7, +1))):
+            assert type(bell.bell_sum_restricted(pi, (0.3, -0.2))) is float
+            assert type(bell.bell_sum_general(pi, [0.1 * k for k in range(8)])) is float
+
     def test_closed_form_equivalence_on_random_points(self):
         rng = np.random.default_rng(47)
         for _ in range(1000):
@@ -118,7 +134,7 @@ class TestBellDerivatives:
         u = rng.uniform(-2, 2, (20, 8))
         batched = bell._bell(PI_10, bell.GENERAL, u)
         scalar = [bell.bell_sum_general(PI_10, row) for row in u]
-        assert np.max(np.abs(batched - scalar)) <= 1e-14
+        assert np.array_equal(batched, scalar)
 
 
 class TestMaximize:
@@ -223,9 +239,13 @@ class TestMaximize:
             with pytest.raises(ValueError):
                 bell.OptimizerConfig(**bad)
         for bad in ({"max_iters": math.nan}, {"max_iters": 4000.0},
-                    {"grid_points": 21.5}, {"restarts": True}):
+                    {"grid_points": 21.5}, {"restarts": True},
+                    {"seed": 1.5}, {"seed": "x"}, {"seed": True}):
             with pytest.raises(TypeError):
                 bell.OptimizerConfig(**bad)
+        with pytest.raises(ValueError):
+            bell.OptimizerConfig(seed=-1)
+        assert bell.OptimizerConfig(seed=np.int64(0)).seed == 0
 
 
 class TestNelderMead:

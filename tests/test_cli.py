@@ -344,6 +344,8 @@ class TestHarness:
             ["wigner", "--n", "1", "--m", "0", "--numeric", "--order", "0"],
             ["bell-max", "--n", "1", "--m", "0", "--settings", "general", "--grid-bounds", "inf"],
             ["bell-max", "--n", "1", "--m", "0", "--simplex-tol", "nan"],
+            ["bell-max", "--n", "1", "--m", "0", "--seed", "-1"],
+            ["bell-max", "--n", "1", "--m", "0", "--settings", "general", "--seed", "-1"],
         ):
             capsys.readouterr()
             assert main(argv) == 2, argv

@@ -151,7 +151,7 @@ class TestClosedForm:
         pi = wigner.lg_transform_evaluator((n, m))
         array = pi(tuple(pts.T))
         scalar = np.array([pi(tuple(p)) for p in pts.tolist()])
-        assert np.max(np.abs(array - scalar)) <= 1e-16
+        assert np.array_equal(array, scalar)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_point(self, bad):
@@ -164,8 +164,7 @@ class TestClosedForm:
         array = np.array([0.5, bad, -0.3])
         for pi in evaluators:
             for point in [(bad, 0.0, 0.0, 0.0), (0.1, 0.2, 0.3, bad), (array, 0.0, 0.0, 0.0)]:
-                # numpy warns about inf * 0 in the cross term before the point is rejected
-                with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError):
                     pi(point)
 
     def test_extreme_points_stay_finite(self):
@@ -390,14 +389,11 @@ class TestDerivatives:
         assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
         assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
         assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
-        # float points give the array results, up to the scalar exp's rounding
         for k in range(0, 30, 7):
             point = tuple(float(c) for c in pts[:, k])
             v, g, hk = pi(point, 2)
             assert isinstance(v, float) and g.shape == (4,) and hk.shape == (4, 4)
-            assert v == pytest.approx(value[k], rel=1e-14, abs=1e-300)
-            assert np.allclose(g, grad[k], rtol=1e-12, atol=1e-12 * np.max(np.abs(grad)))
-            assert np.allclose(hk, hess[k], rtol=1e-12, atol=1e-12 * np.max(np.abs(hess)))
+            assert v == value[k] and np.array_equal(g, grad[k]) and np.array_equal(hk, hess[k])
 
     @pytest.mark.parametrize("label, scale, pi", EVALUATORS, ids=IDS)
     def test_value_part_is_bit_identical(self, label, scale, pi):
@@ -409,7 +405,8 @@ class TestDerivatives:
         assert np.array_equal(pi(pts, 1)[1], pi(pts, 2)[1])
         for k in range(3):
             point = tuple(float(c[k, 1]) for c in pts)
-            assert pi(point, 2)[0] == pi(point, 1)[0] == pi(point)
+            assert pi(point, 2)[0] == pi(point, 1)[0] == pi(point) == plain[k, 1]
+            assert isinstance(pi(point), float)
 
     def test_zero_where_pi_underflows(self):
         far = (40.0, -40.0, 40.0, 40.0)
@@ -429,7 +426,7 @@ class TestDerivatives:
             with pytest.raises(ValueError):
                 pi((0.1, 0.2, 0.3, 0.4), order)
         for order in (1, 2):
-            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
                 pi((math.nan, 0.0, 0.0, 0.0), order)
 
 
