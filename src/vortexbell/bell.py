@@ -53,9 +53,11 @@ DEFAULT_T_GRID = tuple(round(0.1 * k, 1) for k in range(21))
 # term k of the CHSH sum is Pi at the settings _TERMS[k] of
 # (X1, P_X1, X2, P_X2, Y1, P_Y1, Y2, P_Y2), with sign _SIGNS[k]
 _TERMS = np.array([[0, 1, 4, 5], [2, 3, 4, 5], [0, 1, 6, 7], [2, 3, 6, 7]])
-_SIGNS = (1.0, 1.0, 1.0, -1.0)
+_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+# _LIFT[kind][k, d, i] is 1 where setting d is coordinate i of term k's point;
 # restricted settings (x, py) sit at X2 and P_Y2, every other setting 0
-_RESTRICTED_SLOTS = np.array([2, 7])
+_GENERAL_LIFT = (_TERMS[:, None, :] == np.arange(8)[:, None]).astype(float)
+_LIFT = {GENERAL: _GENERAL_LIFT, RESTRICTED: _GENERAL_LIFT[:, [2, 7]]}
 
 # Newton search: curvature floor relative to max|eigenvalue|, Armijo
 # sufficient-increase constant, and the gradient norm a converged maximum meets
@@ -193,42 +195,22 @@ def _seed_points(kind, cfg):
     return np.vstack([np.zeros((1, 8)), lattice[picks], uniform])
 
 
-def _chsh(pi, v, order=0):
-    """B over the rows of v (N, 8) from one Pi call on the (N, 4) term points.
-
-    At order 2, the only other order, also the gradient (N, 8) and Hessian
-    (N, 8, 8) of B: each term's Pi derivatives summed into its four
-    settings with its sign.
-    """
-    points = np.moveaxis(v[:, _TERMS], -1, 0)
-    if not order:
-        t = pi(points)
-        return t[:, 0] + t[:, 1] + t[:, 2] - t[:, 3]
-    t, grad_t, hess_t = pi(points, 2)
-    grad = np.zeros(v.shape)
-    hess = np.zeros(v.shape + v.shape[1:])
-    for k, cols in enumerate(_TERMS):
-        grad[:, cols] += _SIGNS[k] * grad_t[:, k]
-        hess[:, cols[:, None], cols] += _SIGNS[k] * hess_t[:, k]
-    return t[:, 0] + t[:, 1] + t[:, 2] - t[:, 3], grad, hess
-
-
 def _bell(pi, kind, u, order=0):
-    """B on rows of settings u, (N, 8) general or (N, 2) restricted (x, py);
-    at order 2 also its gradient and Hessian over those settings.
+    """B on rows of settings u, (N, 8) general or (N, 2) restricted (x, py),
+    from one Pi call on the four term points of every row.
 
-    Restricted settings are general ones at their fixed embedding, so their
-    derivatives are the general ones at the two embedded slots.
+    At order 2, the only other order, also the gradient (N, d) and Hessian
+    (N, d, d) of B over those settings: each term's Pi derivatives pulled
+    back through _LIFT with its sign.
     """
-    if kind == GENERAL:
-        return _chsh(pi, u, order)
-    v = np.zeros((len(u), 8))
-    v[:, _RESTRICTED_SLOTS] = u
+    lift = _LIFT[kind]
+    points = np.einsum("nd,kdi->ink", u, lift)
     if not order:
-        return _chsh(pi, v)
-    b, grad, hess = _chsh(pi, v, order)
-    slots = _RESTRICTED_SLOTS
-    return b, grad[:, slots], hess[:, slots[:, None], slots]
+        return (pi(points) * _SIGNS).sum(axis=1)
+    t, grad_t, hess_t = pi(points, 2)
+    signed = _SIGNS[:, None, None] * lift
+    return ((t * _SIGNS).sum(axis=1), np.einsum("nki,kdi->nd", grad_t, signed),
+            np.einsum("nkij,kdi,kej->nde", hess_t, signed, lift))
 
 
 def _newton_step(grad, hess):

@@ -136,6 +136,25 @@ class TestBellDerivatives:
         scalar = [bell.bell_sum_general(PI_10, row) for row in u]
         assert np.array_equal(batched, scalar)
 
+    @pytest.mark.parametrize(
+        "pi",
+        [PI_10, wigner.lg_transform_evaluator((30, 0)),
+         wigner.elliptical_transform_evaluator((0.9, +1))],
+        ids=["lg-1-0", "lg-30-0", "elliptical-0.9"],
+    )
+    def test_restricted_jet_is_general_jet_at_embedding(self, pi):
+        # restricted (x, py) are general settings X2 and P_Y2, every other one 0
+        rng = np.random.default_rng(73)
+        u = rng.uniform(-1.5, 1.5, (40, 2))
+        v = np.zeros((40, 8))
+        v[:, [2, 7]] = u
+        b, grad, hess = bell._bell(pi, bell.RESTRICTED, u, 2)
+        b_general, grad_general, hess_general = bell._bell(pi, bell.GENERAL, v, 2)
+        assert np.array_equal(b, b_general)
+        assert np.array_equal(bell._bell(pi, bell.RESTRICTED, u), b_general)
+        assert np.array_equal(grad, grad_general[:, [2, 7]])
+        assert np.array_equal(hess, hess_general[:, [2, 7]][:, :, [2, 7]])
+
 
 class TestMaximize:
     def test_restricted_lowest_vortex(self):
