@@ -11,8 +11,11 @@ modes reproduces. Maximization ranks grid or PCG64-seeded candidates and
 refines the best of them together by damped Newton ascent, with the exact
 gradient and Hessian that the Pi evaluators give at order 2 and Hessian
 eigenvalues flipped to ascend (modified Newton, Nocedal & Wright 2006,
-sec. 3.4). Every evaluation is batched over the starts; everything is
-deterministic for a fixed seed.
+sec. 3.4). The restricted grid is quadratically spaced, dense near 0, where
+the violation basin of the mode (n, 0) sits at |x| ~ 0.6/sqrt(n). A short
+pure-Newton step skips the Armijo test, whose gain near a maximum is below
+the rounding noise of B. Every evaluation is batched over the starts;
+everything is deterministic for a fixed seed.
 """
 
 import math
@@ -60,9 +63,11 @@ _GENERAL_LIFT = (_TERMS[:, None, :] == np.arange(8)[:, None]).astype(float)
 _LIFT = {GENERAL: _GENERAL_LIFT, RESTRICTED: _GENERAL_LIFT[:, [2, 7]]}
 
 # Newton search: curvature floor relative to max|eigenvalue|, Armijo
-# sufficient-increase constant, and the gradient norm a converged maximum meets
+# sufficient-increase constant, the longest pure-Newton step taken without the
+# Armijo test, and the gradient norm a converged maximum meets
 _CURVATURE_FLOOR = 1e-6
 _ARMIJO = 1e-4
+_TRUSTED_STEP = 1e-5
 _GRADIENT_TOL = 1e-7
 _TINY = np.finfo(float).tiny
 
@@ -140,10 +145,12 @@ def bell_sum_general(pi, settings):
 class OptimizerConfig:
     """Multi-start search box, seeding, and Newton termination knobs.
 
-    ``restarts`` seeds are refined. ``simplex_tol`` is the step and gain
-    tolerance at which a start retires (the name predates the Newton search),
-    and ``max_iters`` caps the Newton iterations of the lockstep phase and of
-    the polish each.
+    Restricted seeds are the ``grid_points`` x ``grid_points`` grid with axis
+    ``grid_bounds * s * |s|``, ``s`` evenly spaced in [-1, 1], so the seeds
+    are densest near 0. ``restarts`` seeds are refined. ``simplex_tol`` is
+    the step and gain tolerance at which a start retires (the name predates
+    the Newton search), and ``max_iters`` caps the Newton iterations of the
+    lockstep phase and of the polish each.
     """
 
     grid_bounds: float = 2.0
@@ -185,7 +192,9 @@ class OptimizationResult:
 def _seed_points(kind, cfg):
     bound = cfg.grid_bounds
     if kind == RESTRICTED:
-        axis = np.linspace(-bound, bound, cfg.grid_points)
+        # quadratic spacing, dense near 0: the violation basin has |x| ~ 0.6/sqrt(n)
+        s = np.linspace(-1.0, 1.0, cfg.grid_points)
+        axis = bound * s * np.abs(s)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -214,8 +223,9 @@ def _bell(pi, kind, u, order=0):
 
 
 def _newton_step(grad, hess):
-    """Modified-Newton ascent steps (Nocedal & Wright 2006, sec. 3.4), and
-    where each Hessian curves upward.
+    """Modified-Newton ascent steps (Nocedal & Wright 2006, sec. 3.4), where
+    each Hessian curves upward, and where it is negative definite, so that
+    no eigenvalue is flipped and the step is the pure Newton step.
 
     Every eigenvalue is replaced by -max(|lambda|, floor), floor = 1e-6 max|lambda|,
     so the step ascends. Where the top eigenvalue exceeds the floor (a saddle
@@ -229,7 +239,7 @@ def _newton_step(grad, hess):
     top, top_vec = lam[:, -1], vec[:, :, -1]
     uphill = np.where(np.einsum("ni,ni->n", grad, top_vec) < 0.0, -1.0, 1.0)
     escape = np.where(top > floor, uphill / np.sqrt(np.maximum(top, _TINY)), 0.0)
-    return step + escape[:, None] * top_vec, top > floor
+    return step + escape[:, None] * top_vec, top > floor, top < 0.0
 
 
 def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
@@ -239,7 +249,8 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
     its step, or its gradient with no uphill curvature left, is within
     ``tol``, when backtracking finds no Armijo point with a step above
     ``tol``, or, with ``gain_rule``, when its gain in sigma * B is within
-    ``tol``. Returns x, f = sigma * B, whether each start retired within
+    ``tol``. A pure-Newton step of length <= 1e-5 is taken without the
+    Armijo test. Returns x, f = sigma * B, whether each start retired within
     ``max_iters``, and the gradient and Hessian of sigma * B at the last
     point where they were taken.
     """
@@ -258,12 +269,16 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
         finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
         step = np.zeros(g.shape)
         curved = np.zeros(idx.size, dtype=bool)
+        pure = np.zeros(idx.size, dtype=bool)
         if finite.any():
-            step[finite], curved[finite] = _newton_step(g[finite], h[finite])
+            step[finite], curved[finite], pure[finite] = _newton_step(g[finite], h[finite])
         gnorm = np.linalg.norm(g, axis=1)
         size = np.linalg.norm(step, axis=1)
         moving = finite & (size > tol) & ~((gnorm <= tol) & ~curved)
         active[idx[~moving]] = False
+        # near a maximum the Armijo gain of a Newton step falls below the
+        # rounding noise of B, so a short pure-Newton step is taken untested
+        trusted = (pure & (size <= _TRUSTED_STEP))[moving]
         idx, g, step, size = idx[moving], g[moving], step[moving], size[moving]
         # Armijo backtracking, halving in lockstep over the starts still searching
         slope = np.einsum("ni,ni->n", g, step)
@@ -273,7 +288,8 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
             rows = idx[pending]
             trial = x[rows] + alpha[pending, None] * step[pending]
             ft = sigma[rows] * bell(trial)
-            ok = np.isfinite(ft) & (ft >= f[rows] + _ARMIJO * alpha[pending] * slope[pending])
+            armijo = ft >= f[rows] + _ARMIJO * alpha[pending] * slope[pending]
+            ok = np.isfinite(ft) & (armijo | trusted[pending])
             gain = ft[ok] - f[rows[ok]]
             x[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
             if gain_rule:

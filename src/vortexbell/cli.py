@@ -119,7 +119,8 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--grid-bounds", type=float, default=2.0,
                         help="half-width of the seeding box per parameter")
     parser.add_argument("--grid-points", type=int, default=21,
-                        help="grid points per axis for restricted seeding")
+                        help="grid points per axis for restricted seeding, "
+                             "quadratically spaced and densest near 0")
     parser.add_argument("--restarts", type=int, default=8,
                         help="number of best seeds refined together by Newton ascent")
     parser.add_argument("--simplex-tol", type=float, default=1e-9,

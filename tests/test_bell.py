@@ -192,11 +192,35 @@ class TestMaximize:
     def test_beats_every_grid_seed(self):
         cfg = bell.OptimizerConfig(grid_points=11, restarts=3)
         result = bell.maximize_bell(PI_10, bell.RESTRICTED, cfg)
-        axis = np.linspace(-cfg.grid_bounds, cfg.grid_bounds, cfg.grid_points)
-        worst_seed = max(
-            abs(bell.bell_sum_restricted(PI_10, (x, py))) for x in axis for py in axis
-        )
+        seeds = bell._seed_points(bell.RESTRICTED, cfg)
+        assert seeds.shape == (cfg.grid_points**2, 2)
+        worst_seed = max(abs(bell.bell_sum_restricted(PI_10, u)) for u in seeds)
         assert result.best_value >= worst_seed - 1e-12
+
+    @pytest.mark.parametrize(
+        "mode, best_known",
+        [((30, 0), 2.3323059355), ((50, 0), 2.3355298857), ((64, 0), 2.3365972142)],
+        ids=["30-0", "50-0", "64-0"],
+    )
+    def test_restricted_maximum_independent_of_seed_order(self, monkeypatch, mode, best_known):
+        # the seeds must reach the violation basin, |x| ~ 0.6/sqrt(n); seeds on
+        # the |B| = 2 plateau would be ranked by the last bits of B
+        pi = wigner.lg_transform_evaluator(mode)
+        seeds = bell._seed_points(bell.RESTRICTED, bell.OptimizerConfig())
+        for p in range(10):
+            permuted = seeds[np.random.default_rng(p).permutation(len(seeds))]
+            monkeypatch.setattr(bell, "_seed_points", lambda kind, cfg: permuted)
+            result = bell.maximize_bell(pi, bell.RESTRICTED)
+            assert result.converged
+            assert result.best_value >= best_known - 1e-9
+
+    def test_restricted_converges_for_every_radial_mode(self):
+        unconverged = [
+            n for n in range(1, 65)
+            if not bell.maximize_bell(wigner.lg_transform_evaluator((n, 0)),
+                                      bell.RESTRICTED).converged
+        ]
+        assert unconverged == []
 
     def test_nonfinite_evaluations_clamped(self):
         def flaky_pi(point, order=0):

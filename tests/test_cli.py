@@ -72,6 +72,11 @@ class TestBellMax:
         assert payload["converged"] is True
         assert payload["best_value"] >= 2.5446000714 - 1e-9
 
+    def test_restricted_vortex_17_exits_zero(self, capsys):
+        code, payload = run_json(capsys, ["bell-max", "--n", "17", "--m", "0"])
+        assert code == 0
+        assert payload["converged"] is True
+
     def test_ground_mode_bounded(self, capsys):
         code, payload = run_json(
             capsys, ["bell-max", "--n", "0", "--m", "0", "--settings", "restricted"]
