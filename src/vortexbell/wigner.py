@@ -9,13 +9,15 @@ with Q0 = (X^2+Y^2+P_X^2+P_Y^2)/4 and Q2 = (X P_Y - Y P_X)/2, normalized to
 unit integral over the four phase-space variables. The transform
 Pi = pi^2 W is the parity-expectation analog and satisfies |Pi| <= 1.
 
-Each closed form has one Pi evaluator with one array path. A point of four
-floats is evaluated as 0-d arrays and gives a float with the same bits as the
-same point inside an array; it costs about as much as a small batch, so loops
+Both closed forms are Pi = G(q) of quadratic forms q_k = z^T A_k z in
+z = (X, P_X, Y, P_Y), and share one evaluator core with one array path, one
+error policy, one underflow mask and one chain rule. A point of four floats
+is evaluated as 0-d arrays and gives a float with the same bits as the same
+point inside an array; it costs about as much as a small batch, so loops
 over points should batch them. A non-finite coordinate is rejected; a
-positional order 1 or 2 adds the exact gradient and Hessian over
-(X, P_X, Y, P_Y). The LG one is the plain product at every point, and returns
-0 where exp(-4 Q0) underflows (|Pi| < 1e-200 there).
+positional order 2 adds the exact gradient and Hessian over z. The LG Pi is
+the plain product at every point, and 0 where exp(-4 Q0) underflows
+(|Pi| < 1e-200 there).
 
 The numeric engine evaluates the symmetric-point Fourier integral
 
@@ -26,7 +28,10 @@ cross-check of the closed forms and of user-supplied fields.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -92,24 +97,49 @@ def _coords(point):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in point))
 
 
-def _check_finite(coords):
-    if not all(np.all(np.isfinite(c)) for c in coords):
-        raise ValueError("phase-space point must be finite")
-
-
-def _check_order(order):
-    if order not in (1, 2) or isinstance(order, bool):
-        raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
-
-
 def _outer(u, v):
     return u[..., :, None] * v[..., None, :]
 
 
-# 4 Q2 = z^T J z for z = (X, P_X, Y, P_Y), so its gradient is 2 J z
-_J = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
-               [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-_EYE = np.eye(4)
+def _evaluate(forms, beam, point, order=0):
+    """Pi = G(q) at a point or coordinate arrays, with q_k = z^T A_k z for the forms A_k.
+
+    ``beam(x, px, y, py, order)`` gives Pi, an envelope that is 0 where Pi
+    underflowed and not positive at a non-finite point, and at order 2 the
+    partials G_k and the G_kl for k <= l in ``combinations_with_replacement``
+    order. Pi, its gradient sum_k G_k grad q_k and its Hessian
+    sum_kl G_kl grad q_k grad q_l^T + sum_k 2 G_k A_k, with grad q_k = 2 A_k z,
+    are 0 where the envelope is 0.
+    """
+    if order not in (0, 2) or isinstance(order, bool):
+        raise ValueError(f"derivative order must be 0 or 2, got {order!r}")
+    coords = _coords(point)
+    # a huge point overflows to inf quietly, and inf * 0 is masked where the envelope is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, envelope, first, second = beam(*coords, order)
+        live = envelope > 0.0
+        # masking only on underflow leaves a large grid's result the product itself, no copy
+        underflow = not np.all(live)
+        if underflow:
+            if not all(np.all(np.isfinite(c)) for c in coords):
+                raise ValueError("phase-space point must be finite")
+            value = np.where(live, value, 0.0)
+        if not order:
+            return value[()]
+        z = np.stack(coords, axis=-1)
+        slopes = [2.0 * (z @ a) for a in forms]  # grad q_k
+        grad = reduce(operator.add, [g[..., None] * s for g, s in zip(first, slopes)])
+        terms = []  # G_kl = G_lk: each pair k < l is one term over both outer products
+        for g, (k, l) in zip(second, combinations_with_replacement(range(len(forms)), 2)):
+            sk, sl = slopes[k], slopes[l]
+            outer = _outer(sk, sl) + _outer(sl, sk) if k < l else _outer(sk, sk)
+            terms.append(g[..., None, None] * outer)
+        terms += [2.0 * g[..., None, None] * a for g, a in zip(first, forms)]
+        hess = reduce(operator.add, terms)
+        if underflow:
+            grad = np.where(live[..., None], grad, 0.0)
+            hess = np.where(live[..., None, None], hess, 0.0)
+        return value[()], grad, hess
 
 
 def _damped_derivatives(p, u, lp):
@@ -122,72 +152,43 @@ def _damped_derivatives(p, u, lp):
     return d1 - 0.5 * lp, d2 - d1 + 0.25 * lp
 
 
-def _lg_derivatives(n, m, weight, coords, up, um, ln, lm, order):
-    """Gradient (..., 4) and, at order 2, Hessian (..., 4, 4) of
-    weight * L_n(u+) L_m(u-), with weight = sign * e^{-(u+ + u-)/2}.
-
-    u+- = 4Q0 +- 4Q2 = z^T (I +- J) z, so grad u+- = 2 (I +- J) z.
-    """
-    z = np.stack(coords, axis=-1)
-    jz = z @ _J
-    gp, gm = 2.0 * (z + jz), 2.0 * (z - jz)
-    a1, a2 = _damped_derivatives(n, up, ln)
-    b1, b2 = _damped_derivatives(m, um, lm)
-    cp = (weight * a1 * lm)[..., None]  # d Pi / d u+
-    cm = (weight * ln * b1)[..., None]  # d Pi / d u-
-    grad = cp * gp + cm * gm
-    if order == 1:
-        return (grad,)
-    cpp = (weight * a2 * lm)[..., None, None]
-    cpm = (weight * a1 * b1)[..., None, None]
-    cmm = (weight * ln * b2)[..., None, None]
-    hess = (cpp * _outer(gp, gp) + cpm * (_outer(gp, gm) + _outer(gm, gp))
-            + cmm * _outer(gm, gm) + 2.0 * cp[..., None] * (_EYE + _J)
-            + 2.0 * cm[..., None] * (_EYE - _J))
-    return grad, hess
-
-
-def _masked(live, derivatives):
-    """Zero the derivatives wherever Pi underflowed to 0."""
-    return tuple(np.where(live[(...,) + (None,) * (d.ndim - live.ndim)], d, 0.0)
-                 for d in derivatives)
+# the forms of the LG beam: u+- = 4Q0 +- 4Q2 = z^T (I +- J) z, with 4 Q2 = z^T J z
+_J = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
+               [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+_LG_FORMS = (np.eye(4) + _J, np.eye(4) - _J)
 
 
 def lg_transform_evaluator(mode):
     """Bind a mode, validated once, into a Pi evaluator for a point or coordinate arrays.
 
-    ``pi(point)`` is Pi. ``pi(point, 1)`` is (Pi, gradient) and ``pi(point, 2)``
-    is (Pi, gradient, Hessian), the derivatives over (X, P_X, Y, P_Y) on
-    trailing axes of shape (4,) and (4, 4); Pi itself is bit-identical to
-    ``pi(point)``.
+    ``pi(point)`` is Pi and ``pi(point, 2)`` is (Pi, gradient, Hessian), the
+    derivatives over (X, P_X, Y, P_Y) on trailing axes of shape (4,) and
+    (4, 4); Pi itself is bit-identical to ``pi(point)``. The forms are
+    u+- = 4Q0 +- 4Q2.
     """
     mode = as_mode(mode)
     n, m = mode.n, mode.m
     sign = -1.0 if (n + m) % 2 else 1.0
 
-    def pi(point, order=0):
-        if order:
-            _check_order(order)
-        x, px, y, py = coords = _coords(point)
-        # a huge point overflows to inf quietly, and inf * 0 is masked where damp is 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            fourq0 = x * x + y * y + px * px + py * py
-            fourq2 = 2.0 * (x * py - y * px)
-            up = fourq0 + fourq2
-            um = fourq0 - fourq2
-            # damp is NaN for a NaN point, and 0 for an infinite one or on underflow
-            damp = np.exp(-fourq0)
-            if not np.all(damp > 0.0):
-                _check_finite(coords)
-            if not order:  # keeps no polynomial array alive past the product, as large grids need
-                out = sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
-                return np.where(damp > 0.0, out, 0.0)[()]
-            ln, lm = _laguerre(n, 0, up), _laguerre(m, 0, um)
-            live = damp > 0.0
-            return (np.where(live, sign * ln * lm * damp, 0.0)[()], *_masked(live, _lg_derivatives(
-                n, m, sign * damp, coords, up, um, ln, lm, order)))
+    def beam(x, px, y, py, order):
+        fourq0 = x * x + y * y + px * px + py * py
+        fourq2 = 2.0 * (x * py - y * px)
+        up = fourq0 + fourq2
+        um = fourq0 - fourq2
+        # damp is NaN for a NaN point, and 0 for an infinite one or on underflow
+        damp = np.exp(-fourq0)
+        if not order:  # keeps no polynomial array alive past the product, as large grids need
+            out = sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
+            return out, damp, None, None
+        # Pi = weight L_n(u+) L_m(u-) with weight = sign e^{-(u+ + u-)/2}
+        ln, lm = _laguerre(n, 0, up), _laguerre(m, 0, um)
+        a1, a2 = _damped_derivatives(n, up, ln)
+        b1, b2 = _damped_derivatives(m, um, lm)
+        weight = sign * damp
+        return (sign * ln * lm * damp, damp, (weight * a1 * lm, weight * ln * b1),
+                (weight * a2 * lm, weight * a1 * b1, weight * ln * b2))
 
-    return pi
+    return partial(_evaluate, _LG_FORMS, beam)
 
 
 def wigner_transform(mode, point):
@@ -275,9 +276,9 @@ def wigner_elliptical(params, point):
 def elliptical_transform_evaluator(params):
     """Bind elliptical parameters into a Pi evaluator for a point or coordinate arrays.
 
-    Pi = exp(z^T K z) for z = (X, P_X, Y, P_Y). ``pi(point, 1)`` and
-    ``pi(point, 2)`` add the gradient 2 Pi K z and the Hessian
-    Pi (4 K z z^T K + 2 K), as for the LG evaluator.
+    Pi = exp(z^T K z) for z = (X, P_X, Y, P_Y), one form K. ``pi(point, 2)``
+    adds the gradient 2 Pi K z and the Hessian Pi (2 K z)(2 K z)^T + 2 Pi K,
+    as for the LG evaluator.
     """
     if not isinstance(params, EllipticalParams):
         params = EllipticalParams(*params)
@@ -286,28 +287,10 @@ def elliptical_transform_evaluator(params):
     kernel = np.array([[-c2t, 0.0, s2t, 0.0], [0.0, -c2t, 0.0, -s2t],
                        [s2t, 0.0, -c2t, 0.0], [0.0, -s2t, 0.0, -c2t]])
 
-    def derivatives(value, coords, order):
-        kz = np.stack(coords, axis=-1) @ kernel
-        grad = 2.0 * value[..., None] * kz
-        if order == 1:
-            return (grad,)
-        return grad, value[..., None, None] * (4.0 * _outer(kz, kz) + 2.0 * kernel)
+    def beam(x, px, y, py, order):
+        arg = -(x * x + y * y + px * px + py * py) * c2t + 2.0 * s2t * (x * y - px * py)
+        # 0 or NaN at a non-finite point, and NaN where an overflowing cross term meets -inf
+        value = np.exp(arg)
+        return value, value, (value,), (value,)  # G(q) = e^q, so G' = G'' = Pi
 
-    def pi(point, order=0):
-        if order:
-            _check_order(order)
-        x, px, y, py = coords = _coords(point)
-        # a huge point overflows to inf quietly, and inf * 0 is masked where Pi is 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            # diag is -inf or NaN for a non-finite point, and -inf on overflow
-            diag = -(x * x + y * y + px * px + py * py) * c2t
-            arg = diag + 2.0 * s2t * (x * y - px * py)
-            if not np.all(diag > -np.inf):
-                _check_finite(coords)
-                arg = np.where(diag > -np.inf, arg, -np.inf)
-            value = np.exp(arg)
-            if not order:
-                return value[()]
-            return (value[()], *_masked(value > 0.0, derivatives(value, coords, order)))
-
-    return pi
+    return partial(_evaluate, (kernel,), beam)
