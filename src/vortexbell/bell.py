@@ -171,8 +171,8 @@ class OptimizerConfig:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not self.simplex_tol >= 1e-12:
-            raise ValueError(f"simplex_tol must be >= 1e-12, got {self.simplex_tol}")
+        if not 1e-12 <= self.simplex_tol < math.inf:
+            raise ValueError(f"simplex_tol must be >= 1e-12 and finite, got {self.simplex_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:

@@ -59,10 +59,6 @@ EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _manifest(command, args, skip=("func", "out", "command")):
     parameters = {
         key: value for key, value in sorted(vars(args).items()) if key not in skip
@@ -132,8 +128,7 @@ def _add_optimizer_flags(parser):
 def _cmd_bell_max(args):
     mode = ModeIndex(args.n, args.m)
     cfg = _optimizer_config(args)
-    kind = RESTRICTED if args.settings == "restricted" else GENERAL
-    result = maximize_bell(lg_transform_evaluator(mode), kind, cfg)
+    result = maximize_bell(lg_transform_evaluator(mode), args.settings, cfg)
     payload = {
         "best_value": result.best_value,
         "argmax": list(result.argmax),
@@ -201,13 +196,13 @@ def _cmd_schmidt(args):
 def _cmd_wigner(args):
     elliptical = args.elliptical_t is not None
     if elliptical and (args.n is not None or args.m is not None):
-        raise _UsageError("give either --n/--m or --elliptical-t, not both")
+        raise ValueError("give either --n/--m or --elliptical-t, not both")
     if not elliptical and (args.n is None or args.m is None):
-        raise _UsageError("a mode needs both --n and --m (or use --elliptical-t)")
+        raise ValueError("a mode needs both --n and --m (or use --elliptical-t)")
     if args.grid_samples < 1:
-        raise _UsageError(f"--grid-samples must be >= 1, got {args.grid_samples}")
+        raise ValueError(f"--grid-samples must be >= 1, got {args.grid_samples}")
     if not -math.inf < args.grid_min <= args.grid_max < math.inf:
-        raise _UsageError(f"bad grid range [{args.grid_min}, {args.grid_max}]")
+        raise ValueError(f"bad grid range [{args.grid_min}, {args.grid_max}]")
 
     if elliptical:
         params = EllipticalParams(args.elliptical_t, args.sign)
@@ -233,15 +228,14 @@ def _cmd_wigner(args):
 
 def _cmd_elliptical_profile(args):
     if not (0.0 <= args.t_min <= args.t_max <= 2.0):
-        raise _UsageError(
+        raise ValueError(
             f"t range [{args.t_min}, {args.t_max}] must sit inside [0, 2]"
         )
     if args.t_samples < 1:
-        raise _UsageError(f"--t-samples must be >= 1, got {args.t_samples}")
+        raise ValueError(f"--t-samples must be >= 1, got {args.t_samples}")
     cfg = _optimizer_config(args)
-    kind = RESTRICTED if args.settings == "restricted" else GENERAL
     ts = np.linspace(args.t_min, args.t_max, args.t_samples)
-    profile = elliptical_profile(ts, kind=kind, sign=args.sign, config=cfg)
+    profile = elliptical_profile(ts, kind=args.settings, sign=args.sign, config=cfg)
     summary = {
         "sup_t": profile.sup_t,
         "sup_best_abs_B": profile.sup_value,
@@ -264,7 +258,7 @@ def _build_parser():
 
     p = sub.add_parser("bell-max", help="maximize |B| for an LG mode")
     _add_mode_flags(p)
-    p.add_argument("--settings", choices=("restricted", "general"), default="restricted")
+    p.add_argument("--settings", choices=(RESTRICTED, GENERAL), default=RESTRICTED)
     _add_optimizer_flags(p)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -322,7 +316,7 @@ def _build_parser():
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--t-samples", type=int, default=21)
-    p.add_argument("--settings", choices=("restricted", "general"), default="general")
+    p.add_argument("--settings", choices=(RESTRICTED, GENERAL), default=GENERAL)
     p.add_argument("--sign", type=int, default=1, choices=(1, -1))
     _add_optimizer_flags(p)
     p.add_argument("--seed", type=int, default=12345)
@@ -343,7 +337,7 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE

@@ -233,12 +233,19 @@ class NumericWignerPlan:
             )
 
     def __call__(self, point):
-        x, px, y, py = (float(v) for v in point)
-        forward = np.asarray(self._field(x + self._xi_x, y + self._xi_y))
-        backward = np.asarray(self._field(x - self._xi_x, y - self._xi_y))
-        kernel = np.exp(2j * (px * self._xi_x + py * self._xi_y))
-        total = np.sum(self._ww * kernel * np.conj(forward) * backward)
-        return float(total.real) / _PI_SQ
+        """W at one point; a non-finite point, or a non-finite integral, raises ValueError."""
+        point = tuple(float(v) for v in point)
+        if not all(math.isfinite(v) for v in point):
+            raise ValueError(f"phase-space point must be finite, got {point}")
+        x, px, y, py = point
+        with np.errstate(over="ignore", invalid="ignore"):
+            forward = np.asarray(self._field(x + self._xi_x, y + self._xi_y))
+            backward = np.asarray(self._field(x - self._xi_x, y - self._xi_y))
+            kernel = np.exp(2j * (px * self._xi_x + py * self._xi_y))
+            total = float(np.sum(self._ww * kernel * np.conj(forward) * backward).real)
+        if not math.isfinite(total):
+            raise ValueError(f"the Wigner integral at {point} is not finite")
+        return total / _PI_SQ
 
 
 def wigner_numeric(field, point, config=None):

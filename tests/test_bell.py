@@ -277,7 +277,7 @@ class TestMaximize:
             bell.OptimizerConfig(simplex_tol=1e-13)
         with pytest.raises(ValueError):
             bell.OptimizerConfig(grid_points=2)
-        for bad in ({"simplex_tol": math.nan}, {"grid_bounds": math.inf},
+        for bad in ({"simplex_tol": math.nan}, {"simplex_tol": math.inf}, {"grid_bounds": math.inf},
                     {"grid_bounds": math.nan}, {"grid_bounds": -1.0}):
             with pytest.raises(ValueError):
                 bell.OptimizerConfig(**bad)

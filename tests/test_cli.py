@@ -349,6 +349,9 @@ class TestHarness:
             ["wigner", "--n", "1", "--m", "0", "--numeric", "--order", "0"],
             ["bell-max", "--n", "1", "--m", "0", "--settings", "general", "--grid-bounds", "inf"],
             ["bell-max", "--n", "1", "--m", "0", "--simplex-tol", "nan"],
+            ["bell-max", "--n", "1", "--m", "0", "--simplex-tol", "inf"],
+            ["wigner", "--elliptical-t", "0.5", "--grid-min", "1e308", "--grid-max", "1e308",
+             "--grid-samples", "1", "--numeric"],
             ["bell-max", "--n", "1", "--m", "0", "--seed", "-1"],
             ["bell-max", "--n", "1", "--m", "0", "--settings", "general", "--seed", "-1"],
         ):

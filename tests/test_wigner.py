@@ -273,6 +273,20 @@ class TestNumericEngine:
         plan = wigner.lg_numeric_plan((2, 1))
         assert plan.norm_residual < 1e-9
 
+    def test_rejects_nonfinite_point_and_integral(self):
+        params = wigner.EllipticalParams(0.5, +1)
+        for plan in (wigner.lg_numeric_plan((1, 0)),
+                     wigner.NumericWignerPlan(lambda X, Y: wigner.elliptical_field(params, X, Y))):
+            for bad in [(math.nan, 0.0, 0.0, 0.0), (0.0, math.inf, 0.0, 0.0),
+                        (0.0, 0.0, 0.0, -math.inf)]:
+                with pytest.raises(ValueError, match="point must be finite"):
+                    plan(bad)
+            # the phase or the field overflows, so the integral is not finite
+            for huge in [(1e308, 0.0, 0.0, 0.0), (0.0, 1e308, 0.0, 0.0), (1e308,) * 4]:
+                with pytest.raises(ValueError, match="finite"):
+                    plan(huge)
+            assert math.isfinite(plan((0.3, -0.2, 0.1, 0.4)))
+
 
 class TestElliptical:
     def test_zero_squeeze_reduces_to_ground(self):
