@@ -49,7 +49,7 @@ from .quadrature import (
     moments,
     wigner_moments,
 )
-from .specfun import hermite, laguerre, ln_factorial
+from .specfun import laguerre, ln_factorial
 from .wigner import (
     EllipticalParams,
     NumericWignerPlan,
@@ -73,7 +73,7 @@ __all__ = [
     "hg_amplitude", "schmidt_coefficients", "reconstruct_from_schmidt",
     "physical_to_scaled", "scaled_to_physical",
     # specfun
-    "laguerre", "hermite", "ln_factorial",
+    "laguerre", "ln_factorial",
     # wigner
     "WignerArgs", "EllipticalParams", "wigner_args", "wigner_lg",
     "wigner_transform", "wigner_numeric", "NumericWignerPlan", "lg_numeric_plan",

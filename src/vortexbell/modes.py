@@ -14,14 +14,22 @@ Conventions
 * The LG -> HG (Schmidt) expansion uses the per-term phase (-i)^k. The
   opposite i^k choice reproduces the mirror mode (l -> -l) and fails the
   reconstruction identity; tests pin the implemented choice numerically.
+
+HG values come from one recurrence, that of the unit-norm Hermite functions
+psi_0(x) = pi^{-1/4} e^{-x^2/2}, psi_k = sqrt(2/k) x psi_{k-1} - sqrt((k-1)/k) psi_{k-2}:
+``hg_amplitude`` is psi_n(X) psi_m(Y), and ``reconstruct_from_schmidt`` runs it
+in Y while summing the Schmidt series in X by Clenshaw's backward recurrence.
+Every psi_k is bounded and 0 where its Gaussian underflows, so a huge finite
+coordinate gives an amplitude of 0, not NaN; a non-finite one is rejected.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _check_degree, hermite, laguerre, ln_factorial
+from .specfun import _as_finite, _check_degree, _laguerre, laguerre, ln_factorial
 
 __all__ = [
     "MAX_TOTAL_ORDER",
@@ -110,20 +118,32 @@ def _lg_norm(radial, azimuthal):
     return math.exp(0.5 * (ln_factorial(radial) - ln_factorial(radial + azimuthal))) / _SQRT_PI
 
 
+def _finite(X):
+    """X as a float ndarray, 0-d for a scalar; ValueError if any entry is not finite."""
+    return np.asarray(_as_finite(X))
+
+
 def lg_amplitude(mode, X, Y):
     """LG field amplitude at the scaled point (X, Y). Complex; vectorizes over X, Y.
 
     For (n, m) = (1, 0) this is (1/sqrt(pi)) (X + iY) exp(-(X^2+Y^2)/2); in
     general it is the standard unit-norm vortex mode with azimuthal factor
-    e^{i(n-m)theta} and global sign (-1)^{min(n,m)}.
+    e^{i(n-m)theta} and global sign (-1)^{min(n,m)}. It is 0 where the
+    Gaussian underflows, however large the finite point.
     """
     mode = as_mode(mode)
     p, a, l = mode.radial, abs(mode.l), mode.l
-    r2 = X * X + Y * Y
-    spiral = 1.0 if a == 0 else (X + 1j * math.copysign(1.0, l) * Y) ** a
+    X, Y = _finite(X), _finite(Y)
     sign = -1.0 if p % 2 else 1.0
-    value = sign * _lg_norm(p, a) * spiral * laguerre(p, a, r2) * np.exp(-0.5 * r2)
-    return np.asarray(value, dtype=complex) if isinstance(value, np.ndarray) else complex(value)
+    # a huge point overflows r2 quietly; the inf * 0 it leaves is masked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = X * X + Y * Y
+        gauss = np.exp(-0.5 * r2)
+        spiral = 1.0 if a == 0 else (X + 1j * math.copysign(1.0, l) * Y) ** a
+        value = sign * _lg_norm(p, a) * spiral * _laguerre(p, a, r2) * gauss
+    if not np.all(gauss > 0.0):
+        value = np.where(gauss > 0.0, value, 0.0)
+    return np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
 
 
 def lg_gradient(mode, X, Y):
@@ -148,12 +168,41 @@ def lg_gradient(mode, X, Y):
     return dx, dy
 
 
+def _hermite_functions(x):
+    """Yield psi_0(x), psi_1(x), ... for a float ndarray x (see the module docstring).
+
+    The yielded array is overwritten two steps later, so a caller that keeps
+    psi_k must stop the generator there or copy it.
+    """
+    cur = np.empty_like(x)
+    prev = np.zeros_like(x)
+    tmp = np.empty_like(x)
+    with np.errstate(over="ignore"):  # x*x = inf gives e^{-inf} = 0
+        np.multiply(x, x, out=cur)
+    cur *= -0.5
+    np.exp(cur, out=cur)
+    cur *= math.pi**-0.25
+    k = 0
+    while True:
+        yield cur
+        k += 1
+        # x psi before the scale factor, so a huge x meets psi = 0 and gives 0
+        np.multiply(x, cur, out=tmp)
+        tmp *= math.sqrt(2.0 / k)
+        prev *= -math.sqrt((k - 1.0) / k)
+        prev += tmp
+        prev, cur = cur, prev
+
+
+def _hermite_function(n, x):
+    """psi_n(x), the n-th value of ``_hermite_functions``."""
+    return next(itertools.islice(_hermite_functions(x), n, None))
+
+
 def hg_amplitude(mode, X, Y):
-    """HG field amplitude u_{nm}(X, Y); real-valued, unit L2 norm."""
+    """HG field amplitude u_{nm}(X, Y) = psi_n(X) psi_m(Y); real-valued, unit L2 norm."""
     mode = as_mode(mode)
-    n, m = mode.n, mode.m
-    ln_norm = -0.5 * (math.log(math.pi) + (n + m) * _LN2 + ln_factorial(n) + ln_factorial(m))
-    return math.exp(ln_norm) * hermite(n, X) * hermite(m, Y) * np.exp(-0.5 * (X * X + Y * Y))
+    return _hermite_function(mode.n, _finite(X)) * _hermite_function(mode.m, _finite(Y))
 
 
 def schmidt_coefficients(mode):
@@ -192,12 +241,45 @@ def schmidt_coefficients(mode):
 
 
 def reconstruct_from_schmidt(mode, X, Y):
-    """Sum the HG expansion at (X, Y); agrees with lg_amplitude to ~1e-10."""
-    total = 0.0j
-    for term in schmidt_coefficients(mode):
-        if term.coefficient != 0.0:
-            total = total + term.coefficient * hg_amplitude(term.hg_index, X, Y)
-    return total
+    """Sum the HG expansion sum_k c_k psi_{N-k}(X) psi_k(Y) at (X, Y), N = n + m.
+
+    It is a Hermite-function series in X whose j-th coefficient is
+    c_{N-j} psi_{N-j}(Y), so one pass over ascending k runs the psi(Y)
+    recurrence forward and Clenshaw's backward sum over j together. c_k is
+    real for even k and imaginary for odd k: the sum runs as two real
+    accumulators, and psi_0(X) multiplies them once at the end. Working
+    memory is a fixed number of arrays, whatever the order. Agrees with
+    lg_amplitude to 1e-14 for every n + m <= 64 on [-9, 9]^2.
+    """
+    terms = schmidt_coefficients(mode)
+    total = len(terms) - 1
+    X, Y = _finite(X), _finite(Y)
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    # [b_{j+1}, b_{j+2}] of Clenshaw's sum for the real and the imaginary part
+    parts = [[np.zeros(shape), np.zeros(shape)] for _ in range(2)]
+    tmp = np.empty(shape)
+    # a huge X overflows the b_j quietly; the inf * 0 it leaves is masked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (term, psi) in enumerate(zip(terms, _hermite_functions(Y))):
+            j = total - k
+            # b_j = a_j + sqrt(2/(j+1)) X b_{j+1} - sqrt((j+1)/(j+2)) b_{j+2}, into b_{j+2}
+            for b1, b2 in parts:
+                b2 *= -math.sqrt((j + 1.0) / (j + 2.0))
+                np.multiply(X, b1, out=tmp)
+                tmp *= math.sqrt(2.0 / (j + 1.0))
+                b2 += tmp
+            coefficient = term.coefficient.imag if k % 2 else term.coefficient.real
+            if coefficient != 0.0:
+                np.multiply(psi, coefficient, out=tmp)
+                parts[k % 2][1] += tmp
+            for pair in parts:
+                pair.reverse()
+        psi = _hermite_function(0, X)
+        out = np.empty(shape, dtype=complex)
+        np.multiply(parts[0][0], psi, out=out.real)
+        np.multiply(parts[1][0], psi, out=out.imag)
+    np.copyto(out, 0.0, where=psi == 0.0)
+    return out[()]
 
 
 def physical_to_scaled(x, p, scale):

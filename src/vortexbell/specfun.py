@@ -1,9 +1,10 @@
-"""Stable special-function evaluation: Laguerre, Hermite, log-factorials.
+"""Stable special-function evaluation: Laguerre polynomials and log-factorials.
 
-Polynomials are evaluated with three-term recurrences (never factorial
-series), which stay accurate for the degrees this package needs. Scalar
-inputs run on plain floats and array inputs broadcast through numpy, except
-``laguerre_scaled``, which always returns numpy arrays; no evaluator calls it.
+Laguerre polynomials are evaluated with their three-term recurrence (never
+a factorial series), which stays accurate for the degrees this package
+needs. Scalar inputs run on plain floats and array inputs broadcast
+through numpy, except ``laguerre_scaled``, which always returns numpy
+arrays; no evaluator calls it.
 """
 
 import math
@@ -15,7 +16,6 @@ __all__ = [
     "MAX_FACTORIAL_ARG",
     "laguerre",
     "laguerre_scaled",
-    "hermite",
     "ln_factorial",
 ]
 
@@ -103,20 +103,6 @@ def laguerre_scaled(p, alpha, x):
             cur = cur / divisor
             shift = shift + np.where(big, _LN_RESCALE, 0.0)
     return np.asarray(cur), np.asarray(shift)
-
-
-def hermite(n, x):
-    """Physicists' Hermite polynomial H_n(x); n <= MAX_DEGREE, x finite."""
-    n = _check_degree(n, "n")
-    x = _as_finite(x)
-    one = x * 0.0 + 1.0
-    if n == 0:
-        return one
-    prev = one
-    cur = 2.0 * x
-    for k in range(2, n + 1):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * (k - 1.0) * prev
-    return cur
 
 
 def ln_factorial(n):

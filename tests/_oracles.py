@@ -2,16 +2,16 @@
 
 Nothing in here goes through the package's evaluation paths, save the
 moment integrals, the Bell search and the log-domain Pi: polynomial series
-run in exact rational arithmetic, fields come from the literal polar
-formulas with scipy polynomials, and integrals rebuild Gauss-Hermite rules
-straight from numpy. The moment integrals take the package's field and
-analytic gradient, so they check the closed-form moment table against the
-fields it describes. The Bell search is the multi-start Nelder-Mead loop
-that ``maximize_bell``'s Newton search replaced, run by scipy on the
-package's seeds and Bell sums, so it gives a maximum the Newton search must
-reach. The log-domain Pi takes the package's renormalizing
-``laguerre_scaled`` recurrence, so it checks the plain-product Pi far from
-the origin.
+run in exact rational arithmetic, Hermite polynomials by their own
+recurrence, fields come from the literal polar formulas with scipy
+polynomials, and integrals rebuild Gauss-Hermite rules straight from numpy.
+The moment integrals take the package's field and analytic gradient, so
+they check the closed-form moment table against the fields it describes.
+The Bell search is the multi-start Nelder-Mead loop that
+``maximize_bell``'s Newton search replaced, run by scipy on the package's
+seeds and Bell sums, so it gives a maximum the Newton search must reach.
+The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
+recurrence, so it checks the plain-product Pi far from the origin.
 """
 
 import cmath
@@ -45,6 +45,24 @@ def hermite_series(n, x):
             * (2 * xf) ** (n - 2 * k)
         )
     return float(math.factorial(n) * total)
+
+
+def hermite(n, x):
+    """Physicists' Hermite polynomial H_n(x) by its recurrence; n <= 64, x finite.
+
+    The package evaluates HG modes through the unit-norm Hermite functions
+    instead, so this plain-polynomial recurrence is an independent route.
+    """
+    n = specfun._check_degree(n, "n")
+    x = specfun._as_finite(x)
+    one = x * 0.0 + 1.0
+    if n == 0:
+        return one
+    prev = one
+    cur = 2.0 * x
+    for k in range(2, n + 1):
+        prev, cur = cur, 2.0 * x * cur - 2.0 * (k - 1.0) * prev
+    return cur
 
 
 def lg_polar(n, m, X, Y, waist=1.7):

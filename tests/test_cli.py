@@ -279,6 +279,14 @@ class TestWigner:
         assert np.max(np.abs(rows[:, 5] - values)) <= 1e-12
         assert np.max(np.abs(rows[:, 4] - values / math.pi**2)) <= 1e-12
 
+    @pytest.mark.parametrize("numeric", [[], ["--numeric"]], ids=["closed", "numeric"])
+    def test_huge_grid_point_gives_zero(self, capsys, numeric):
+        code = main(["wigner", "--n", "1", "--m", "0", "--grid-min", "1e200", "--grid-max",
+                     "1e200", "--grid-samples", "1", *numeric])
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert code == 0
+        assert [float(v) for v in row.split(",")[4:]] == [0.0, 0.0]
+
     def test_mode_and_elliptical_flags_conflict(self, capsys):
         code = main(["wigner", "--n", "1", "--m", "0", "--elliptical-t", "0.5"])
         assert code == 2

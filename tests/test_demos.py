@@ -22,6 +22,8 @@ SMOKE_DEMOS = [
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # as in the test suite, a numpy RuntimeWarning is a bug
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
         capture_output=True,

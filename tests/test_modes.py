@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from vortexbell import modes
 
-from _oracles import gauss_hermite_grid, lg_polar
+from _oracles import gauss_hermite_grid, hermite, lg_polar
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
@@ -114,6 +115,17 @@ class TestHgAmplitude:
             total = np.sum(W * modes.hg_amplitude(nm, X, Y) ** 2)
             assert total == pytest.approx(1.0, abs=1e-8)
 
+    def test_matches_hermite_polynomial_oracle(self):
+        axis = np.linspace(-12.0, 12.0, 49)
+        X, Y = np.meshgrid(axis, axis, indexing="ij")
+        gauss = np.exp(-0.5 * (X * X + Y * Y))
+        for n in range(modes.MAX_TOTAL_ORDER + 1):
+            for m in range(modes.MAX_TOTAL_ORDER + 1 - n):
+                norm = math.sqrt(math.pi * 2.0 ** (n + m) * math.factorial(n) * math.factorial(m))
+                expected = hermite(n, X) * hermite(m, Y) * gauss / norm
+                got = modes.hg_amplitude((n, m), X, Y)
+                assert np.max(np.abs(got - expected)) <= 1e-13, (n, m)
+
 
 class TestSchmidt:
     def test_ground_is_single_term(self):
@@ -154,7 +166,14 @@ class TestSchmidt:
         for nm in ALL_MODES_10:
             direct = modes.lg_amplitude(nm, X, Y)
             rebuilt = modes.reconstruct_from_schmidt(nm, X, Y)
-            assert np.max(np.abs(direct - rebuilt)) <= 1e-10, nm
+            assert np.max(np.abs(direct - rebuilt)) <= 1e-12, nm
+        # high orders out to where the fields have decayed
+        axis = np.linspace(-9.0, 9.0, 301)
+        X, Y = np.meshgrid(axis, axis, indexing="ij")
+        for nm in [(20, 10), (32, 32), (40, 20), (64, 0)]:
+            direct = modes.lg_amplitude(nm, X, Y)
+            rebuilt = modes.reconstruct_from_schmidt(nm, X, Y)
+            assert np.max(np.abs(direct - rebuilt)) <= 1e-12, nm
 
     def test_reconstruction_single_point_examples(self):
         assert modes.reconstruct_from_schmidt((1, 0), 1.0, 0.0) == pytest.approx(
@@ -167,6 +186,44 @@ class TestSchmidt:
             assert modes.reconstruct_from_schmidt((0, 0), X, Y) == pytest.approx(
                 modes.hg_amplitude((0, 0), X, Y), abs=1e-12
             )
+
+    def test_reconstruction_broadcasts(self):
+        ys = np.array([-0.9, 0.1])
+        rebuilt = modes.reconstruct_from_schmidt((3, 1), 0.4, ys)
+        assert rebuilt.shape == (2,)
+        assert np.max(np.abs(rebuilt - modes.lg_amplitude((3, 1), 0.4, ys))) <= 1e-14
+        rebuilt = modes.reconstruct_from_schmidt((3, 1), ys, 0.4)
+        assert np.max(np.abs(rebuilt - modes.lg_amplitude((3, 1), ys, 0.4))) <= 1e-14
+        assert isinstance(modes.reconstruct_from_schmidt((3, 1), 0.4, -0.9), complex)
+        # an outer product with a huge entry on each axis
+        xs, ys = np.array([0.3, 1e200]), np.array([[0.1], [0.5], [1e300]])
+        rebuilt = modes.reconstruct_from_schmidt((5, 3), xs, ys)
+        assert rebuilt.shape == (3, 2)
+        assert np.max(np.abs(rebuilt - modes.lg_amplitude((5, 3), xs, ys))) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_reconstruction_rejects_nonfinite_points(self, bad):
+        for X, Y in [(bad, 0.3), (0.3, bad), (np.array([0.0, bad]), 1.0), (1.0, np.array([bad]))]:
+            with pytest.raises(ValueError):
+                modes.reconstruct_from_schmidt((3, 1), X, Y)
+            with pytest.raises(ValueError):
+                modes.hg_amplitude((3, 1), X, Y)
+
+
+@pytest.mark.parametrize(
+    "amplitude", [modes.lg_amplitude, modes.hg_amplitude, modes.reconstruct_from_schmidt]
+)
+@pytest.mark.parametrize("nm", [(1, 0), (2, 0), (20, 10), (0, 64)], ids=str)
+def test_huge_finite_points_give_exact_zeros(amplitude, nm):
+    # the Gaussian underflows to 0 long before a squared coordinate overflows
+    huge = [1e200, -1e200, 1.7976931348623157e308, 1e5, 40.0]
+    points = [(h, 0.0) for h in huge] + [(0.3, h) for h in huge] + [(h, -h) for h in huge]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for X, Y in points:
+            assert amplitude(nm, X, Y) == 0.0, (X, Y)
+        xs, ys = np.array(points).T
+        assert np.array_equal(amplitude(nm, xs, ys), np.zeros(len(points)))
 
 
 class TestCoordinateMaps:
