@@ -14,10 +14,12 @@ z = (X, P_X, Y, P_Y), and share one evaluator core with one array path, one
 error policy, one underflow mask and one chain rule. A point of four floats
 is evaluated as 0-d arrays and gives a float with the same bits as the same
 point inside an array; it costs about as much as a small batch, so loops
-over points should batch them. A non-finite coordinate is rejected; a
-positional order 2 adds the exact gradient and Hessian over z. The LG Pi is
-the plain product at every point, and 0 where exp(-4 Q0) underflows
-(|Pi| < 1e-200 there).
+over points should batch them. Pi on more than ``_BLOCK`` points is filled
+block by block, in flat slices whose temporaries stay in cache; each point
+goes through the same operations, so it has the bits of a smaller call. A
+non-finite coordinate is rejected; a positional order 2 adds the exact
+gradient and Hessian over z. The LG Pi is the plain product at every point,
+and 0 where exp(-4 Q0) underflows (|Pi| < 1e-200 there).
 
 The numeric engine evaluates the symmetric-point Fourier integral
 
@@ -97,8 +99,28 @@ def _coords(point):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in point))
 
 
+# points per block of a large order-0 call: 128 KiB per float temporary, which stays in cache
+_BLOCK = 1 << 14
+
+
 def _outer(u, v):
     return u[..., :, None] * v[..., None, :]
+
+
+def _masked(beam, coords, order):
+    """``beam`` at the coordinates, Pi masked to 0 where the envelope is 0.
+
+    Returns (Pi, live, G_k, G_kl), live being the envelope > 0 mask or None
+    where no entry underflowed; a non-finite coordinate raises ValueError.
+    """
+    value, envelope, first, second = beam(*coords, order)
+    live = envelope > 0.0
+    # masking only on underflow leaves the result the product itself, no copy
+    if np.all(live):
+        return value, None, first, second
+    if not all(np.all(np.isfinite(c)) for c in coords):
+        raise ValueError("phase-space point must be finite")
+    return np.where(live, value, 0.0), live, first, second
 
 
 def _evaluate(forms, beam, point, order=0):
@@ -109,21 +131,22 @@ def _evaluate(forms, beam, point, order=0):
     partials G_k and the G_kl for k <= l in ``combinations_with_replacement``
     order. Pi, its gradient sum_k G_k grad q_k and its Hessian
     sum_kl G_kl grad q_k grad q_l^T + sum_k 2 G_k A_k, with grad q_k = 2 A_k z,
-    are 0 where the envelope is 0.
+    are 0 where the envelope is 0. Pi on more than ``_BLOCK`` points is filled
+    in consecutive flat blocks, each through the same operations.
     """
     if order not in (0, 2) or isinstance(order, bool):
         raise ValueError(f"derivative order must be 0 or 2, got {order!r}")
     coords = _coords(point)
     # a huge point overflows to inf quietly, and inf * 0 is masked where the envelope is 0
     with np.errstate(over="ignore", invalid="ignore"):
-        value, envelope, first, second = beam(*coords, order)
-        live = envelope > 0.0
-        # masking only on underflow leaves a large grid's result the product itself, no copy
-        underflow = not np.all(live)
-        if underflow:
-            if not all(np.all(np.isfinite(c)) for c in coords):
-                raise ValueError("phase-space point must be finite")
-            value = np.where(live, value, 0.0)
+        if not order and coords[0].size > _BLOCK:
+            out = np.empty(coords[0].size)
+            flat = [c.reshape(-1) for c in coords]  # a view unless broadcast
+            for start in range(0, out.size, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                out[block] = _masked(beam, [c[block] for c in flat], 0)[0]
+            return out.reshape(coords[0].shape)
+        value, live, first, second = _masked(beam, coords, order)
         if not order:
             return value[()]
         z = np.stack(coords, axis=-1)
@@ -136,7 +159,7 @@ def _evaluate(forms, beam, point, order=0):
             terms.append(g[..., None, None] * outer)
         terms += [2.0 * g[..., None, None] * a for g, a in zip(first, forms)]
         hess = reduce(operator.add, terms)
-        if underflow:
+        if live is not None:
             grad = np.where(live[..., None], grad, 0.0)
             hess = np.where(live[..., None, None], hess, 0.0)
         return value[()], grad, hess
@@ -261,13 +284,19 @@ def lg_numeric_plan(mode, order=96):
 
 
 def elliptical_field(params, X, Y):
-    """Squeezed Gaussian beam amplitude; unit L2 norm for every t."""
+    """Squeezed Gaussian beam amplitude; unit L2 norm for every t.
+
+    The exponent -(X^2+Y^2) cosh(2t)/2 +- XY sinh(2t) is summed as
+    -(e^{-2t} (X +- Y)^2 + e^{2t} (X -+ Y)^2)/4, two terms that are never
+    negative, so a huge finite point gives 0 rather than inf - inf.
+    """
     if not isinstance(params, EllipticalParams):
         params = EllipticalParams(*params)
-    c2t = math.cosh(2.0 * params.t)
-    s2t = math.sinh(2.0 * params.t)
-    arg = -0.5 * (X * X + Y * Y) * c2t + params.sign * X * Y * s2t
-    return np.exp(arg) / math.sqrt(math.pi)
+    with np.errstate(over="ignore"):
+        plus, minus = X + params.sign * Y, X - params.sign * Y
+        arg = -0.25 * (math.exp(-2.0 * params.t) * (plus * plus)
+                       + math.exp(2.0 * params.t) * (minus * minus))
+        return np.exp(arg) / math.sqrt(math.pi)
 
 
 def elliptical_transform(params, point):

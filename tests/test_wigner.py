@@ -286,11 +286,8 @@ class TestNumericEngine:
                 with pytest.raises(ValueError, match="finite"):
                     plan(huge)
             assert math.isfinite(plan((0.3, -0.2, 0.1, 0.4)))
-        # at a huge position the LG field underflows to 0, so W is 0 as in the closed
-        # form, while the elliptical exponent meets inf - inf
-        assert wigner.lg_numeric_plan((1, 0))((1e308, 0.0, 0.0, 0.0)) == 0.0
-        with pytest.raises(ValueError, match="finite"):
-            plan((1e308, 0.0, 0.0, 0.0))
+            # at a huge position the field underflows to 0, so W is 0 as in the closed form
+            assert plan((1e308, 0.0, 0.0, 0.0)) == 0.0
 
 
 class TestElliptical:
@@ -364,6 +361,21 @@ class TestElliptical:
         pts = rng.uniform(-3, 3, (100, 4))
         for pt in pts:
             assert wigner.wigner_elliptical(params, tuple(pt)) >= 0.0
+
+    def test_huge_finite_points_give_zero(self):
+        # the exponent's two squared terms never cancel, so no inf - inf
+        huge = [(1e200, 1e200), (1e200, -1e200), (1.7976931348623157e308, 0.0), (0.0, -1e300)]
+        for t in (0.0, 0.5, -2.0, 5.0):
+            for sign in (+1, -1):
+                params = wigner.EllipticalParams(t, sign)
+                for X, Y in huge:
+                    assert wigner.elliptical_field(params, X, Y) == 0.0, (t, sign, X, Y)
+                xs, ys = np.array(huge).T
+                assert np.array_equal(wigner.elliptical_field(params, xs, ys), np.zeros(len(huge)))
+        params = wigner.EllipticalParams(0.5, +1)
+        plan = wigner.NumericWignerPlan(lambda X, Y: wigner.elliptical_field(params, X, Y))
+        for point in [(1e308, 0.0, 0.0, 0.0), (1e200, 0.3, 1e200, -0.2)]:
+            assert plan(point) == 0.0 == wigner.wigner_elliptical(params, point)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -469,3 +481,60 @@ class TestPhaseRotationSymmetry:
         theta = rng.uniform(0, 2 * math.pi, 1000)
         pi = wigner.elliptical_transform_evaluator((t, +1))
         assert np.max(np.abs(pi(_rotate(pts, theta, mirror=True)) - pi(tuple(pts)))) <= 1e-15
+
+
+class TestBlocks:
+    """Pi on more than ``_BLOCK`` points, filled block by block, has the bits of smaller calls."""
+
+    BLOCK = wigner._BLOCK
+    EVALUATORS = [
+        pytest.param(wigner.lg_transform_evaluator((1, 0)), id="lg-1-0"),
+        pytest.param(wigner.lg_transform_evaluator((30, 0)), id="lg-30-0"),
+        pytest.param(wigner.lg_transform_evaluator((5, 3)), id="lg-5-3"),
+        pytest.param(wigner.elliptical_transform_evaluator((0.7, -1)), id="elliptical-0.7"),
+    ]
+
+    @staticmethod
+    def _in_slices(pi, pts, step=4099):
+        # slice ends off the block boundaries, each slice below the block size
+        return np.concatenate([pi(tuple(c[k:k + step] for c in pts))
+                               for k in range(0, pts[0].size, step)])
+
+    @pytest.mark.parametrize("pi", EVALUATORS)
+    @pytest.mark.parametrize("extra", [-1, 0, 1, BLOCK + 3])
+    def test_matches_small_calls(self, pi, extra):
+        size = self.BLOCK + extra
+        pts = tuple(np.random.default_rng(size).uniform(-3.0, 3.0, (4, size)))
+        values = pi(pts)
+        assert values.shape == (size,)
+        assert np.array_equal(values, self._in_slices(pi, pts))
+        for k in (0, size // 2, size - 1):
+            assert values[k] == pi(tuple(float(c[k]) for c in pts))
+
+    @pytest.mark.parametrize("pi", EVALUATORS)
+    def test_broadcast_grid(self, pi):
+        axis = np.linspace(-2.5, 2.5, 13)
+        grid = (axis[:, None, None, None], axis[None, ::-1, None, None],
+                axis[None, None, :, None], axis[None, None, None, :] + 0.1)
+        values = pi(grid)
+        assert values.shape == (13,) * 4 and values.size > self.BLOCK
+        # each slice along the first axis is one call of 13^3 points
+        assert np.array_equal(values, np.stack([pi(tuple(g[min(i, g.shape[0] - 1)] for g in grid))
+                                                for i in range(13)]))
+        # a strided, transposed view of the same points
+        flat = [np.broadcast_to(g, values.shape).ravel() for g in grid]
+        view = tuple(np.repeat(c, 2).reshape(-1, 13, 2)[:, :, 0].T for c in flat)
+        assert np.array_equal(pi(view), values.reshape(-1, 13).T)
+
+    @pytest.mark.parametrize("pi", EVALUATORS)
+    def test_later_block_underflow_and_nan(self, pi):
+        size = 2 * self.BLOCK + 3
+        pts = np.random.default_rng(61).uniform(-3.0, 3.0, (4, size))
+        far = [self.BLOCK + 5, 2 * self.BLOCK + 1]
+        pts[0, far] = [40.0, 1e200]
+        values = pi(tuple(pts))
+        assert np.all(values[far] == 0.0)
+        assert np.array_equal(values, self._in_slices(pi, tuple(pts)))
+        pts[2, 2 * self.BLOCK + 2] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            pi(tuple(pts))
