@@ -141,7 +141,7 @@ def _evaluate(forms, beam, point, order=0):
     with np.errstate(over="ignore", invalid="ignore"):
         if not order and coords[0].size > _BLOCK:
             out = np.empty(coords[0].size)
-            flat = [c.reshape(-1) for c in coords]  # a view unless broadcast
+            flat = [c.reshape(-1) for c in coords]  # a view if contiguous, else a copy
             for start in range(0, out.size, _BLOCK):
                 block = slice(start, start + _BLOCK)
                 out[block] = _masked(beam, [c[block] for c in flat], 0)[0]

@@ -518,13 +518,12 @@ class TestBlocks:
                 axis[None, None, :, None], axis[None, None, None, :] + 0.1)
         values = pi(grid)
         assert values.shape == (13,) * 4 and values.size > self.BLOCK
+        full = np.broadcast_arrays(*grid)
         # each slice along the first axis is one call of 13^3 points
-        assert np.array_equal(values, np.stack([pi(tuple(g[min(i, g.shape[0] - 1)] for g in grid))
-                                                for i in range(13)]))
-        # a strided, transposed view of the same points
-        flat = [np.broadcast_to(g, values.shape).ravel() for g in grid]
-        view = tuple(np.repeat(c, 2).reshape(-1, 13, 2)[:, :, 0].T for c in flat)
-        assert np.array_equal(pi(view), values.reshape(-1, 13).T)
+        assert np.array_equal(values, np.stack([pi(tuple(c[i] for c in full)) for i in range(13)]))
+        # a transposed, reversed view of the same points
+        full = [np.ascontiguousarray(c) for c in full]
+        assert np.array_equal(pi(tuple(c.T[::-1] for c in full)), values.T[::-1])
 
     @pytest.mark.parametrize("pi", EVALUATORS)
     def test_later_block_underflow_and_nan(self, pi):
