@@ -14,7 +14,7 @@ from vortexbell import (
     RESTRICTED,
     bell_closed_form_10,
     bell_scan,
-    bell_sum_general,
+    bell_sum,
     lg_transform_evaluator,
     maximize_bell,
 )
@@ -44,7 +44,7 @@ print(f"  mode (1,0): max |B| = {general.best_value:.4f}")
 print("  at settings (X1, PX1, X2, PX2, Y1, PY1, Y2, PY2) =")
 print("   ", np.round(general.argmax, 3))
 known_good = (-0.07, 0.05, 0.4, -0.26, -0.05, -0.07, 0.26, 0.4)
-value = bell_sum_general(lg_transform_evaluator((1, 0)), known_good)
+value = bell_sum(lg_transform_evaluator((1, 0)), GENERAL, known_good)
 print(f"  the sum at a reference argmax {known_good}: B = {value:+.4f}")
 
 print("\n=== Violation grows with orbital angular momentum ===")

@@ -28,18 +28,14 @@ from .wigner import elliptical_transform_evaluator, lg_transform_evaluator
 __all__ = [
     "RESTRICTED",
     "GENERAL",
-    "BellSettingsRestricted",
-    "BellSettingsGeneral",
     "OptimizerConfig",
     "OptimizationResult",
     "EllipticalProfile",
-    "bell_sum_restricted",
+    "bell_sum",
     "bell_closed_form_10",
-    "bell_sum_general",
     "maximize_bell",
     "bell_scan",
     "elliptical_profile",
-    "DEFAULT_T_GRID",
 ]
 
 RESTRICTED = "restricted"
@@ -72,51 +68,27 @@ _GRADIENT_TOL = 1e-7
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class BellSettingsRestricted:
-    """Settings A in {(0,0), (x,0)} and B in {(0,0), (0,py)}."""
-
-    x: float
-    py: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.py)):
-            raise ValueError("restricted settings must be finite")
+def _check_kind(kind):
+    if kind not in (RESTRICTED, GENERAL):
+        raise ValueError(f"kind must be {RESTRICTED!r} or {GENERAL!r}, got {kind!r}")
 
 
-@dataclass(frozen=True)
-class BellSettingsGeneral:
-    """Two phase-plane settings per side: a1, a2 on (X, P_X); b1, b2 on (Y, P_Y)."""
+def bell_sum(pi, kind, settings):
+    """The four-term CHSH sum B, a float, from one call of pi on coordinate arrays.
 
-    a1: tuple
-    a2: tuple
-    b1: tuple
-    b2: tuple
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2"):
-            pair = getattr(self, name)
-            if len(pair) != 2 or not all(math.isfinite(float(v)) for v in pair):
-                raise ValueError(f"setting {name} must be a finite (coordinate, momentum) pair")
-            object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
-
-    @classmethod
-    def from_vector(cls, v):
-        """Order (X1, P_X1, X2, P_X2, Y1, P_Y1, Y2, P_Y2)."""
-        v = [float(c) for c in v]
-        if len(v) != 8:
-            raise ValueError(f"expected 8 parameters, got {len(v)}")
-        return cls(a1=(v[0], v[1]), a2=(v[2], v[3]), b1=(v[4], v[5]), b2=(v[6], v[7]))
-
-    def to_vector(self):
-        return (*self.a1, *self.a2, *self.b1, *self.b2)
-
-
-def bell_sum_restricted(pi, settings):
-    """Restricted four-term Bell sum, a float, from one call of pi on coordinate arrays."""
-    if not isinstance(settings, BellSettingsRestricted):
-        settings = BellSettingsRestricted(*settings)
-    return float(_bell(pi, RESTRICTED, np.array([[settings.x, settings.py]]))[0])
+    RESTRICTED settings are (x, py): A in {(0,0), (x,0)} and B in {(0,0), (0,py)}.
+    GENERAL settings are (X1, P_X1, X2, P_X2, Y1, P_Y1, Y2, P_Y2): two phase-plane
+    settings per side, a1, a2 on (X, P_X) and b1, b2 on (Y, P_Y); the (a2, b2)
+    term enters with a minus sign. Every entry must be finite.
+    """
+    _check_kind(kind)
+    u = np.asarray(settings, dtype=float)
+    size = _LIFT[kind].shape[1]
+    if u.shape != (size,):
+        raise ValueError(f"{kind} settings must be {size} numbers, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"{kind} settings must be finite")
+    return float(_bell(pi, kind, u[None])[0])
 
 
 def bell_closed_form_10(x, py):
@@ -131,14 +103,6 @@ def _damped(s, q):
     """e^{-s} (q - 1), and 0 where e^{-s} underflows, even if q overflowed to inf."""
     damp = math.exp(-s)
     return damp * (q - 1.0) if damp > 0.0 else 0.0
-
-
-def bell_sum_general(pi, settings):
-    """General four-term CHSH sum, a float, from one call of pi on coordinate arrays;
-    the (a2, b2) term enters with a minus sign."""
-    if not isinstance(settings, BellSettingsGeneral):
-        settings = BellSettingsGeneral.from_vector(settings)
-    return float(_bell(pi, GENERAL, np.array([settings.to_vector()]))[0])
 
 
 @dataclass(frozen=True)
@@ -317,8 +281,7 @@ def maximize_bell(pi, kind, config=None):
     counts Bell sums, value or derivative. Non-finite values are rejected.
     The result is bit-reproducible for a fixed config.
     """
-    if kind not in (RESTRICTED, GENERAL):
-        raise ValueError(f"kind must be {RESTRICTED!r} or {GENERAL!r}, got {kind!r}")
+    _check_kind(kind)
     cfg = config if config is not None else OptimizerConfig()
     evaluations = 0
 

@@ -59,9 +59,10 @@ EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
 
 
-def _manifest(command, args, skip=("func", "out", "command")):
+def _manifest(command, args):
     parameters = {
-        key: value for key, value in sorted(vars(args).items()) if key not in skip
+        key: value for key, value in sorted(vars(args).items())
+        if key not in ("func", "out", "command")
     }
     return {
         "command": command,

@@ -73,10 +73,11 @@ def max_correlation(mode):
 
 def correlation_scan(mode, theta_grid, phi_grid):
     """Rows (theta, phi, C) in row-major order over the two angle grids."""
-    theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
-    phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
+    theta_grid = np.asarray(theta_grid, dtype=float).ravel()
+    phi_grid = np.asarray(phi_grid, dtype=float).ravel()
     if theta_grid.size == 0 or phi_grid.size == 0:
         raise ValueError("angle grids must be nonempty")
-    theta, phi = np.meshgrid(theta_grid, phi_grid, indexing="ij")
-    c = correlation_from_moments(moments(mode), (theta, phi))
-    return np.column_stack((theta.ravel(), phi.ravel(), c.ravel()))
+    # theta as a column and phi as a row: no meshgrid copies, and cos and sin run on the grids
+    c = correlation_from_moments(moments(mode), (theta_grid[:, None], phi_grid[None, :]))
+    return np.column_stack((np.repeat(theta_grid, phi_grid.size),
+                            np.tile(phi_grid, theta_grid.size), c.ravel()))

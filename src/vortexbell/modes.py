@@ -32,13 +32,10 @@ import numpy as np
 from .specfun import _as_finite, _check_degree, _laguerre, ln_factorial
 
 __all__ = [
-    "MAX_TOTAL_ORDER",
     "ModeIndex",
     "ScaleParams",
     "SchmidtTerm",
-    "as_mode",
     "lg_amplitude",
-    "lg_gradient",
     "hg_amplitude",
     "schmidt_coefficients",
     "reconstruct_from_schmidt",
@@ -144,34 +141,6 @@ def lg_amplitude(mode, X, Y):
     if not np.all(gauss > 0.0):
         value = np.where(gauss > 0.0, value, 0.0)
     return np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
-
-
-def lg_gradient(mode, X, Y):
-    """Analytic (d/dX, d/dY) of lg_amplitude; used for momentum moments.
-
-    Built from d/du L_p^a(u) = -L_{p-1}^{a+1}(u), so no finite differences
-    enter any downstream expectation value. Like ``lg_amplitude`` it is 0
-    where the Gaussian underflows, however large the finite point.
-    """
-    mode = as_mode(mode)
-    p, a, l = mode.radial, abs(mode.l), mode.l
-    s = math.copysign(1.0, l)
-    X, Y = _finite(X), _finite(Y)
-    norm = (-1.0 if p % 2 else 1.0) * _lg_norm(p, a)
-    # a huge point overflows r2 quietly; the inf * 0 it leaves is masked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        r2 = X * X + Y * Y
-        gauss = np.exp(-0.5 * r2)
-        lag = _laguerre(p, a, r2)
-        dlag = 0.0 if p == 0 else -_laguerre(p - 1, a + 1, r2)
-        spiral = 1.0 if a == 0 else (X + 1j * s * Y) ** a
-        spiral_minus = 0.0 if a == 0 else (1.0 if a == 1 else (X + 1j * s * Y) ** (a - 1))
-        common = 2.0 * dlag - lag
-        dx = norm * gauss * (a * spiral_minus * lag + X * spiral * common)
-        dy = norm * gauss * (1j * s * a * spiral_minus * lag + Y * spiral * common)
-    if not np.all(gauss > 0.0):
-        dx, dy = (np.where(gauss > 0.0, d, 0.0)[()] for d in (dx, dy))
-    return dx, dy
 
 
 def _hermite_functions(x):

@@ -8,12 +8,9 @@ The second moments of an LG mode are exact closed forms,
 
 with every other entry zero, so <X P_Y - Y P_X> = l = n - m is the orbital
 angular momentum per photon (Allen et al. 1992, PRA 45, 8185). The
-independent route integrates the 4D Wigner function (``wigner_moments``);
-the test suite also checks the table against Gauss-Hermite integrals of the
-field and its analytic gradient.
-
-Summation is deterministic: terms are sorted by magnitude (ascending) and
-added with numpy's pairwise sum, so identical inputs give identical bits.
+independent route integrates the 4D Wigner function (``wigner_moments``).
+A third route, Gauss-Hermite integrals of the field and its analytic
+gradient, is a test oracle and lives with the tests.
 """
 
 import math
@@ -74,12 +71,6 @@ def gauss_nodes(config):
     return nodes * config.half_width, weights * config.half_width
 
 
-def _stable_sum(terms):
-    flat = np.ravel(np.asarray(terms))
-    order = np.argsort(np.abs(flat), kind="stable")
-    return flat[order].sum()
-
-
 def moments(mode):
     """Exact second-moment table of an LG mode."""
     mode = as_mode(mode)
@@ -120,14 +111,14 @@ def wigner_moments(mode, order=None):
     )
     dens = w4 * wigner_lg(mode, (x, px, y, py))
     return MomentTable(
-        xx=_stable_sum(dens * x * x),
-        yy=_stable_sum(dens * y * y),
-        pxpx=_stable_sum(dens * px * px),
-        pypy=_stable_sum(dens * py * py),
-        xy=_stable_sum(dens * x * y),
-        pxpy=_stable_sum(dens * px * py),
-        xpy=_stable_sum(dens * x * py),
-        ypx=_stable_sum(dens * y * px),
-        xpx_sym=_stable_sum(dens * x * px),
-        ypy_sym=_stable_sum(dens * y * py),
+        xx=np.sum(dens * x * x),
+        yy=np.sum(dens * y * y),
+        pxpx=np.sum(dens * px * px),
+        pypy=np.sum(dens * py * py),
+        xy=np.sum(dens * x * y),
+        pxpy=np.sum(dens * px * py),
+        xpy=np.sum(dens * x * py),
+        ypx=np.sum(dens * y * px),
+        xpx_sym=np.sum(dens * x * px),
+        ypy_sym=np.sum(dens * y * py),
     )

@@ -4,25 +4,20 @@ Laguerre polynomials are evaluated with their three-term recurrence (never
 a factorial series), which stays accurate for the degrees this package
 needs. Scalar inputs run on plain floats and array inputs broadcast
 through numpy, except ``laguerre_scaled``, which always returns numpy
-arrays; no evaluator calls it.
+arrays; no evaluator calls it. ``ln_factorial`` reads a table of ln(n!) for
+0 <= n <= 128 and rejects a larger n; the package passes at most the total
+mode order, 64.
 """
 
 import math
 
 import numpy as np
 
-__all__ = [
-    "MAX_DEGREE",
-    "MAX_FACTORIAL_ARG",
-    "laguerre",
-    "laguerre_scaled",
-    "ln_factorial",
-]
+__all__ = ["laguerre", "ln_factorial"]
 
 MAX_DEGREE = 64
-MAX_FACTORIAL_ARG = 10**6
 
-# cumulative sums of ln k for n <= 128; lgamma takes over beyond
+# cumulative sums of ln k: ln(n!) for 0 <= n <= 128
 _LN_FACT_TABLE = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 129)))))
 
 _RESCALE = 1e150
@@ -106,8 +101,5 @@ def laguerre_scaled(p, alpha, x):
 
 
 def ln_factorial(n):
-    """ln(n!) for 0 <= n <= 1e6, relative error below 1e-12."""
-    n = _check_degree(n, "n", cap=MAX_FACTORIAL_ARG)
-    if n < _LN_FACT_TABLE.size:
-        return float(_LN_FACT_TABLE[n])
-    return math.lgamma(n + 1.0)
+    """ln(n!) from a table for 0 <= n <= 128, relative error below 1e-12; ValueError beyond."""
+    return float(_LN_FACT_TABLE[_check_degree(n, "n", cap=_LN_FACT_TABLE.size - 1)])

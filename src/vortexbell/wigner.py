@@ -34,7 +34,6 @@ import operator
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,14 +42,12 @@ from .quadrature import QuadratureConfig, gauss_nodes
 from .specfun import _laguerre
 
 __all__ = [
-    "WignerArgs",
     "EllipticalParams",
     "wigner_args",
     "wigner_lg",
     "wigner_transform",
     "lg_transform_evaluator",
     "NumericWignerPlan",
-    "wigner_numeric",
     "lg_numeric_plan",
     "elliptical_field",
     "wigner_elliptical",
@@ -61,13 +58,6 @@ __all__ = [
 _PI_SQ = math.pi**2
 
 MAX_SQUEEZE = 5.0
-
-
-class WignerArgs(NamedTuple):
-    """The rotation-invariant arguments (Q0, Q2) of the closed-form Wigner function."""
-
-    q0: float
-    q2: float
 
 
 @dataclass(frozen=True)
@@ -91,7 +81,7 @@ def wigner_args(point):
     x, px, y, py = point
     q0 = 0.25 * (x * x + y * y + px * px + py * py)
     q2 = 0.5 * (x * py - y * px)
-    return WignerArgs(q0, q2)
+    return q0, q2
 
 
 def _coords(point):
@@ -269,11 +259,6 @@ class NumericWignerPlan:
         if not math.isfinite(total):
             raise ValueError(f"the Wigner integral at {point} is not finite")
         return total / _PI_SQ
-
-
-def wigner_numeric(field, point, config=None):
-    """One-shot numeric Wigner evaluation; reuse a NumericWignerPlan for grids."""
-    return NumericWignerPlan(field, config)(point)
 
 
 def lg_numeric_plan(mode, order=96):

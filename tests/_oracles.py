@@ -5,8 +5,9 @@ moment integrals, the Bell search and the log-domain Pi: polynomial series
 run in exact rational arithmetic, Hermite polynomials by their own
 recurrence, fields come from the literal polar formulas with scipy
 polynomials, and integrals rebuild Gauss-Hermite rules straight from numpy.
-The moment integrals take the package's field and analytic gradient, so
-they check the closed-form moment table against the fields it describes.
+The moment integrals take the package's field and the analytic gradient
+below, so they check the closed-form moment table against the fields it
+describes.
 The Bell search is the multi-start Nelder-Mead loop that
 ``maximize_bell``'s Newton search replaced, run by scipy on the package's
 seeds and Bell sums, so it gives a maximum the Newton search must reach.
@@ -23,7 +24,8 @@ from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre
 
 from vortexbell import bell, specfun, wigner
-from vortexbell.modes import as_mode, lg_amplitude, lg_gradient
+from vortexbell.modes import _finite, _lg_norm, as_mode, lg_amplitude
+from vortexbell.specfun import _laguerre
 
 
 def laguerre_series(p, alpha, x):
@@ -111,6 +113,34 @@ _MOMENT_PAIRS = {
 }
 
 
+def lg_gradient(mode, X, Y):
+    """Analytic (d/dX, d/dY) of lg_amplitude; used for momentum moments.
+
+    Built from d/du L_p^a(u) = -L_{p-1}^{a+1}(u), so no finite differences
+    enter any downstream expectation value. Like ``lg_amplitude`` it is 0
+    where the Gaussian underflows, however large the finite point.
+    """
+    mode = as_mode(mode)
+    p, a, l = mode.radial, abs(mode.l), mode.l
+    s = math.copysign(1.0, l)
+    X, Y = _finite(X), _finite(Y)
+    norm = (-1.0 if p % 2 else 1.0) * _lg_norm(p, a)
+    # a huge point overflows r2 quietly; the inf * 0 it leaves is masked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = X * X + Y * Y
+        gauss = np.exp(-0.5 * r2)
+        lag = _laguerre(p, a, r2)
+        dlag = 0.0 if p == 0 else -_laguerre(p - 1, a + 1, r2)
+        spiral = 1.0 if a == 0 else (X + 1j * s * Y) ** a
+        spiral_minus = 0.0 if a == 0 else (1.0 if a == 1 else (X + 1j * s * Y) ** (a - 1))
+        common = 2.0 * dlag - lag
+        dx = norm * gauss * (a * spiral_minus * lag + X * spiral * common)
+        dy = norm * gauss * (1j * s * a * spiral_minus * lag + Y * spiral * common)
+    if not np.all(gauss > 0.0):
+        dx, dy = (np.where(gauss > 0.0, d, 0.0)[()] for d in (dx, dy))
+    return dx, dy
+
+
 def _operator_images(nm):
     """Weights, field and {X, Y, P_X, P_Y} applied to the field on a Hermite grid.
 
@@ -154,10 +184,7 @@ def scipy_maximize_bell(pi, kind, config=None):
     def objective(v):
         nonlocal evaluations
         evaluations += 1
-        if kind == bell.RESTRICTED:
-            b = bell.bell_sum_restricted(pi, (float(v[0]), float(v[1])))
-        else:
-            b = bell.bell_sum_general(pi, v)
+        b = bell.bell_sum(pi, kind, v)
         return math.inf if not math.isfinite(b) else -abs(b)
 
     seeds = bell._seed_points(kind, cfg)

@@ -41,7 +41,7 @@ def test_criterion_2_general_bell_maximum():
     result = bell.maximize_bell(pi, bell.GENERAL)
     elapsed = time.perf_counter() - start
     reference_settings = (-0.07, 0.05, 0.4, -0.26, -0.05, -0.07, 0.26, 0.4)
-    at_reference = abs(bell.bell_sum_general(pi, reference_settings))
+    at_reference = abs(bell.bell_sum(pi, bell.GENERAL, reference_settings))
     ok = abs(result.best_value - 2.24) <= 0.01 and at_reference >= 2.23 and elapsed < 10.0
     _report(
         "general Bell maximum (1,0)",
@@ -201,7 +201,7 @@ def test_criterion_7_property_suite():
     for _ in range(1000):
         x, py = rng.uniform(-4, 4, 2)
         delta = abs(
-            bell.bell_closed_form_10(x, py) - bell.bell_sum_restricted(pi10, (x, py))
+            bell.bell_closed_form_10(x, py) - bell.bell_sum(pi10, bell.RESTRICTED, (x, py))
         )
         if delta > 1e-12:
             failures.append(f"closed-form ({x},{py}): {delta}")

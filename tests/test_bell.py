@@ -14,10 +14,12 @@ PI_00 = wigner.lg_transform_evaluator((0, 0))
 class TestBellSums:
     def test_restricted_zero_settings(self):
         # all four parity terms are +/-1 at the origin
-        assert bell.bell_sum_restricted(PI_10, (0.0, 0.0)) == pytest.approx(-2.0, abs=1e-14)
+        assert bell.bell_sum(PI_10, bell.RESTRICTED, (0.0, 0.0)) == pytest.approx(
+            -2.0, abs=1e-14
+        )
 
     def test_restricted_near_reported_maximum(self):
-        assert abs(bell.bell_sum_restricted(PI_10, (0.45, 0.45))) == pytest.approx(
+        assert abs(bell.bell_sum(PI_10, bell.RESTRICTED, (0.45, 0.45))) == pytest.approx(
             2.17, abs=0.01
         )
 
@@ -25,7 +27,7 @@ class TestBellSums:
         assert bell.bell_closed_form_10(0.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
         assert abs(bell.bell_closed_form_10(0.45, 0.45)) == pytest.approx(2.17, abs=0.01)
         assert bell.bell_closed_form_10(3.0, -3.0) == pytest.approx(
-            bell.bell_sum_restricted(PI_10, (3.0, -3.0)), abs=1e-12
+            bell.bell_sum(PI_10, bell.RESTRICTED, (3.0, -3.0)), abs=1e-12
         )
 
     def test_closed_form_finite_at_extreme_settings(self):
@@ -37,40 +39,41 @@ class TestBellSums:
         for x, py in points:
             closed = bell.bell_closed_form_10(x, py)
             assert math.isfinite(closed), (x, py)
-            assert closed == pytest.approx(bell.bell_sum_restricted(PI_10, (x, py)), abs=1e-12)
+            assert closed == pytest.approx(
+                bell.bell_sum(PI_10, bell.RESTRICTED, (x, py)), abs=1e-12
+            )
 
     def test_sums_return_floats(self):
         for pi in (PI_10, wigner.elliptical_transform_evaluator((0.7, +1))):
-            assert type(bell.bell_sum_restricted(pi, (0.3, -0.2))) is float
-            assert type(bell.bell_sum_general(pi, [0.1 * k for k in range(8)])) is float
+            assert type(bell.bell_sum(pi, bell.RESTRICTED, (0.3, -0.2))) is float
+            assert type(bell.bell_sum(pi, bell.GENERAL, [0.1 * k for k in range(8)])) is float
 
     def test_closed_form_equivalence_on_random_points(self):
         rng = np.random.default_rng(47)
         for _ in range(1000):
             x, py = rng.uniform(-4, 4, 2)
             assert bell.bell_closed_form_10(x, py) == pytest.approx(
-                bell.bell_sum_restricted(PI_10, (x, py)), abs=1e-12
+                bell.bell_sum(PI_10, bell.RESTRICTED, (x, py)), abs=1e-12
             )
 
     def test_restricted_symmetries(self):
         rng = np.random.default_rng(53)
         for _ in range(200):
             x, py = rng.uniform(-3, 3, 2)
-            base = bell.bell_sum_restricted(PI_10, (x, py))
-            assert bell.bell_sum_restricted(PI_10, (py, x)) == pytest.approx(
+            base = bell.bell_sum(PI_10, bell.RESTRICTED, (x, py))
+            assert bell.bell_sum(PI_10, bell.RESTRICTED, (py, x)) == pytest.approx(
                 base, abs=1e-12
             )
-            assert bell.bell_sum_restricted(PI_10, (-x, -py)) == pytest.approx(
+            assert bell.bell_sum(PI_10, bell.RESTRICTED, (-x, -py)) == pytest.approx(
                 base, abs=1e-12
             )
 
     def test_general_degenerate_settings(self):
-        settings = bell.BellSettingsGeneral.from_vector([0.0] * 8)
-        assert bell.bell_sum_general(PI_10, settings) == pytest.approx(-2.0, abs=1e-14)
+        assert bell.bell_sum(PI_10, bell.GENERAL, [0.0] * 8) == pytest.approx(-2.0, abs=1e-14)
 
     def test_general_at_reference_settings(self):
-        value = bell.bell_sum_general(
-            PI_10, (-0.07, 0.05, 0.4, -0.26, -0.05, -0.07, 0.26, 0.4)
+        value = bell.bell_sum(
+            PI_10, bell.GENERAL, (-0.07, 0.05, 0.4, -0.26, -0.05, -0.07, 0.26, 0.4)
         )
         assert abs(value) >= 2.23
 
@@ -78,23 +81,32 @@ class TestBellSums:
         rng = np.random.default_rng(59)
         for _ in range(50):
             x, py = rng.uniform(-3, 3, 2)
-            embedded = bell.bell_sum_general(
-                PI_10, (0.0, 0.0, x, 0.0, 0.0, 0.0, 0.0, py)
+            embedded = bell.bell_sum(
+                PI_10, bell.GENERAL, (0.0, 0.0, x, 0.0, 0.0, 0.0, 0.0, py)
             )
-            assert embedded == bell.bell_sum_restricted(PI_10, (x, py))
+            assert embedded == bell.bell_sum(PI_10, bell.RESTRICTED, (x, py))
 
     def test_ground_mode_scan_never_violates(self):
         axis = np.linspace(-3.0, 3.0, 61)
         worst = max(
-            abs(bell.bell_sum_restricted(PI_00, (x, py))) for x in axis for py in axis
+            abs(bell.bell_sum(PI_00, bell.RESTRICTED, (x, py)))
+            for x in axis for py in axis
         )
         assert worst <= 2.0 + 1e-12
 
     def test_settings_validation(self):
+        # a length that fits neither kind, a length of the other kind, a non-finite entry
+        bad = {
+            bell.RESTRICTED: [(0.0,) * 3, (0.0,) * 8, (math.nan, 0.0), (0.0, math.inf)],
+            bell.GENERAL: [(0.0,) * 7, (0.0,) * 2, (0.0,) * 7 + (math.nan,),
+                           (-math.inf,) + (0.0,) * 7],
+        }
+        for kind, cases in bad.items():
+            for settings in cases:
+                with pytest.raises(ValueError):
+                    bell.bell_sum(PI_10, kind, settings)
         with pytest.raises(ValueError):
-            bell.BellSettingsRestricted(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            bell.BellSettingsGeneral.from_vector([0.0] * 7)
+            bell.bell_sum(PI_10, "diagonal", (0.0, 0.0))
 
 
 def _central_differences(f, v, h):
@@ -131,10 +143,12 @@ class TestBellDerivatives:
 
     def test_values_match_scalar_sums(self):
         rng = np.random.default_rng(71)
-        u = rng.uniform(-2, 2, (20, 8))
-        batched = bell._bell(PI_10, bell.GENERAL, u)
-        scalar = [bell.bell_sum_general(PI_10, row) for row in u]
-        assert np.array_equal(batched, scalar)
+        for pi in (PI_10, wigner.elliptical_transform_evaluator((0.7, +1))):
+            for kind, width in ((bell.GENERAL, 8), (bell.RESTRICTED, 2)):
+                u = rng.uniform(-2, 2, (20, width))
+                batched = bell._bell(pi, kind, u)
+                scalar = [bell.bell_sum(pi, kind, row) for row in u]
+                assert np.array_equal(batched, scalar)
 
     @pytest.mark.parametrize(
         "pi",
@@ -194,7 +208,7 @@ class TestMaximize:
         result = bell.maximize_bell(PI_10, bell.RESTRICTED, cfg)
         seeds = bell._seed_points(bell.RESTRICTED, cfg)
         assert seeds.shape == (cfg.grid_points**2, 2)
-        worst_seed = max(abs(bell.bell_sum_restricted(PI_10, u)) for u in seeds)
+        worst_seed = max(abs(bell.bell_sum(PI_10, bell.RESTRICTED, u)) for u in seeds)
         assert result.best_value >= worst_seed - 1e-12
 
     @pytest.mark.parametrize(
@@ -261,12 +275,11 @@ class TestMaximize:
         assert result.converged
         assert result.best_value >= best_known - 1e-9
         # the argmax is stationary: central differences of |B| vanish there
-        total = bell.bell_sum_general if kind == bell.GENERAL else bell.bell_sum_restricted
         v, h = np.array(result.argmax), 1e-5
-        grad = [(abs(total(pi, v + h * e)) - abs(total(pi, v - h * e))) / (2 * h)
-                for e in np.eye(v.size)]
+        grad = [(abs(bell.bell_sum(pi, kind, v + h * e))
+                 - abs(bell.bell_sum(pi, kind, v - h * e))) / (2 * h) for e in np.eye(v.size)]
         assert np.linalg.norm(grad) <= 1e-6
-        assert abs(total(pi, v)) == pytest.approx(result.best_value, abs=1e-12)
+        assert abs(bell.bell_sum(pi, kind, v)) == pytest.approx(result.best_value, abs=1e-12)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -371,8 +384,8 @@ class TestEllipticalProfile:
                 v = rng.uniform(-2, 2, 8)
                 mirrored = v.copy()
                 mirrored[4:] = -mirrored[4:]
-                assert bell.bell_sum_general(minus, mirrored) == bell.bell_sum_general(
-                    plus, v
+                assert bell.bell_sum(minus, bell.GENERAL, mirrored) == bell.bell_sum(
+                    plus, bell.GENERAL, v
                 )
 
     def test_rejects_bad_inputs(self):

@@ -251,14 +251,6 @@ class TestNumericEngine:
                         worst = max(worst, abs(plan(pt) - wigner.wigner_lg(nm, pt)))
         assert worst <= 1e-6
 
-    def test_one_shot_wrapper_matches_plan(self):
-        config = QuadratureConfig(order=64, half_width=7.0)
-        field = lambda X, Y: modes.lg_amplitude((1, 0), X, Y)
-        pt = (0.2, 0.1, -0.4, 0.6)
-        assert wigner.wigner_numeric(field, pt, config) == pytest.approx(
-            wigner.NumericWignerPlan(field, config)(pt), abs=1e-15
-        )
-
     def test_rejects_unnormalized_field(self):
         bad = lambda X, Y: 2.0 * modes.lg_amplitude((0, 0), X, Y)
         with pytest.raises(ValueError, match="norm"):
