@@ -12,10 +12,11 @@ refines the best of them together by damped Newton ascent, with the exact
 gradient and Hessian that the Pi evaluators give at order 2 and Hessian
 eigenvalues flipped to ascend (modified Newton, Nocedal & Wright 2006,
 sec. 3.4). The restricted grid is quadratically spaced, dense near 0, where
-the violation basin of the mode (n, 0) sits at |x| ~ 0.6/sqrt(n). A short
-pure-Newton step skips the Armijo test, whose gain near a maximum is below
-the rounding noise of B. Every evaluation is batched over the starts;
-everything is deterministic for a fixed seed.
+the violation basin of the mode (n, 0) sits at |x| ~ 0.6/sqrt(n). Each
+Newton step backtracks over every start's ladder of halved steps in one Pi
+call. A short pure-Newton step skips the Armijo test, whose gain near a
+maximum is below the rounding noise of B. Every evaluation is batched over
+the starts; everything is deterministic for a fixed seed.
 """
 
 import math
@@ -57,6 +58,23 @@ _SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 # restricted settings (x, py) sit at X2 and P_Y2, every other setting 0
 _GENERAL_LIFT = (_TERMS[:, None, :] == np.arange(8)[:, None]).astype(float)
 _LIFT = {GENERAL: _GENERAL_LIFT, RESTRICTED: _GENERAL_LIFT[:, [2, 7]]}
+
+
+def _chain(lift):
+    """The lift as matrices (P, G, H): term points u @ P, gradient of B
+    grad_t (n, 16) @ G and Hessian hess_t (n, 64) @ H, each term's Pi
+    derivatives pulled back with its sign. Entries are 0 or +-1 and each
+    output adds at most two nonzero terms, so it is rounded once, as a sum
+    over the lift is.
+    """
+    signed = _SIGNS[:, None, None] * lift
+    d = lift.shape[1]
+    return (np.ascontiguousarray(lift.transpose(2, 1, 0)),
+            signed.transpose(0, 2, 1).reshape(16, d),
+            np.einsum("kdi,kej->kijde", signed, lift).reshape(64, d * d))
+
+
+_CHAIN = {kind: _chain(lift) for kind, lift in _LIFT.items()}
 
 # Newton search: curvature floor relative to max|eigenvalue|, Armijo
 # sufficient-increase constant, the longest pure-Newton step taken without the
@@ -173,17 +191,15 @@ def _bell(pi, kind, u, order=0):
     from one Pi call on the four term points of every row.
 
     At order 2, the only other order, also the gradient (N, d) and Hessian
-    (N, d, d) of B over those settings: each term's Pi derivatives pulled
-    back through _LIFT with its sign.
+    (N, d, d) of B over those settings, by the constant matrices of _CHAIN.
     """
-    lift = _LIFT[kind]
-    points = np.einsum("nd,kdi->ink", u, lift)
+    points, grad_lift, hess_lift = _CHAIN[kind]
+    n, d = u.shape
     if not order:
-        return (pi(points) * _SIGNS).sum(axis=1)
-    t, grad_t, hess_t = pi(points, 2)
-    signed = _SIGNS[:, None, None] * lift
-    return ((t * _SIGNS).sum(axis=1), np.einsum("nki,kdi->nd", grad_t, signed),
-            np.einsum("nkij,kdi,kej->nde", hess_t, signed, lift))
+        return (pi(u @ points) * _SIGNS).sum(axis=1)
+    t, grad_t, hess_t = pi(u @ points, 2)
+    return ((t * _SIGNS).sum(axis=1), grad_t.reshape(n, 16) @ grad_lift,
+            (hess_t.reshape(n, 64) @ hess_lift).reshape(n, d, d))
 
 
 def _newton_step(grad, hess):
@@ -213,8 +229,11 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
     its step, or its gradient with no uphill curvature left, is within
     ``tol``, when backtracking finds no Armijo point with a step above
     ``tol``, or, with ``gain_rule``, when its gain in sigma * B is within
-    ``tol``. A pure-Newton step of length <= 1e-5 is taken without the
-    Armijo test. Returns x, f = sigma * B, whether each start retired within
+    ``tol``. Backtracking halves the step while alpha * |step| > ``tol``;
+    every start's ladder of trials is one ``bell`` call, and a start takes
+    its first Armijo point, the one that halving one trial at a time finds.
+    A pure-Newton step of length <= 1e-5 is taken without the Armijo test.
+    Returns x, f = sigma * B, whether each start retired within
     ``max_iters``, and the gradient and Hessian of sigma * B at the last
     point where they were taken.
     """
@@ -244,25 +263,31 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
         # rounding noise of B, so a short pure-Newton step is taken untested
         trusted = (pure & (size <= _TRUSTED_STEP))[moving]
         idx, g, step, size = idx[moving], g[moving], step[moving], size[moving]
-        # Armijo backtracking, halving in lockstep over the starts still searching
+        if not idx.size:
+            break
+        # Armijo backtracking in one call: every start's halving ladder
+        # alpha_j = 2^-j, j = 0 and every j >= 1 with alpha_j * size > tol
+        # (exact products, so its length follows from the exponents), as a
+        # rectangle over the widest ladder, NaN past a start's own ladder
+        width = int(np.frexp(size.max())[1] - np.frexp(tol)[1]) + 1
+        alpha = np.ldexp(1.0, -np.arange(width))
+        ladder = alpha * size[:, None] > tol
+        trial = x[idx, None] + alpha[:, None] * step[:, None]
+        ft = np.full(ladder.shape, np.nan)
+        ft[ladder] = bell(trial[ladder])
+        ft *= sigma[idx, None]
         slope = np.einsum("ni,ni->n", g, step)
-        alpha = np.ones(idx.size)
-        pending = np.arange(idx.size)
-        while pending.size:
-            rows = idx[pending]
-            trial = x[rows] + alpha[pending, None] * step[pending]
-            ft = sigma[rows] * bell(trial)
-            armijo = ft >= f[rows] + _ARMIJO * alpha[pending] * slope[pending]
-            ok = np.isfinite(ft) & (armijo | trusted[pending])
-            gain = ft[ok] - f[rows[ok]]
-            x[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
-            if gain_rule:
-                active[rows[ok][gain <= tol]] = False
-            pending = pending[~ok]
-            alpha[pending] *= 0.5
-            spent = alpha[pending] * size[pending] <= tol
-            active[idx[pending[spent]]] = False
-            pending = pending[~spent]
+        armijo = ft >= f[idx, None] + _ARMIJO * alpha * slope[:, None]
+        ok = np.isfinite(ft) & (armijo | trusted[:, None])
+        # each start takes its first acceptable rung; one with none retires
+        taken = ok.any(axis=1)
+        rung = (taken, ok.argmax(axis=1)[taken])
+        rows = idx[taken]
+        gain = ft[rung] - f[rows]
+        x[rows], f[rows] = trial[rung], ft[rung]
+        if gain_rule:
+            active[rows[gain <= tol]] = False
+        active[idx[~taken]] = False
     return x, f, ~active, grad, hess
 
 
@@ -278,7 +303,9 @@ def maximize_bell(pi, kind, config=None):
     rule. ``converged`` means the polish stopped within ``max_iters``, with
     |grad B| <= 1e-7 and no Hessian eigenvalue above 1e-6 max|lambda| (zero
     modes of the beam's rotation symmetry are allowed). ``evaluations``
-    counts Bell sums, value or derivative. Non-finite values are rejected.
+    counts every Bell sum computed, value or derivative; since each Newton
+    step evaluates its whole backtracking ladder at once, that includes the
+    trials past the one a start accepts. Non-finite values are rejected.
     The result is bit-reproducible for a fixed config.
     """
     _check_kind(kind)

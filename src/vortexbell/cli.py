@@ -11,9 +11,10 @@ elliptical-profile  per-t Bell maxima of the squeezed elliptical beam
 
 Scalar results are JSON on stdout (with an embedded run manifest); tables are
 CSV with one header row, written to stdout or --out (file outputs get a
-sidecar <out>.manifest.json). elliptical-profile adds sup_t, sup_best_abs_B
-and converged to its manifest, which goes to stderr when the CSV goes to
-stdout, so no stream mixes two formats. All numbers carry 17
+sidecar <out>.manifest.json). Every manifest carries elapsed_s, the wall
+seconds of the subcommand up to its output. elliptical-profile adds sup_t,
+sup_best_abs_B and converged to its manifest, which goes to stderr when the
+CSV goes to stdout, so no stream mixes two formats. All numbers carry 17
 significant digits.
 
 Exit codes: 0 success, 2 argument error (a bad flag, or a ValueError from
@@ -27,6 +28,7 @@ import json
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -62,7 +64,7 @@ EXIT_IO = 4
 def _manifest(command, args):
     parameters = {
         key: value for key, value in sorted(vars(args).items())
-        if key not in ("func", "out", "command")
+        if key not in ("func", "out", "command", "started")
     }
     return {
         "command": command,
@@ -70,6 +72,7 @@ def _manifest(command, args):
         "artifact_version": __version__,
         "seed": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "elapsed_s": time.perf_counter() - args.started,
     }
 
 
@@ -334,6 +337,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    args.started = time.perf_counter()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

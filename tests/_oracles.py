@@ -13,6 +13,9 @@ The Bell search is the multi-start Nelder-Mead loop that
 seeds and Bell sums, so it gives a maximum the Newton search must reach.
 The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
 recurrence, so it checks the plain-product Pi far from the origin.
+The sequential Newton ascent is the search ``maximize_bell`` ran before its
+backtracking went into one call per step: the same steps, halved one trial
+at a time, so the one-call search must return its points bit for bit.
 """
 
 import cmath
@@ -209,6 +212,61 @@ def scipy_maximize_bell(pi, kind, config=None):
     return bell.OptimizationResult(
         best_value=-fun, argmax=argmax, evaluations=evaluations, converged=converged
     )
+
+
+def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule):
+    """``bell._ascend`` with its Armijo backtracking halving one trial per call.
+
+    The search as it was before its ladder of step lengths went into one
+    ``bell_fn`` call per Newton step; the rest is the package's own
+    ``_newton_step`` and constants.
+    """
+    x, f = x.copy(), f.copy()
+    active = np.isfinite(f)
+    grad = np.zeros(x.shape)
+    hess = np.zeros(x.shape + x.shape[1:])
+    for _ in range(max_iters):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        _, g, h = bell_fn(x[idx], 2)
+        g *= sigma[idx, None]
+        h *= sigma[idx, None, None]
+        grad[idx], hess[idx] = g, h
+        finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
+        step = np.zeros(g.shape)
+        curved = np.zeros(idx.size, dtype=bool)
+        pure = np.zeros(idx.size, dtype=bool)
+        if finite.any():
+            step[finite], curved[finite], pure[finite] = bell._newton_step(g[finite], h[finite])
+        gnorm = np.linalg.norm(g, axis=1)
+        size = np.linalg.norm(step, axis=1)
+        moving = finite & (size > tol) & ~((gnorm <= tol) & ~curved)
+        active[idx[~moving]] = False
+        # near a maximum the Armijo gain of a Newton step falls below the
+        # rounding noise of B, so a short pure-Newton step is taken untested
+        trusted = (pure & (size <= bell._TRUSTED_STEP))[moving]
+        idx, g, step, size = idx[moving], g[moving], step[moving], size[moving]
+        # Armijo backtracking, halving in lockstep over the starts still searching
+        slope = np.einsum("ni,ni->n", g, step)
+        alpha = np.ones(idx.size)
+        pending = np.arange(idx.size)
+        while pending.size:
+            rows = idx[pending]
+            trial = x[rows] + alpha[pending, None] * step[pending]
+            ft = sigma[rows] * bell_fn(trial)
+            armijo = ft >= f[rows] + bell._ARMIJO * alpha[pending] * slope[pending]
+            ok = np.isfinite(ft) & (armijo | trusted[pending])
+            gain = ft[ok] - f[rows[ok]]
+            x[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
+            if gain_rule:
+                active[rows[ok][gain <= tol]] = False
+            pending = pending[~ok]
+            alpha[pending] *= 0.5
+            spent = alpha[pending] * size[pending] <= tol
+            active[idx[pending[spent]]] = False
+            pending = pending[~spent]
+    return x, f, ~active, grad, hess
 
 
 def log_domain_pi(nm, point):

@@ -5,10 +5,23 @@ import pytest
 
 from vortexbell import bell, wigner
 
-from _oracles import scipy_maximize_bell
+from _oracles import scipy_maximize_bell, sequential_ascend
 
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
+
+
+def _flaky_pi(point, order=0):
+    """PI_10 with NaN wherever |X| > 1, in Pi and in its derivatives."""
+    nan = np.where(np.abs(point[0]) > 1.0, math.nan, 0.0)
+    if not order:
+        return PI_10(point) + nan
+    return tuple(d + nan[(...,) + (None,) * (d.ndim - nan.ndim)]
+                 for d in PI_10(point, order))
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
 class TestBellSums:
@@ -170,6 +183,118 @@ class TestBellDerivatives:
         assert np.array_equal(hess, hess_general[:, [2, 7]][:, :, [2, 7]])
 
 
+    @pytest.mark.parametrize(
+        "pi",
+        [PI_10, wigner.lg_transform_evaluator((30, 0)),
+         wigner.elliptical_transform_evaluator((0.7, +1))],
+        ids=["lg-1-0", "lg-30-0", "elliptical-0.7"],
+    )
+    @pytest.mark.parametrize("kind", [bell.GENERAL, bell.RESTRICTED])
+    def test_chain_matrices_match_lift_sums(self, pi, kind):
+        # the chain rule as the sums over _LIFT that the constant matrices replaced
+        def lift_sums(u, order=0):
+            lift = bell._LIFT[kind]
+            points = np.einsum("nd,kdi->ink", u, lift)
+            if not order:
+                return (pi(points) * bell._SIGNS).sum(axis=1)
+            t, grad_t, hess_t = pi(points, 2)
+            signed = bell._SIGNS[:, None, None] * lift
+            return ((t * bell._SIGNS).sum(axis=1), np.einsum("nki,kdi->nd", grad_t, signed),
+                    np.einsum("nkij,kdi,kej->nde", hess_t, signed, lift))
+
+        rng = np.random.default_rng(79)
+        dim = bell._LIFT[kind].shape[1]
+        # far settings, where Pi and its derivatives underflow to 0, included
+        for scale in (0.3, 1.0, 3.0, 30.0, 1e3):
+            u = rng.normal(0.0, scale, (25, dim))
+            assert _bits(bell._bell(pi, kind, u)) == _bits(lift_sums(u))
+            assert _bits(*bell._bell(pi, kind, u, 2)) == _bits(*lift_sums(u, 2))
+
+
+def _search_starts(pi, kind):
+    """The starts, sigma * B and sigma that maximize_bell's lockstep phase ascends from."""
+    cfg = bell.OptimizerConfig()
+    seeds = bell._seed_points(kind, cfg)
+    values = bell._bell(pi, kind, seeds)
+    key = np.where(np.isfinite(values), -np.abs(values), np.inf)
+    starts = key.argsort(kind="stable")[: cfg.restarts]
+    sigma = np.where(values[starts] < 0.0, -1.0, 1.0)
+    return seeds[starts], sigma * values[starts], sigma
+
+
+def _misled_bell(u, order=0):
+    """B = -|u - 0.3|^2, its gradient reported downhill wherever u_0 < 0.
+
+    A Newton step there walks away from the maximum, so no rung of its
+    backtracking ladder passes Armijo.
+    """
+    value = -np.sum((u - 0.3) ** 2, axis=1)
+    if not order:
+        return value
+    flip = np.where(u[:, 0] < 0.0, -1.0, 1.0)
+    hess = np.repeat(-2.0 * np.eye(u.shape[1])[None], len(u), axis=0)
+    return value, -2.0 * (u - 0.3) * flip[:, None], hess
+
+
+class TestLineSearch:
+    """The one-call backtracking against the sequential search it replaced."""
+
+    @staticmethod
+    def _both(bell_fn, x, f, sigma, gain_rule, max_iters=4000):
+        calls = {0: 0, 2: 0}
+
+        def counted(u, order=0):
+            calls[order] += 1
+            return bell_fn(u, order)
+
+        tol = bell.OptimizerConfig().simplex_tol
+        new = bell._ascend(counted, x, f, sigma, tol, max_iters, gain_rule)
+        old = sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule)
+        # one backtracking call per Newton step, none where no start moves
+        assert calls[0] <= calls[2]
+        return new, old
+
+    @pytest.mark.parametrize("gain_rule", [True, False])
+    @pytest.mark.parametrize(
+        "pi, kind",
+        [(PI_10, bell.RESTRICTED), (PI_10, bell.GENERAL),
+         (wigner.lg_transform_evaluator((30, 0)), bell.RESTRICTED),
+         (wigner.lg_transform_evaluator((30, 0)), bell.GENERAL),
+         (wigner.elliptical_transform_evaluator((0.5, +1)), bell.GENERAL),
+         (wigner.elliptical_transform_evaluator((2.0, +1)), bell.GENERAL),
+         (wigner.elliptical_transform_evaluator((3.0, +1)), bell.GENERAL),
+         (_flaky_pi, bell.RESTRICTED)],
+        ids=["lg-1-0-restricted", "lg-1-0-general", "lg-30-0-restricted",
+             "lg-30-0-general", "elliptical-0.5", "elliptical-2", "elliptical-3",
+             "nan-patched"],
+    )
+    def test_bit_identical_to_sequential_search(self, pi, kind, gain_rule):
+        x, f, sigma = _search_starts(pi, kind)
+        new, old = self._both(lambda u, order=0: bell._bell(pi, kind, u, order),
+                              x, f, sigma, gain_rule)
+        assert _bits(*new) == _bits(*old)
+
+    @pytest.mark.parametrize("gain_rule", [True, False])
+    def test_spent_ladder_retires_start(self, gain_rule):
+        x = np.array([[-0.5, 1.0], [0.8, -0.4], [-2.0, -1.0], [1.5, 0.2]])
+        sigma = np.ones(len(x))
+        new, old = self._both(_misled_bell, x, _misled_bell(x), sigma, gain_rule)
+        assert _bits(*new) == _bits(*old)
+        x_end, f_end, stopped, _, _ = new
+        assert stopped.all()
+        # misled starts use up every rung and stay put; the others reach the maximum
+        misled = x[:, 0] < 0.0
+        assert np.array_equal(x_end[misled], x[misled])
+        assert np.allclose(x_end[~misled], 0.3) and np.allclose(f_end[~misled], 0.0)
+
+    def test_iteration_cap(self):
+        x, f, sigma = _search_starts(PI_10, bell.GENERAL)
+        for max_iters in (1, 2, 5):
+            new, old = self._both(lambda u, order=0: bell._bell(PI_10, bell.GENERAL, u, order),
+                                  x, f, sigma, True, max_iters)
+            assert _bits(*new) == _bits(*old)
+
+
 class TestMaximize:
     def test_restricted_lowest_vortex(self):
         result = bell.maximize_bell(PI_10, bell.RESTRICTED)
@@ -237,15 +362,7 @@ class TestMaximize:
         assert unconverged == []
 
     def test_nonfinite_evaluations_clamped(self):
-        def flaky_pi(point, order=0):
-            # NaN wherever |X| > 1, in Pi and in its derivatives
-            nan = np.where(np.abs(point[0]) > 1.0, math.nan, 0.0)
-            if not order:
-                return PI_10(point) + nan
-            return tuple(d + nan[(...,) + (None,) * (d.ndim - nan.ndim)]
-                         for d in PI_10(point, order))
-
-        result = bell.maximize_bell(flaky_pi, bell.RESTRICTED)
+        result = bell.maximize_bell(_flaky_pi, bell.RESTRICTED)
         assert math.isfinite(result.best_value)
         assert result.best_value > 2.0
 

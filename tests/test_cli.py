@@ -36,9 +36,11 @@ def _child_env(unbuffered=None):
 
 
 def strip_timestamps(obj):
+    """The output without its run-dependent timestamp and elapsed_s."""
     if isinstance(obj, dict):
         return {
-            k: strip_timestamps(v) for k, v in obj.items() if k != "timestamp"
+            k: strip_timestamps(v) for k, v in obj.items()
+            if k not in ("timestamp", "elapsed_s")
         }
     if isinstance(obj, list):
         return [strip_timestamps(v) for v in obj]
@@ -55,6 +57,8 @@ class TestBellMax:
         assert payload["best_value"] == pytest.approx(2.17, abs=0.01)
         assert len(payload["argmax"]) == 2
         assert payload["manifest"]["command"] == "bell-max"
+        elapsed = payload["manifest"]["elapsed_s"]
+        assert math.isfinite(elapsed) and elapsed >= 0.0
 
     def test_general_lowest_vortex(self, capsys):
         code, payload = run_json(
@@ -311,6 +315,7 @@ class TestEllipticalProfile:
         assert code == 0
         assert manifest["command"] == "elliptical-profile"
         assert manifest["converged"] is True
+        assert math.isfinite(manifest["elapsed_s"]) and manifest["elapsed_s"] >= 0.0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,best_abs_B"
         assert len(lines) == 4
