@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modes import as_mode
+from .specfun import _check_degree
 
 __all__ = [
     "QuadratureConfig",
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 256
+# Gauss-Hermite points per axis of wigner_moments: order^4 Pi evaluations a call
+MAX_HERMITE_ORDER = 96
 
 
 @dataclass(frozen=True)
@@ -92,33 +95,37 @@ def moments(mode):
 def wigner_moments(mode, order=None):
     """Second moments from the 4D Wigner function; the cross-check route.
 
-    The exp(-4 Q0) factor matches the Hermite weight axis by axis, so the
-    rule is exact once the order clears the polynomial degree.
+    The exp(-4 Q0) factor matches the Hermite weight axis by axis, so an
+    ``order``-point Gauss-Hermite rule per axis is exact from order n + m + 2
+    on. ``order`` defaults to max(12, n + m + 3) and must be an integer from
+    n + m + 2 to MAX_HERMITE_ORDER: TypeError for a bool or non-integer,
+    ValueError outside that range.
     """
-    from .wigner import wigner_lg
+    from .wigner import wigner_transform
 
     mode = as_mode(mode)
     if order is None:
         order = max(12, mode.total + 3)
+    order = _check_degree(order, "order", cap=MAX_HERMITE_ORDER)
+    if order < mode.total + 2:
+        raise ValueError(f"order={order} is below n+m+2={mode.total + 2}, where the rule is exact")
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     weights = weights * np.exp(nodes * nodes)
-    x, px, y, py = np.meshgrid(nodes, nodes, nodes, nodes, indexing="ij")
-    w4 = (
-        weights[:, None, None, None]
-        * weights[None, :, None, None]
-        * weights[None, None, :, None]
-        * weights[None, None, None, :]
-    )
-    dens = w4 * wigner_lg(mode, (x, px, y, py))
+    # u[i] is the rule's weight times the node to the power i, for each axis
+    u = np.stack([weights, weights * nodes, weights * nodes * nodes])
+    t = wigner_transform(mode, (nodes[:, None, None, None], nodes[:, None, None], nodes[:, None], nodes))
+    for _ in range(4):  # contract the last node axis and put its power index first
+        t = np.moveaxis(t @ u.T, -1, 0)
+    t = t / math.pi**2  # t[i, j, k, l] is the integral of W X^i P_X^j Y^k P_Y^l
     return MomentTable(
-        xx=np.sum(dens * x * x),
-        yy=np.sum(dens * y * y),
-        pxpx=np.sum(dens * px * px),
-        pypy=np.sum(dens * py * py),
-        xy=np.sum(dens * x * y),
-        pxpy=np.sum(dens * px * py),
-        xpy=np.sum(dens * x * py),
-        ypx=np.sum(dens * y * px),
-        xpx_sym=np.sum(dens * x * px),
-        ypy_sym=np.sum(dens * y * py),
+        xx=t[2, 0, 0, 0],
+        yy=t[0, 0, 2, 0],
+        pxpx=t[0, 2, 0, 0],
+        pypy=t[0, 0, 0, 2],
+        xy=t[1, 0, 1, 0],
+        pxpy=t[0, 1, 0, 1],
+        xpy=t[1, 0, 0, 1],
+        ypx=t[0, 1, 1, 0],
+        xpx_sym=t[1, 1, 0, 0],
+        ypy_sym=t[0, 0, 1, 1],
     )

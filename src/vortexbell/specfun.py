@@ -2,13 +2,17 @@
 
 Laguerre polynomials are evaluated with their three-term recurrence (never
 a factorial series), which stays accurate for the degrees this package
-needs. Scalar inputs run on plain floats and array inputs broadcast
-through numpy, except ``laguerre_scaled``, which always returns numpy
-arrays; no evaluator calls it. ``ln_factorial`` reads a table of ln(n!) for
-0 <= n <= 128 and rejects a larger n; the package passes at most the total
-mode order, 64.
+needs. ``_laguerres`` yields L_0, L_1, ... and makes one new array per
+step, updating the others in place; each element meets the operations of
+the one-expression step, so the values have the same bits. Scalar inputs
+run on plain floats and array inputs broadcast through numpy, and an array
+alpha stacks several recurrences in one. ``laguerre_scaled`` always
+returns numpy arrays; no evaluator calls it. ``ln_factorial`` reads a
+table of ln(n!) for 0 <= n <= 128 and rejects a larger n; the package
+passes at most the total mode order, 64.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -47,16 +51,32 @@ def _as_finite(x):
     return x
 
 
-def _laguerre(p, alpha, x):
-    """The L_p^alpha recurrence on a float or a float array, unvalidated."""
-    one = x * 0.0 + 1.0
-    if p == 0:
-        return one
-    prev = one
+def _laguerres(alpha, x):
+    """Yield L_0^alpha(x), L_1^alpha(x), ... for a float or a float array x, unvalidated.
+
+    Each step makes one new array and updates the others in place, so a
+    yielded array is overwritten two steps later: a caller that keeps L_k
+    must stop the generator there or copy it. x itself is never written.
+    L_0 = x**0 is 1 in the broadcast shape of x and alpha, even where x is
+    not finite.
+    """
+    prev = x ** (0.0 * alpha)
+    yield prev
     cur = 1.0 + alpha - x
-    for k in range(2, p + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
-    return cur
+    for k in itertools.count(2):
+        yield cur
+        # ((2k-1+alpha - x) L_{k-1} - (k-1+alpha) L_{k-2}) / k, one operation at a time
+        new = 2.0 * k - 1.0 + alpha - x
+        new *= cur
+        prev *= k - 1.0 + alpha
+        new -= prev
+        new /= k
+        prev, cur = cur, new
+
+
+def _laguerre(p, alpha, x):
+    """L_p^alpha(x), the p-th value of ``_laguerres``."""
+    return next(itertools.islice(_laguerres(alpha, x), p, None))
 
 
 def laguerre(p, alpha, x):

@@ -29,6 +29,7 @@ on a fixed Gauss-Legendre node set; it exists purely as an independent
 cross-check of the closed forms and of user-supplied fields.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import numpy as np
 
 from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import _laguerre
+from .specfun import _laguerre, _laguerres
 
 __all__ = [
     "EllipticalParams",
@@ -144,8 +145,9 @@ def _evaluate(forms, beam, point, order=0):
         grad = reduce(operator.add, [g[..., None] * s for g, s in zip(first, slopes)])
         terms = []  # G_kl = G_lk: each pair k < l is one term over both outer products
         for g, (k, l) in zip(second, combinations_with_replacement(range(len(forms)), 2)):
-            sk, sl = slopes[k], slopes[l]
-            outer = _outer(sk, sl) + _outer(sl, sk) if k < l else _outer(sk, sk)
+            outer = _outer(slopes[k], slopes[l])
+            if k < l:  # the other outer product is this one transposed
+                outer = outer + outer.swapaxes(-1, -2)
             terms.append(g[..., None, None] * outer)
         terms += [2.0 * g[..., None, None] * a for g, a in zip(first, forms)]
         hess = reduce(operator.add, terms)
@@ -155,14 +157,27 @@ def _evaluate(forms, beam, point, order=0):
         return value[()], grad, hess
 
 
-def _damped_derivatives(p, u, lp):
-    """D L_p(u) and D^2 L_p(u), D = d/du - 1/2: the derivatives of L_p(u) e^{-u/2} over e^{-u/2}.
+# alpha = 0, 1, 2 for the stacked recurrence of ``_damped_derivatives``
+_ALPHAS = np.arange(3.0)
 
-    L_p' = -L_{p-1}^(1) and L_p'' = L_{p-2}^(2).
+
+def _damped_derivatives(p, u):
+    """(L_p(u), D L_p(u), D^2 L_p(u)), D = d/du - 1/2.
+
+    D L_p and D^2 L_p are the derivatives of L_p(u) e^{-u/2} over e^{-u/2}.
+    L_p, L_p' = -L_{p-1}^(1) and L_p'' = L_{p-2}^(2) come from one recurrence
+    with alpha = 0, 1, 2 on a leading axis of 3 rows; each row does the
+    operations of its own recurrence, so it has the bits of ``_laguerre``.
     """
-    d1 = -_laguerre(p - 1, 1, u) if p >= 1 else 0.0 * u
-    d2 = _laguerre(p - 2, 2, u) if p >= 2 else 0.0 * u
-    return d1 - 0.5 * lp, d2 - d1 + 0.25 * lp
+    rows = _laguerres(_ALPHAS.reshape((3,) + (1,) * np.ndim(u)), u)
+    d1 = d2 = 0.0  # L_p' and L_p''
+    if p >= 2:
+        d2 = next(itertools.islice(rows, p - 2, None))[2]
+    if p >= 1:
+        d1 = -next(rows)[1]
+        d2 = d2 - d1  # before the next step overwrites L_{p-2}^(2)
+    lp = next(rows)[0]
+    return lp, d1 - 0.5 * lp, d2 + 0.25 * lp
 
 
 # the forms of the LG beam: u+- = 4Q0 +- 4Q2 = z^T (I +- J) z, with 4 Q2 = z^T J z
@@ -194,12 +209,12 @@ def lg_transform_evaluator(mode):
             out = sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
             return out, damp, None, None
         # Pi = weight L_n(u+) L_m(u-) with weight = sign e^{-(u+ + u-)/2}
-        ln, lm = _laguerre(n, 0, up), _laguerre(m, 0, um)
-        a1, a2 = _damped_derivatives(n, up, ln)
-        b1, b2 = _damped_derivatives(m, um, lm)
+        ln, a1, a2 = _damped_derivatives(n, up)
+        lm, b1, b2 = _damped_derivatives(m, um)
         weight = sign * damp
-        return (sign * ln * lm * damp, damp, (weight * a1 * lm, weight * ln * b1),
-                (weight * a2 * lm, weight * a1 * b1, weight * ln * b2))
+        wa1, wln = weight * a1, weight * ln
+        return (sign * ln * lm * damp, damp, (wa1 * lm, wln * b1),
+                (weight * a2 * lm, wa1 * b1, wln * b2))
 
     return partial(_evaluate, _LG_FORMS, beam)
 

@@ -13,6 +13,9 @@ The Bell search is the multi-start Nelder-Mead loop that
 seeds and Bell sums, so it gives a maximum the Newton search must reach.
 The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
 recurrence, so it checks the plain-product Pi far from the origin.
+The Laguerre recurrence is the package's in one expression per step, as
+it was before each step went in place: every element meets the same
+operations, so the package must match it bit for bit.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
 at a time, so the one-call search must return its points bit for bit.
@@ -38,6 +41,18 @@ def laguerre_series(p, alpha, x):
     for k in range(p + 1):
         total += Fraction((-1) ** k * math.comb(p + alpha, p - k), math.factorial(k)) * xf**k
     return float(total)
+
+
+def laguerre_recurrence(p, alpha, x):
+    """L_p^alpha(x) by the three-term recurrence, one expression and fresh arrays per step."""
+    one = x * 0.0 + 1.0
+    if p == 0:
+        return one
+    prev = one
+    cur = 1.0 + alpha - x
+    for k in range(2, p + 1):
+        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
+    return cur
 
 
 def hermite_series(n, x):

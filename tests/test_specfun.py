@@ -6,7 +6,7 @@ from scipy.special import eval_genlaguerre, eval_hermite
 
 from vortexbell import specfun
 
-from _oracles import hermite, hermite_series, laguerre_series
+from _oracles import hermite, hermite_series, laguerre_recurrence, laguerre_series
 
 
 class TestLaguerre:
@@ -74,6 +74,65 @@ class TestLaguerre:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             specfun.laguerre(-1, 0, 1.0)
+
+
+def _same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+class TestInPlaceRecurrence:
+    """``_laguerre`` updates its arrays in place; the oracle makes fresh ones each step."""
+
+    ALPHAS = (0, 1, 2, 7)
+
+    @staticmethod
+    def _arguments():
+        rng = np.random.default_rng(5)
+        # zeros of both signs, the range Pi meets, and arguments whose values overflow to inf and NaN
+        flat = np.concatenate([[0.0, -0.0, 1.0, 3.0 - 1e-16], rng.uniform(-5.0, 60.0, 24),
+                               [1e40, -1e40, 1e200, -1e300, 1.7e308]])
+        yield flat
+        yield flat.reshape(3, 11)
+        yield np.asarray(2.5)
+        yield np.broadcast_to(flat[:5], (4, 5))
+        yield flat[::3]  # a strided view
+
+    def test_bit_identical_to_one_expression_oracle(self):
+        with np.errstate(all="ignore"):
+            for x in self._arguments():
+                for alpha in self.ALPHAS:
+                    values = specfun._laguerres(alpha, x)
+                    for p in range(specfun.MAX_DEGREE + 1):
+                        got = next(values)
+                        ref = laguerre_recurrence(p, alpha, x)
+                        assert _same_bits(got, ref), (x.shape, alpha, p)
+                        assert _same_bits(specfun._laguerre(p, alpha, x), ref), (x.shape, alpha, p)
+
+    def test_python_floats(self):
+        for x in (0.0, -0.0, 0.75, 31.0, -4.5, 1e200, -1e300):
+            for alpha in self.ALPHAS:
+                for p in range(specfun.MAX_DEGREE + 1):
+                    got = specfun._laguerre(p, alpha, x)
+                    assert isinstance(got, float)
+                    assert _same_bits(got, laguerre_recurrence(p, alpha, x)), (x, alpha, p)
+
+    def test_never_writes_its_argument(self):
+        x = np.linspace(-3.0, 40.0, 9)
+        frozen = x.copy()
+        x.setflags(write=False)  # an in-place write to x would raise
+        values = specfun._laguerres(2, x)
+        for _ in range(20):
+            next(values)
+        assert np.array_equal(x, frozen)
+        view = np.broadcast_to(frozen, (2, 9))
+        assert specfun._laguerre(12, 0, view).shape == (2, 9)
+
+    def test_public_laguerre_keeps_scalar_types(self):
+        assert type(specfun.laguerre(5, 0, 1.5)) is float
+        assert type(specfun.laguerre(0, 0, 1.5)) is float
+        assert type(specfun.laguerre(5, 1, 2)) is float
+        assert specfun.laguerre(5, 1, np.array([1.5, 2.0])).shape == (2,)
 
 
 class TestHermite:

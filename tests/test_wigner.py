@@ -6,7 +6,7 @@ import pytest
 from vortexbell import modes, wigner
 from vortexbell.quadrature import QuadratureConfig
 
-from _oracles import log_domain_pi
+from _oracles import laguerre_recurrence, log_domain_pi
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
@@ -453,6 +453,29 @@ class TestDerivatives:
             for order in (0, 2):
                 with pytest.raises(ValueError):
                     pi((math.nan, 0.0, 0.0, 0.0), order)
+
+
+def _three_recurrences(p, u):
+    """(L_p, D L_p, D^2 L_p) from separate L_p, L_{p-1}^(1) and L_{p-2}^(2) recurrences."""
+    lp = laguerre_recurrence(p, 0, u)
+    d1 = -laguerre_recurrence(p - 1, 1, u) if p >= 1 else 0.0 * u
+    d2 = laguerre_recurrence(p - 2, 2, u) if p >= 2 else 0.0 * u
+    return lp, d1 - 0.5 * lp, d2 - d1 + 0.25 * lp
+
+
+class TestStackedRecurrence:
+    """``_damped_derivatives`` runs alpha = 0, 1, 2 as one recurrence with the bits of three."""
+
+    def test_bit_identical_to_three_recurrences(self):
+        rng = np.random.default_rng(83)
+        flat = np.concatenate([[0.0, -0.0, 1.0, 2.0], rng.uniform(-2.0, 80.0, 20), [1e200, 1e300]])
+        with np.errstate(all="ignore"):
+            for u in (flat, flat.reshape(2, 13), np.float64(1.25), np.asarray(0.5)):
+                for p in range(65):
+                    got = wigner._damped_derivatives(p, u)
+                    for g, r in zip(got, _three_recurrences(p, u)):
+                        assert np.shape(g) == np.shape(u) and np.asarray(g).tobytes() == np.asarray(r).tobytes(), (
+                            np.shape(u), p)
 
 
 class TestPhaseRotationSymmetry:
