@@ -4,11 +4,18 @@ Laguerre polynomials are evaluated with their three-term recurrence (never
 a factorial series), which stays accurate for the degrees this package
 needs. ``_laguerres`` yields L_0, L_1, ... and makes one new array per
 step, updating the others in place; each element meets the operations of
-the one-expression step, so the values have the same bits. Scalar inputs
-run on plain floats and array inputs broadcast through numpy, and an array
-alpha stacks several recurrences in one. ``laguerre_scaled`` always
-returns numpy arrays; no evaluator calls it. ``ln_factorial`` reads a
-table of ln(n!) for 0 <= n <= 128 and rejects a larger n; the package
+the one-expression step, so the values have the same bits. Each step ends
+with a multiplication by the reciprocal 1/k, not a division, which costs
+several multiplies per element. The rounded 1/k keeps the values within
+4e-15 of C(p+alpha, p) e^{x/2} of the exact series for p <= 64,
+alpha <= 10 and 0 <= x <= 300 (L_64^(8)(0) reads 11969016344.999952 for
+11969016345), where a division stays within 8e-16. Scalar inputs run on
+plain floats and array inputs broadcast through numpy, and an array alpha
+stacks several recurrences in one. The public ``laguerre`` returns a
+signed infinity where the value overflows. ``laguerre_scaled`` keeps the
+division, so that it stays independent of the evaluators' recurrence, and
+always returns numpy arrays; no evaluator calls it. ``ln_factorial`` reads
+a table of ln(n!) for 0 <= n <= 128 and rejects a larger n; the package
 passes at most the total mode order, 64.
 """
 
@@ -65,12 +72,12 @@ def _laguerres(alpha, x):
     cur = 1.0 + alpha - x
     for k in itertools.count(2):
         yield cur
-        # ((2k-1+alpha - x) L_{k-1} - (k-1+alpha) L_{k-2}) / k, one operation at a time
+        # ((2k-1+alpha - x) L_{k-1} - (k-1+alpha) L_{k-2}) * (1/k), one operation at a time
         new = 2.0 * k - 1.0 + alpha - x
         new *= cur
         prev *= k - 1.0 + alpha
         new -= prev
-        new /= k
+        new *= 1.0 / k
         prev, cur = cur, new
 
 
@@ -90,8 +97,22 @@ def laguerre(p, alpha, x):
         Associated index, alpha >= 0.
     x : float or ndarray
         Evaluation point(s); must be finite.
+
+    Where the value overflows a float (|x| far beyond 4p + 2 alpha, as
+    L_64(1e7) ~ 1e359), it is the infinity with the sign of the leading
+    term (-x)^p / p!, and no RuntimeWarning is raised.
     """
-    return _laguerre(_check_degree(p, "p"), _check_degree(alpha, "alpha", cap=None), _as_finite(x))
+    p, alpha, x = _check_degree(p, "p"), _check_degree(alpha, "alpha", cap=None), _as_finite(x)
+    # x is finite, so a NaN is inf - inf, two steps after the recurrence overflowed
+    if isinstance(x, float):  # float arithmetic overflows quietly
+        value = _laguerre(p, alpha, x)
+        return value if value == value else math.copysign(math.inf, -x if p % 2 else 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _laguerre(p, alpha, x)
+    overflowed = np.isnan(value)
+    if overflowed.any():
+        value = np.where(overflowed, np.copysign(np.inf, -x if p % 2 else 1.0), value)[()]
+    return value
 
 
 def laguerre_scaled(p, alpha, x):

@@ -15,17 +15,19 @@ error policy, one underflow mask and one chain rule. A point of four floats
 is evaluated as 0-d arrays and gives a float with the same bits as the same
 point inside an array; it costs about as much as a small batch, so loops
 over points should batch them. Pi on more than ``_BLOCK`` points is filled
-block by block, in flat slices whose temporaries stay in cache; each point
-goes through the same operations, so it has the bits of a smaller call. A
-non-finite coordinate is rejected; a positional order 2 adds the exact
-gradient and Hessian over z. The LG Pi is the plain product at every point,
+block by block in C order, each block of at most ``_BLOCK`` points taken
+from the broadcast coordinates without a full-size copy, so its temporaries
+stay in cache; each point goes through the same operations, so it has the
+bits of a smaller call. A non-finite coordinate is rejected; a positional
+order 2 adds the exact gradient and Hessian over z. The LG Pi is the plain product at every point,
 and 0 where exp(-4 Q0) underflows (|Pi| < 1e-200 there).
 
 The numeric engine evaluates the symmetric-point Fourier integral
 
     W(R, P) = pi^{-2} Int d^2 xi  e^{2 i P.xi} E*(R + xi) E(R - xi)
 
-on a fixed Gauss-Legendre node set; it exists purely as an independent
+on a fixed Gauss-Legendre tensor grid, where the phase splits into one
+weighted phase vector per axis; it exists purely as an independent
 cross-check of the closed forms and of user-supplied fields.
 """
 
@@ -123,7 +125,8 @@ def _evaluate(forms, beam, point, order=0):
     order. Pi, its gradient sum_k G_k grad q_k and its Hessian
     sum_kl G_kl grad q_k grad q_l^T + sum_k 2 G_k A_k, with grad q_k = 2 A_k z,
     are 0 where the envelope is 0. Pi on more than ``_BLOCK`` points is filled
-    in consecutive flat blocks, each through the same operations.
+    in C-order blocks of the broadcast coordinates, each through the same
+    operations.
     """
     if order not in (0, 2) or isinstance(order, bool):
         raise ValueError(f"derivative order must be 0 or 2, got {order!r}")
@@ -131,12 +134,14 @@ def _evaluate(forms, beam, point, order=0):
     # a huge point overflows to inf quietly, and inf * 0 is masked where the envelope is 0
     with np.errstate(over="ignore", invalid="ignore"):
         if not order and coords[0].size > _BLOCK:
-            out = np.empty(coords[0].size)
-            flat = [c.reshape(-1) for c in coords]  # a view if contiguous, else a copy
-            for start in range(0, out.size, _BLOCK):
-                block = slice(start, start + _BLOCK)
-                out[block] = _masked(beam, [c[block] for c in flat], 0)[0]
-            return out.reshape(coords[0].shape)
+            # blocks in C order straight from the broadcast coordinates, never a full-size copy
+            blocks = np.nditer([*coords, None], ["external_loop", "buffered"],
+                               [["readonly"]] * 4 + [["writeonly", "allocate"]],
+                               order="C", buffersize=_BLOCK)
+            with blocks:
+                for *block, out in blocks:
+                    out[...] = _masked(beam, block, 0)[0]
+                return blocks.operands[-1]
         value, live, first, second = _masked(beam, coords, order)
         if not order:
             return value[()]
@@ -246,12 +251,12 @@ class NumericWignerPlan:
         nodes, weights = gauss_nodes(config)
         xi_x, xi_y = np.meshgrid(nodes, nodes, indexing="ij")
         self._field = field
+        self._nodes, self._weights = nodes, weights
         self._xi_x = xi_x.ravel()
         self._xi_y = xi_y.ravel()
-        self._ww = np.outer(weights, weights).ravel()
         self.config = config
         amp = np.asarray(field(self._xi_x, self._xi_y))
-        norm = float(np.sum(self._ww * np.abs(amp) ** 2))
+        norm = float(np.sum(np.outer(weights, weights).ravel() * np.abs(amp) ** 2))
         self.norm_residual = abs(norm - 1.0)
         if not self.norm_residual <= norm_tol:
             raise ValueError(
@@ -269,8 +274,10 @@ class NumericWignerPlan:
         with np.errstate(over="ignore", invalid="ignore"):
             forward = np.asarray(self._field(x + self._xi_x, y + self._xi_y))
             backward = np.asarray(self._field(x - self._xi_x, y - self._xi_y))
-            kernel = np.exp(2j * (px * self._xi_x + py * self._xi_y))
-            total = float(np.sum(self._ww * kernel * np.conj(forward) * backward).real)
+            # e^{2i(P_X xi_x + P_Y xi_y)} splits over the tensor grid: one weighted phase per axis
+            phase_x, phase_y = (self._weights * np.exp(2j * (p * self._nodes)) for p in (px, py))
+            product = (np.conj(forward) * backward).reshape(self._nodes.size, -1)
+            total = float((phase_x @ product @ phase_y).real)
         if not math.isfinite(total):
             raise ValueError(f"the Wigner integral at {point} is not finite")
         return total / _PI_SQ

@@ -14,8 +14,9 @@ seeds and Bell sums, so it gives a maximum the Newton search must reach.
 The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
 recurrence, so it checks the plain-product Pi far from the origin.
 The Laguerre recurrence is the package's in one expression per step, as
-it was before each step went in place: every element meets the same
-operations, so the package must match it bit for bit.
+it was before each step went in place, ending in the same multiplication
+by 1/k: every element meets the same operations, so the package must
+match it bit for bit.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
 at a time, so the one-call search must return its points bit for bit.
@@ -51,7 +52,7 @@ def laguerre_recurrence(p, alpha, x):
     prev = one
     cur = 1.0 + alpha - x
     for k in range(2, p + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
+        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) * (1.0 / k)
     return cur
 
 

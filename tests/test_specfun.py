@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,35 @@ class TestLaguerre:
                     ref = laguerre_series(p, alpha, float(x))
                     got = specfun.laguerre(p, alpha, float(x))
                     assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_high_degree_matches_series(self):
+        # |L_p^alpha(x)| <= C(p+alpha, p) e^{x/2} for x >= 0; the recurrence's measured
+        # worst case on this range is 4.0e-15 of that bound, at x = 0
+        xs = np.concatenate([[0.0, 0.5, 1.0], np.linspace(10.0, 300.0, 30)])
+        for p in (30, 64):
+            for alpha in range(11):
+                got = specfun.laguerre(p, alpha, xs)
+                for x, value in zip(xs, got):
+                    bound = math.comb(p + alpha, p) * math.exp(x / 2.0)
+                    error = abs(value - laguerre_series(p, alpha, float(x)))
+                    assert error <= 1e-14 * bound, (p, alpha, x)
+
+    def test_overflow_is_the_leading_term_infinity(self):
+        # L_p(x) ~ (-x)^p / p!: L_64(1e7) ~ 1e359, which is past the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert specfun.laguerre(64, 0, 1e7) == math.inf
+            assert specfun.laguerre(63, 0, 1e7) == -math.inf
+            assert specfun.laguerre(63, 2, -1e7) == math.inf
+            assert type(specfun.laguerre(63, 0, 1e7)) is float
+            xs = np.array([1e7, -1e7, 1.7e308, -1e300, 2.0])
+            for p, alpha in [(63, 0), (64, 0), (60, 5)]:
+                got = specfun.laguerre(p, alpha, xs)
+                sign = -1.0 if p % 2 else 1.0
+                assert np.array_equal(got[:4], [sign * math.inf, math.inf, sign * math.inf, math.inf])
+                assert got[4] == specfun.laguerre(p, alpha, 2.0) and math.isfinite(got[4])
+                assert np.array_equal(specfun.laguerre(p, alpha, xs.reshape(5, 1))[:, 0], got)
+            assert specfun.laguerre(63, 0, np.asarray(1e7)) == -math.inf
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(7)

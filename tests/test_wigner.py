@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,22 @@ class TestBlocks:
         # a transposed, reversed view of the same points
         full = [np.ascontiguousarray(c) for c in full]
         assert np.array_equal(pi(tuple(c.T[::-1] for c in full)), values.T[::-1])
+
+    def test_broadcast_axes_are_never_copied_to_full_size(self):
+        # Pi on the 33-node axes of wigner_moments((20, 10)): each block comes from the views
+        nodes = np.polynomial.hermite.hermgauss(33)[0]
+        axes = (nodes[:, None, None, None], nodes[:, None, None], nodes[:, None], nodes)
+        pi = wigner.lg_transform_evaluator((20, 10))
+        tracemalloc.start()
+        try:
+            values = pi(axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (33,) * 4 and values.flags.c_contiguous
+        assert peak < 2 * values.nbytes
+        for k in [(0, 0, 0, 0), (16, 3, 30, 7), (32, 32, 32, 32)]:
+            assert values[k] == pi(tuple(float(nodes[i]) for i in k))
 
     @pytest.mark.parametrize("pi", EVALUATORS)
     def test_later_block_underflow_and_nan(self, pi):
