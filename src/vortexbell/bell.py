@@ -9,14 +9,15 @@ while the general form assigns each side two full phase-plane settings.
 |B| > 2 signals correlations that no local model of the two transverse
 modes reproduces. Maximization ranks grid or PCG64-seeded candidates and
 refines the best of them together by damped Newton ascent, with the exact
-gradient and Hessian that the Pi evaluators give at order 2 and Hessian
-eigenvalues flipped to ascend (modified Newton, Nocedal & Wright 2006,
-sec. 3.4). The restricted grid is quadratically spaced, dense near 0, where
-the violation basin of the mode (n, 0) sits at |x| ~ 0.6/sqrt(n). Each
-Newton step backtracks over every start's ladder of halved steps in one Pi
-call. A short pure-Newton step skips the Armijo test, whose gain near a
-maximum is below the rounding noise of B. Every evaluation is batched over
-the starts; everything is deterministic for a fixed seed.
+gradient and Hessian of B chained from the forms and partials the Pi
+evaluators give at order 2, and Hessian eigenvalues flipped to ascend
+(modified Newton, Nocedal & Wright 2006, sec. 3.4). The restricted grid is
+quadratically spaced, dense near 0, where the violation basin of the mode
+(n, 0) sits at |x| ~ 0.6/sqrt(n). Each Newton step backtracks over every
+start's ladder of halved steps in one Pi call. A short pure-Newton step
+skips the Armijo test, whose gain near a maximum is below the rounding
+noise of B. Every evaluation is batched over the starts; everything is
+deterministic for a fixed seed.
 """
 
 import math
@@ -60,21 +61,12 @@ _GENERAL_LIFT = (_TERMS[:, None, :] == np.arange(8)[:, None]).astype(float)
 _LIFT = {GENERAL: _GENERAL_LIFT, RESTRICTED: _GENERAL_LIFT[:, [2, 7]]}
 
 
-def _chain(lift):
-    """The lift as matrices (P, G, H): term points u @ P, gradient of B
-    grad_t (n, 16) @ G and Hessian hess_t (n, 64) @ H, each term's Pi
-    derivatives pulled back with its sign. Entries are 0 or +-1 and each
-    output adds at most two nonzero terms, so it is rounded once, as a sum
-    over the lift is.
-    """
-    signed = _SIGNS[:, None, None] * lift
-    d = lift.shape[1]
-    return (np.ascontiguousarray(lift.transpose(2, 1, 0)),
-            signed.transpose(0, 2, 1).reshape(16, d),
-            np.einsum("kdi,kej->kijde", signed, lift).reshape(64, d * d))
-
-
-_CHAIN = {kind: _chain(lift) for kind, lift in _LIFT.items()}
+# per kind: u @ points is the term points (4 coordinates, N, 4 terms) of rows
+# u, and left @ A @ right is 2 s_j P_j A P_j^T for each term j, P_j its lift
+_FACTORS = {kind: (np.ascontiguousarray(lift.transpose(2, 1, 0)),
+                   (2.0 * _SIGNS[:, None, None] * lift)[:, None],
+                   np.ascontiguousarray(lift.transpose(0, 2, 1))[:, None])
+            for kind, lift in _LIFT.items()}
 
 # Newton search: curvature floor relative to max|eigenvalue|, Armijo
 # sufficient-increase constant, the longest pure-Newton step taken without the
@@ -191,15 +183,29 @@ def _bell(pi, kind, u, order=0):
     from one Pi call on the four term points of every row.
 
     At order 2, the only other order, also the gradient (N, d) and Hessian
-    (N, d, d) of B over those settings, by the constant matrices of _CHAIN.
+    (N, d, d) of B over those settings. Term j's point P_j^T u makes each
+    form a quadratic in the settings, q_jk = u^T C_jk u, C_jk = P_j A_k P_j^T;
+    with ``pi(points, 2)``'s partials G_k, G_kl at term j, its sign s_j and
+    c_jk = 2 C_jk u, grad B = sum_jk s_j G_k c_jk and
+    hess B = sum_jkl s_j G_kl c_jk c_jl^T + sum_jk s_j G_k 2 C_jk.
     """
-    points, grad_lift, hess_lift = _CHAIN[kind]
+    points, left, right = _FACTORS[kind]
     n, d = u.shape
     if not order:
         return (pi(u @ points) * _SIGNS).sum(axis=1)
-    t, grad_t, hess_t = pi(u @ points, 2)
-    return ((t * _SIGNS).sum(axis=1), grad_t.reshape(n, 16) @ grad_lift,
-            (hess_t.reshape(n, 64) @ hess_lift).reshape(n, d, d))
+    t, forms, g_q, g_qq = pi(u @ points, 2)
+    # 2 s_j C_jk, (4, K, d, d): each entry is 0 or +-2 A_k[i, l], so exactly symmetric
+    signed_c = left @ forms @ right
+    # near the largest floats a slope overflows quietly, and the row's jet is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = (u @ signed_c.reshape(-1, d).T).reshape(n, -1, d)  # s_j c_jk over the pairs jk
+        linear = (g_q.reshape(n, -1) @ signed_c.reshape(-1, d * d)).reshape(n, d, d)
+        curved = (g_qq * _SIGNS[:, None, None]) @ slopes.reshape(n, 4, -1, d)  # sum_l G_kl c_jl
+        hess = slopes.swapaxes(-1, -2) @ curved.reshape(slopes.shape) + linear
+        # grad B = linear u, summed elementwise: a restricted row's two products then round
+        # as in its general embedding; half the Hessian plus its transpose is exactly symmetric
+        return ((t * _SIGNS).sum(axis=1), (linear * u[:, None]).sum(axis=2),
+                0.5 * (hess + hess.swapaxes(-1, -2)))
 
 
 def _newton_step(grad, hess):
@@ -297,15 +303,17 @@ def maximize_bell(pi, kind, config=None):
     Seeds come from a deterministic grid (restricted) or a PCG64-keyed
     lattice subsample plus uniform draws (general). The best ``restarts``
     seeds ascend together by damped modified Newton on sigma * B, sigma the
-    sign of B at the seed, with the gradient and Hessian from ``pi(point, 2)``;
-    a start retires once its step, gradient or gain is within
-    ``simplex_tol``. The best start is then polished alone, without the gain
-    rule. ``converged`` means the polish stopped within ``max_iters``, with
-    |grad B| <= 1e-7 and no Hessian eigenvalue above 1e-6 max|lambda| (zero
-    modes of the beam's rotation symmetry are allowed). ``evaluations``
-    counts every Bell sum computed, value or derivative; since each Newton
-    step evaluates its whole backtracking ladder at once, that includes the
-    trials past the one a start accepts. Non-finite values are rejected.
+    sign of B at the seed, with the gradient and Hessian that ``_bell``
+    chains from ``pi(points, 2)``; a start retires once its step, gradient
+    or gain is within ``simplex_tol``. The best start is then polished
+    alone, without the gain rule. ``converged`` means the polish stopped
+    within ``max_iters``, with |grad B| <= 1e-7, a Hessian not all zero (as
+    on a plateau where Pi underflowed) and no Hessian eigenvalue above 1e-6
+    max|lambda| (zero modes of the beam's rotation symmetry are allowed).
+    ``evaluations`` counts every Bell sum computed, value or derivative;
+    since each Newton step evaluates its whole backtracking ladder at once,
+    that includes the trials past the one a start accepts. Non-finite
+    values are rejected.
     The result is bit-reproducible for a fixed config.
     """
     _check_kind(kind)
@@ -328,11 +336,13 @@ def maximize_bell(pi, kind, config=None):
     x, f, stopped, grad, hess = _ascend(bell, x[w], f[w], sigma[w],
                                         cfg.simplex_tol, cfg.max_iters, gain_rule=False)
     lam = np.linalg.eigvalsh(hess[0]) if np.all(np.isfinite(hess)) else np.array([np.nan])
+    curvature = np.abs(lam).max()
     converged = bool(
         stopped[0]
         and np.isfinite(f[0])
         and np.linalg.norm(grad[0]) <= _GRADIENT_TOL
-        and lam[-1] <= _CURVATURE_FLOOR * np.abs(lam).max()
+        and curvature > 0.0
+        and lam[-1] <= _CURVATURE_FLOOR * curvature
     )
     return OptimizationResult(best_value=float(f[0]), argmax=tuple(x[0].tolist()),
                               evaluations=evaluations, converged=converged)

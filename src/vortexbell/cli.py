@@ -12,10 +12,10 @@ elliptical-profile  per-t Bell maxima of the squeezed elliptical beam
 Scalar results are JSON on stdout (with an embedded run manifest); tables are
 CSV with one header row, written to stdout or --out (file outputs get a
 sidecar <out>.manifest.json). Every manifest carries elapsed_s, the wall
-seconds of the subcommand up to its output. elliptical-profile adds sup_t,
-sup_best_abs_B and converged to its manifest, which goes to stderr when the
-CSV goes to stdout, so no stream mixes two formats. All numbers carry 17
-significant digits.
+seconds of the subcommand up to its output, and the python and numpy
+versions. elliptical-profile adds sup_t, sup_best_abs_B and converged to its
+manifest, which goes to stderr when the CSV goes to stdout, so no stream
+mixes two formats. All numbers carry 17 significant digits.
 
 Exit codes: 0 success, 2 argument error (a bad flag, or a ValueError from
 the library's input validation), 3 optimizer non-convergence, 4 I/O error.
@@ -73,6 +73,8 @@ def _manifest(command, args):
         "seed": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "elapsed_s": time.perf_counter() - args.started,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
     }
 
 

@@ -11,7 +11,7 @@ Pi = pi^2 W is the parity-expectation analog and satisfies |Pi| <= 1.
 
 Both closed forms are Pi = G(q) of quadratic forms q_k = z^T A_k z in
 z = (X, P_X, Y, P_Y), and share one evaluator core with one array path, one
-error policy, one underflow mask and one chain rule. A point of four floats
+error policy and one underflow mask. A point of four floats
 is evaluated as 0-d arrays and gives a float with the same bits as the same
 point inside an array; it costs about as much as a small batch, so loops
 over points should batch them. Pi on more than ``_BLOCK`` points is filled
@@ -19,8 +19,9 @@ block by block in C order, each block of at most ``_BLOCK`` points taken
 from the broadcast coordinates without a full-size copy, so its temporaries
 stay in cache; each point goes through the same operations, so it has the
 bits of a smaller call. A non-finite coordinate is rejected; a positional
-order 2 adds the exact gradient and Hessian over z. The LG Pi is the plain product at every point,
-and 0 where exp(-4 Q0) underflows (|Pi| < 1e-200 there).
+order 2 adds the forms A_k and the exact partials of G in q, for a caller's
+chain rule. The LG Pi is the plain product at every point, and 0 where
+exp(-4 Q0) underflows (|Pi| < 1e-200 there).
 
 The numeric engine evaluates the symmetric-point Fourier integral
 
@@ -33,10 +34,8 @@ cross-check of the closed forms and of user-supplied fields.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import combinations_with_replacement
+from functools import partial
 
 import numpy as np
 
@@ -96,10 +95,6 @@ def _coords(point):
 _BLOCK = 1 << 14
 
 
-def _outer(u, v):
-    return u[..., :, None] * v[..., None, :]
-
-
 def _masked(beam, coords, order):
     """``beam`` at the coordinates, Pi masked to 0 where the envelope is 0.
 
@@ -121,12 +116,11 @@ def _evaluate(forms, beam, point, order=0):
 
     ``beam(x, px, y, py, order)`` gives Pi, an envelope that is 0 where Pi
     underflowed and not positive at a non-finite point, and at order 2 the
-    partials G_k and the G_kl for k <= l in ``combinations_with_replacement``
-    order. Pi, its gradient sum_k G_k grad q_k and its Hessian
-    sum_kl G_kl grad q_k grad q_l^T + sum_k 2 G_k A_k, with grad q_k = 2 A_k z,
-    are 0 where the envelope is 0. Pi on more than ``_BLOCK`` points is filled
-    in C-order blocks of the broadcast coordinates, each through the same
-    operations.
+    partials G_k and the rows of G_kl, each a sequence over the forms. Order 2
+    returns (Pi, forms, G_q, G_qq), the partials on trailing axes of shape
+    (K,) and (K, K) and 0 where the envelope is 0. Pi on more than ``_BLOCK``
+    points is filled in C-order blocks of the broadcast coordinates, each
+    through the same operations.
     """
     if order not in (0, 2) or isinstance(order, bool):
         raise ValueError(f"derivative order must be 0 or 2, got {order!r}")
@@ -145,21 +139,13 @@ def _evaluate(forms, beam, point, order=0):
         value, live, first, second = _masked(beam, coords, order)
         if not order:
             return value[()]
-        z = np.stack(coords, axis=-1)
-        slopes = [2.0 * (z @ a) for a in forms]  # grad q_k
-        grad = reduce(operator.add, [g[..., None] * s for g, s in zip(first, slopes)])
-        terms = []  # G_kl = G_lk: each pair k < l is one term over both outer products
-        for g, (k, l) in zip(second, combinations_with_replacement(range(len(forms)), 2)):
-            outer = _outer(slopes[k], slopes[l])
-            if k < l:  # the other outer product is this one transposed
-                outer = outer + outer.swapaxes(-1, -2)
-            terms.append(g[..., None, None] * outer)
-        terms += [2.0 * g[..., None, None] * a for g, a in zip(first, forms)]
-        hess = reduce(operator.add, terms)
+        g_q, g_qq = np.array(first), np.array(second)
+        g_q = g_q.transpose((*range(1, g_q.ndim), 0))
+        g_qq = g_qq.transpose((*range(2, g_qq.ndim), 0, 1))
         if live is not None:
-            grad = np.where(live[..., None], grad, 0.0)
-            hess = np.where(live[..., None, None], hess, 0.0)
-        return value[()], grad, hess
+            g_q = np.where(live[..., None], g_q, 0.0)
+            g_qq = np.where(live[..., None, None], g_qq, 0.0)
+        return value[()], forms, g_q, g_qq
 
 
 # alpha = 0, 1, 2 for the stacked recurrence of ``_damped_derivatives``
@@ -188,16 +174,16 @@ def _damped_derivatives(p, u):
 # the forms of the LG beam: u+- = 4Q0 +- 4Q2 = z^T (I +- J) z, with 4 Q2 = z^T J z
 _J = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
                [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-_LG_FORMS = (np.eye(4) + _J, np.eye(4) - _J)
+_LG_FORMS = np.stack([np.eye(4) + _J, np.eye(4) - _J])
 
 
 def lg_transform_evaluator(mode):
     """Bind a mode, validated once, into a Pi evaluator for a point or coordinate arrays.
 
-    ``pi(point)`` is Pi and ``pi(point, 2)`` is (Pi, gradient, Hessian), the
-    derivatives over (X, P_X, Y, P_Y) on trailing axes of shape (4,) and
-    (4, 4); Pi itself is bit-identical to ``pi(point)``. The forms are
-    u+- = 4Q0 +- 4Q2.
+    ``pi(point)`` is Pi and ``pi(point, 2)`` is (Pi, forms, G_q, G_qq): the
+    forms of u+- = 4Q0 +- 4Q2 as a (2, 4, 4) array, and the partials of
+    Pi = G(u+, u-) on trailing axes of shape (2,) and (2, 2); Pi itself is
+    bit-identical to ``pi(point)``.
     """
     mode = as_mode(mode)
     n, m = mode.n, mode.m
@@ -218,8 +204,9 @@ def lg_transform_evaluator(mode):
         lm, b1, b2 = _damped_derivatives(m, um)
         weight = sign * damp
         wa1, wln = weight * a1, weight * ln
+        cross = wa1 * b1
         return (sign * ln * lm * damp, damp, (wa1 * lm, wln * b1),
-                (weight * a2 * lm, wa1 * b1, wln * b2))
+                ((weight * a2 * lm, cross), (cross, wln * b2)))
 
     return partial(_evaluate, _LG_FORMS, beam)
 
@@ -319,9 +306,9 @@ def wigner_elliptical(params, point):
 def elliptical_transform_evaluator(params):
     """Bind elliptical parameters into a Pi evaluator for a point or coordinate arrays.
 
-    Pi = exp(z^T K z) for z = (X, P_X, Y, P_Y), one form K. ``pi(point, 2)``
-    adds the gradient 2 Pi K z and the Hessian Pi (2 K z)(2 K z)^T + 2 Pi K,
-    as for the LG evaluator.
+    Pi = exp(z^T K z) for z = (X, P_X, Y, P_Y), one form K, so
+    ``pi(point, 2)`` is (Pi, K as a (1, 4, 4) array, Pi on a trailing axis
+    (1,), Pi on trailing axes (1, 1)), as G(q) = e^q is its own derivative.
     """
     if not isinstance(params, EllipticalParams):
         params = EllipticalParams(*params)
@@ -334,6 +321,6 @@ def elliptical_transform_evaluator(params):
         arg = -(x * x + y * y + px * px + py * py) * c2t + 2.0 * s2t * (x * y - px * py)
         # 0 or NaN at a non-finite point, and NaN where an overflowing cross term meets -inf
         value = np.exp(arg)
-        return value, value, (value,), (value,)  # G(q) = e^q, so G' = G'' = Pi
+        return value, value, (value,), ((value,),)  # G(q) = e^q, so G' = G'' = Pi
 
-    return partial(_evaluate, (kernel,), beam)
+    return partial(_evaluate, kernel[None], beam)

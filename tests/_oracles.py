@@ -20,9 +20,14 @@ match it bit for bit.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
 at a time, so the one-call search must return its points bit for bit.
+The z-space jet is the chain rule the Pi evaluators applied before the Bell
+search differentiated in settings space: the gradient and Hessian of Pi
+over (X, P_X, Y, P_Y) from the forms and partials ``pi(point, 2)`` returns,
+and the Bell jet pulls it back through the lift table as a sum per term.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -283,6 +288,44 @@ def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule):
             active[idx[pending[spent]]] = False
             pending = pending[~spent]
     return x, f, ~active, grad, hess
+
+
+def z_jet(pi, point):
+    """(Pi, gradient, Hessian) over z = (X, P_X, Y, P_Y) from ``pi(point, 2)``.
+
+    With (Pi, forms A_k, G_q, G_qq) from the evaluator and the slopes
+    grad q_k = 2 A_k z, the gradient is sum_k G_k grad q_k and the Hessian
+    sum_kl G_kl grad q_k grad q_l^T + sum_k 2 G_k A_k, on trailing axes (4,)
+    and (4, 4); each pair k < l is one term over both outer products, so the
+    Hessian is exactly symmetric. Both are 0 where every partial is 0, as
+    where Pi underflowed, even if a slope overflowed there.
+    """
+    value, forms, g_q, g_qq = pi(point, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in point)), axis=-1)
+        slopes = [2.0 * (z @ a) for a in forms]
+        grad = sum(g_q[..., k, None] * s for k, s in enumerate(slopes))
+        hess = 0.0
+        for k, l in itertools.combinations_with_replacement(range(len(forms)), 2):
+            outer = slopes[k][..., :, None] * slopes[l][..., None, :]
+            if k < l:  # G_kl = G_lk, and the other outer product is this one transposed
+                outer = outer + outer.swapaxes(-1, -2)
+            hess = hess + g_qq[..., k, l, None, None] * outer
+        hess = hess + sum(2.0 * g_q[..., k, None, None] * a for k, a in enumerate(forms))
+    dead = ~(g_q.any(axis=-1) | g_qq.any(axis=(-2, -1)))
+    return (value, np.where(dead[..., None], 0.0, grad),
+            np.where(dead[..., None, None], 0.0, hess))
+
+
+def bell_jet_by_lift_sums(pi, kind, u):
+    """(B, gradient, Hessian) on rows of settings u, each term's z-space jet
+    pulled back through ``bell._LIFT`` as a sum over the term's coordinates."""
+    lift = bell._LIFT[kind]
+    signed = bell._SIGNS[:, None, None] * lift
+    points = np.einsum("nd,kdi->ink", u, lift)
+    t, grad_t, hess_t = z_jet(pi, tuple(points))
+    return ((t * bell._SIGNS).sum(axis=1), np.einsum("nki,kdi->nd", grad_t, signed),
+            np.einsum("nkij,kdi,kej->nde", hess_t, signed, lift))
 
 
 def log_domain_pi(nm, point):

@@ -5,19 +5,19 @@ import pytest
 
 from vortexbell import bell, wigner
 
-from _oracles import scipy_maximize_bell, sequential_ascend
+from _oracles import bell_jet_by_lift_sums, scipy_maximize_bell, sequential_ascend
 
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
 
 
 def _flaky_pi(point, order=0):
-    """PI_10 with NaN wherever |X| > 1, in Pi and in its derivatives."""
+    """PI_10 with NaN wherever |X| > 1, in Pi and in its partials G_q and G_qq."""
     nan = np.where(np.abs(point[0]) > 1.0, math.nan, 0.0)
     if not order:
         return PI_10(point) + nan
-    return tuple(d + nan[(...,) + (None,) * (d.ndim - nan.ndim)]
-                 for d in PI_10(point, order))
+    value, forms, g_q, g_qq = PI_10(point, order)
+    return value + nan, forms, g_q + nan[..., None], g_qq + nan[..., None, None]
 
 
 def _bits(*arrays):
@@ -190,25 +190,19 @@ class TestBellDerivatives:
         ids=["lg-1-0", "lg-30-0", "elliptical-0.7"],
     )
     @pytest.mark.parametrize("kind", [bell.GENERAL, bell.RESTRICTED])
-    def test_chain_matrices_match_lift_sums(self, pi, kind):
-        # the chain rule as the sums over _LIFT that the constant matrices replaced
-        def lift_sums(u, order=0):
-            lift = bell._LIFT[kind]
-            points = np.einsum("nd,kdi->ink", u, lift)
-            if not order:
-                return (pi(points) * bell._SIGNS).sum(axis=1)
-            t, grad_t, hess_t = pi(points, 2)
-            signed = bell._SIGNS[:, None, None] * lift
-            return ((t * bell._SIGNS).sum(axis=1), np.einsum("nki,kdi->nd", grad_t, signed),
-                    np.einsum("nkij,kdi,kej->nde", hess_t, signed, lift))
-
+    def test_jet_matches_z_space_lift_sums(self, pi, kind):
+        # the settings-space chain rule against each term's z-space jet pulled back
         rng = np.random.default_rng(79)
         dim = bell._LIFT[kind].shape[1]
-        # far settings, where Pi and its derivatives underflow to 0, included
+        # far settings, where Pi and its partials underflow to 0, included
         for scale in (0.3, 1.0, 3.0, 30.0, 1e3):
             u = rng.normal(0.0, scale, (25, dim))
-            assert _bits(bell._bell(pi, kind, u)) == _bits(lift_sums(u))
-            assert _bits(*bell._bell(pi, kind, u, 2)) == _bits(*lift_sums(u, 2))
+            b, grad, hess = bell._bell(pi, kind, u, 2)
+            b_ref, grad_ref, hess_ref = bell_jet_by_lift_sums(pi, kind, u)
+            assert _bits(b) == _bits(b_ref) == _bits(bell._bell(pi, kind, u))
+            # to rounding, relative to the largest entry; subnormal entries lose precision
+            for new, ref in ((grad, grad_ref), (hess, hess_ref)):
+                assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref)) + 1e-300
 
 
 def _search_starts(pi, kind):
@@ -307,6 +301,7 @@ class TestMaximize:
         for kind in (bell.RESTRICTED, bell.GENERAL):
             result = bell.maximize_bell(PI_00, kind)
             assert result.best_value <= 2.0 + 1e-9, kind
+            assert result.converged, kind
 
     def test_general_beats_restricted(self):
         restricted = bell.maximize_bell(PI_10, bell.RESTRICTED)
@@ -373,6 +368,23 @@ class TestMaximize:
         result = bell.maximize_bell(nan_pi, bell.RESTRICTED)
         assert not result.converged
         assert math.isnan(result.best_value)
+
+    def test_underflow_plateau_reported_not_converged(self):
+        # every seed but the origin's term sits where Pi underflowed: B is flat at
+        # |B| = 1, with a zero gradient and an all-zero Hessian, and that is no maximum;
+        # near the largest floats the jet's slopes overflow, quietly
+        for bounds in (1e3, 1.7e308):
+            cfg = bell.OptimizerConfig(grid_bounds=bounds, grid_points=4)
+            result = bell.maximize_bell(PI_10, bell.RESTRICTED, cfg)
+            assert result.best_value == 1.0
+            assert not result.converged
+
+    @pytest.mark.parametrize("nm, kind", [((3, 3), bell.RESTRICTED), ((5, 5), bell.GENERAL)])
+    def test_balanced_mode_maxima_stay_converged(self, nm, kind):
+        # |B| = 2 on flat sets, where the Hessian is singular but not zero
+        result = bell.maximize_bell(wigner.lg_transform_evaluator(nm), kind)
+        assert result.converged
+        assert result.best_value == pytest.approx(2.0, abs=1e-9)
 
     def test_nonconvergence_reported_not_raised(self):
         cfg = bell.OptimizerConfig(max_iters=1, restarts=1)

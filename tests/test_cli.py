@@ -59,6 +59,8 @@ class TestBellMax:
         assert payload["manifest"]["command"] == "bell-max"
         elapsed = payload["manifest"]["elapsed_s"]
         assert math.isfinite(elapsed) and elapsed >= 0.0
+        assert payload["manifest"]["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert payload["manifest"]["numpy"] == np.__version__
 
     def test_general_lowest_vortex(self, capsys):
         code, payload = run_json(
@@ -95,6 +97,16 @@ class TestBellMax:
         )
         assert code == 3
         assert payload["converged"] is False
+
+    def test_underflow_plateau_exits_three(self, capsys):
+        # every seed's off-origin terms underflow: |B| = 1 on a flat plateau
+        code, payload = run_json(
+            capsys,
+            ["bell-max", "--n", "1", "--m", "0", "--grid-bounds", "1000", "--grid-points", "4"],
+        )
+        assert code == 3
+        assert payload["converged"] is False
+        assert payload["best_value"] == 1.0
 
     def test_json_reproducible_modulo_timestamp(self, capsys):
         argv = ["bell-max", "--n", "1", "--m", "0", "--seed", "777"]
@@ -316,6 +328,8 @@ class TestEllipticalProfile:
         assert manifest["command"] == "elliptical-profile"
         assert manifest["converged"] is True
         assert math.isfinite(manifest["elapsed_s"]) and manifest["elapsed_s"] >= 0.0
+        assert (manifest["python"], manifest["numpy"]) == (
+            ".".join(map(str, sys.version_info[:3])), np.__version__)
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,best_abs_B"
         assert len(lines) == 4

@@ -7,7 +7,7 @@ import pytest
 from vortexbell import modes, wigner
 from vortexbell.quadrature import QuadratureConfig
 
-from _oracles import laguerre_recurrence, log_domain_pi
+from _oracles import laguerre_recurrence, log_domain_pi, z_jet
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
@@ -386,7 +386,7 @@ def _rotate(point, theta, mirror):
 
 
 class TestDerivatives:
-    """pi(point, 2): gradient and Hessian over (X, P_X, Y, P_Y)."""
+    """pi(point, 2): the forms and the partials G_q, G_qq, checked through the z-space jet."""
 
     EVALUATORS = [
         *(((n, m), 1.0 / math.sqrt(n + m + 1.0), wigner.lg_transform_evaluator((n, m)))
@@ -401,7 +401,7 @@ class TestDerivatives:
     def test_match_central_differences(self, label, scale, pi):
         rng = np.random.default_rng(73)
         pts = rng.uniform(-1.5 * scale, 1.5 * scale, (4, 30))
-        value, grad, hess = pi(tuple(pts), 2)
+        value, grad, hess = z_jet(pi, tuple(pts))
         assert grad.shape == (30, 4) and hess.shape == (30, 4, 4)
         h = 1e-6 * scale
         fd_grad = np.empty_like(grad)
@@ -409,15 +409,23 @@ class TestDerivatives:
         for i, e in enumerate(np.eye(4)):
             up, down = tuple(pts + h * e[:, None]), tuple(pts - h * e[:, None])
             fd_grad[:, i] = (pi(up) - pi(down)) / (2 * h)
-            fd_hess[:, i] = (pi(up, 2)[1] - pi(down, 2)[1]) / (2 * h)
+            fd_hess[:, i] = (z_jet(pi, up)[1] - z_jet(pi, down)[1]) / (2 * h)
         assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
         assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
         assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+        _, forms, g_q, g_qq = pi(tuple(pts), 2)
+        k_forms = len(forms)
+        assert forms.shape == (k_forms, 4, 4) and np.array_equal(forms, forms.swapaxes(-1, -2))
+        assert g_q.shape == (30, k_forms) and g_qq.shape == (30, k_forms, k_forms)
+        assert np.array_equal(g_qq, g_qq.swapaxes(-1, -2))
         for k in range(0, 30, 7):
             point = tuple(float(c) for c in pts[:, k])
-            v, g, hk = pi(point, 2)
-            assert isinstance(v, float) and g.shape == (4,) and hk.shape == (4, 4)
-            assert v == value[k] and np.array_equal(g, grad[k]) and np.array_equal(hk, hess[k])
+            v, point_forms, g, gg = pi(point, 2)
+            assert isinstance(v, float) and g.shape == (k_forms,) and gg.shape == (k_forms, k_forms)
+            assert v == value[k] and np.array_equal(point_forms, forms)
+            assert np.array_equal(g, g_q[k]) and np.array_equal(gg, g_qq[k])
+            _, gk, hk = z_jet(pi, point)
+            assert np.array_equal(gk, grad[k]) and np.array_equal(hk, hess[k])
 
     @pytest.mark.parametrize("label, scale, pi", EVALUATORS, ids=IDS)
     def test_value_part_is_bit_identical(self, label, scale, pi):
@@ -436,14 +444,18 @@ class TestDerivatives:
                     (1e160, 1e160, -1e160, 1e160)]:
             for pi in (wigner.lg_transform_evaluator((30, 0)),
                        wigner.elliptical_transform_evaluator((1.0, +1))):
-                value, grad, hess = pi(far, 2)
-                assert value == 0.0 and not grad.any() and not hess.any()
+                value, _, g_q, g_qq = pi(far, 2)
+                assert value == 0.0 and not g_q.any() and not g_qq.any()
                 assert pi(far) == 0.0
+                _, grad, hess = z_jet(pi, far)
+                assert not grad.any() and not hess.any()
                 arrays = tuple(np.array([c, 0.1]) for c in far)
-                value, grad, hess = pi(arrays, 2)
-                assert value[0] == 0.0 and not grad[0].any() and not hess[0].any()
-                assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
-                assert grad[1].any()
+                value, _, g_q, g_qq = pi(arrays, 2)
+                assert value[0] == 0.0 and not g_q[0].any() and not g_qq[0].any()
+                assert np.all(np.isfinite(g_q)) and np.all(np.isfinite(g_qq))
+                assert g_q[1].any()
+                _, grad, hess = z_jet(pi, arrays)
+                assert not grad[0].any() and not hess[0].any() and grad[1].any()
 
     def test_rejects_bad_order_and_points(self):
         for pi in (wigner.lg_transform_evaluator((1, 0)),
