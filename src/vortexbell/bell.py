@@ -20,6 +20,7 @@ noise of B. Every evaluation is batched over the starts; everything is
 deterministic for a fixed seed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,19 +164,24 @@ class OptimizationResult:
     converged: bool
 
 
+@functools.lru_cache(maxsize=64)
 def _seed_points(kind, cfg):
+    """The seeds of a search, read-only, made once per kind and config; every
+    draw is on [-1, 1] times ``grid_bounds``, so none overflows."""
     bound = cfg.grid_bounds
     if kind == RESTRICTED:
         # quadratic spacing, dense near 0: the violation basin has |x| ~ 0.6/sqrt(n)
         s = np.linspace(-1.0, 1.0, cfg.grid_points)
         axis = bound * s * np.abs(s)
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    lattice = np.linspace(-bound, bound, _GENERAL_LATTICE_POINTS)
-    picks = rng.integers(0, _GENERAL_LATTICE_POINTS, size=(_GENERAL_LATTICE_DRAWS, 8))
-    uniform = rng.uniform(-bound, bound, size=(_GENERAL_UNIFORM_DRAWS, 8))
-    return np.vstack([np.zeros((1, 8)), lattice[picks], uniform])
+        seeds = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    else:
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        lattice = bound * np.linspace(-1.0, 1.0, _GENERAL_LATTICE_POINTS)
+        picks = rng.integers(0, _GENERAL_LATTICE_POINTS, size=(_GENERAL_LATTICE_DRAWS, 8))
+        seeds = np.vstack([np.zeros((1, 8)), lattice[picks],
+                           bound * rng.uniform(-1.0, 1.0, size=(_GENERAL_UNIFORM_DRAWS, 8))])
+    seeds.flags.writeable = False
+    return seeds
 
 
 def _bell(pi, kind, u, order=0):
@@ -216,16 +222,17 @@ def _newton_step(grad, hess):
     Every eigenvalue is replaced by -max(|lambda|, floor), floor = 1e-6 max|lambda|,
     so the step ascends. Where the top eigenvalue exceeds the floor (a saddle
     or a valley), the step also goes 1/sqrt(lambda_max) along its eigenvector,
-    uphill, which moves a start off a saddle where the gradient vanishes.
+    uphill (+ on a tie), which moves a start off a saddle where the gradient
+    vanishes. That escape is folded into the step's top eigen-coefficient.
     """
     lam, vec = np.linalg.eigh(hess)
     floor = _CURVATURE_FLOOR * np.abs(lam).max(axis=1)
-    scale = np.maximum(np.abs(lam), np.maximum(floor, _TINY)[:, None])
-    step = np.einsum("nij,nj->ni", vec, np.einsum("nij,ni->nj", vec, grad) / scale)
-    top, top_vec = lam[:, -1], vec[:, :, -1]
-    uphill = np.where(np.einsum("ni,ni->n", grad, top_vec) < 0.0, -1.0, 1.0)
-    escape = np.where(top > floor, uphill / np.sqrt(np.maximum(top, _TINY)), 0.0)
-    return step + escape[:, None] * top_vec, top > floor, top < 0.0
+    top = lam[:, -1]
+    coef = (grad[:, None] @ vec)[:, 0]
+    uphill = np.where(coef[:, -1] < 0.0, -1.0, 1.0)
+    coef /= np.maximum(np.abs(lam), np.maximum(floor, _TINY)[:, None])
+    coef[:, -1] += np.where(top > floor, uphill / np.sqrt(np.maximum(top, _TINY)), 0.0)
+    return (vec @ coef[:, :, None])[:, :, 0], top > floor, top < 0.0
 
 
 def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
@@ -244,57 +251,63 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
     point where they were taken.
     """
     x, f = x.copy(), f.copy()
-    active = np.isfinite(f)
-    grad = np.zeros(x.shape)
-    hess = np.zeros(x.shape + x.shape[1:])
+    grad, hess = np.zeros(x.shape), np.zeros(x.shape + x.shape[1:])
+    # the searching rows idx, with their x, f and sigma; retire(out, *more) writes
+    # the rows out back to x and f, and drops them from these arrays and ``more``
+    idx = np.flatnonzero(np.isfinite(f))
+    xs, fs, ss = x[idx], f[idx], sigma[idx]
+
+    def retire(out, *more):
+        rows, keep = idx[out], ~out
+        x[rows], f[rows] = xs[out], fs[out]
+        return [a[keep] for a in (idx, xs, fs, ss, *more)]
+
+    # Armijo backtracking in one call: every start's halving ladder
+    # alpha_j = 2^-j, j = 0 and every j >= 1 with alpha_j * size > tol
+    # (exact products, so its length follows from the exponents), as a
+    # (rung, start) rectangle over the widest ladder, NaN past a start's own ladder
+    tol_exponent = math.frexp(tol)[1]
+    alpha = np.ldexp(1.0, -np.arange(np.finfo(float).maxexp - tol_exponent + 1))
     for _ in range(max_iters):
-        idx = np.flatnonzero(active)
         if not idx.size:
             break
-        _, g, h = bell(x[idx], 2)
-        g *= sigma[idx, None]
-        h *= sigma[idx, None, None]
+        _, g, h = bell(xs, 2)
+        g *= ss[:, None]
+        h *= ss[:, None, None]
         grad[idx], hess[idx] = g, h
-        finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
-        step = np.zeros(g.shape)
-        curved = np.zeros(idx.size, dtype=bool)
-        pure = np.zeros(idx.size, dtype=bool)
-        if finite.any():
-            step[finite], curved[finite], pure[finite] = _newton_step(g[finite], h[finite])
-        gnorm = np.linalg.norm(g, axis=1)
-        size = np.linalg.norm(step, axis=1)
-        moving = finite & (size > tol) & ~((gnorm <= tol) & ~curved)
-        active[idx[~moving]] = False
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+            # a jet that is not finite is zeroed: its row takes no step and retires
+            stuck = ~(np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2)))
+            g[stuck], h[stuck] = 0.0, 0.0
+        step, curved, pure = _newton_step(g, h)
+        size = np.sqrt((step * step).sum(axis=1))
+        moving = (size > tol) & ((np.sqrt((g * g).sum(axis=1)) > tol) | curved)
         # near a maximum the Armijo gain of a Newton step falls below the
         # rounding noise of B, so a short pure-Newton step is taken untested
-        trusted = (pure & (size <= _TRUSTED_STEP))[moving]
-        idx, g, step, size = idx[moving], g[moving], step[moving], size[moving]
-        if not idx.size:
-            break
-        # Armijo backtracking in one call: every start's halving ladder
-        # alpha_j = 2^-j, j = 0 and every j >= 1 with alpha_j * size > tol
-        # (exact products, so its length follows from the exponents), as a
-        # rectangle over the widest ladder, NaN past a start's own ladder
-        width = int(np.frexp(size.max())[1] - np.frexp(tol)[1]) + 1
-        alpha = np.ldexp(1.0, -np.arange(width))
-        ladder = alpha * size[:, None] > tol
-        trial = x[idx, None] + alpha[:, None] * step[:, None]
+        trusted = pure & (size <= _TRUSTED_STEP)
+        if not moving.all():
+            idx, xs, fs, ss, g, step, size, trusted = retire(~moving, g, step, size, trusted)
+            if not idx.size:
+                break
+        width = math.frexp(size.max())[1] - tol_exponent + 1
+        ladder = alpha[:width, None] * size > tol
+        trial = xs + alpha[:width, None, None] * step
         ft = np.full(ladder.shape, np.nan)
         ft[ladder] = bell(trial[ladder])
-        ft *= sigma[idx, None]
+        ft *= ss
         slope = np.einsum("ni,ni->n", g, step)
-        armijo = ft >= f[idx, None] + _ARMIJO * alpha * slope[:, None]
-        ok = np.isfinite(ft) & (armijo | trusted[:, None])
+        armijo = ft >= fs + _ARMIJO * alpha[:width, None] * slope
+        ok = np.isfinite(ft) & (armijo | trusted)
         # each start takes its first acceptable rung; one with none retires
-        taken = ok.any(axis=1)
-        rung = (taken, ok.argmax(axis=1)[taken])
-        rows = idx[taken]
-        gain = ft[rung] - f[rows]
-        x[rows], f[rows] = trial[rung], ft[rung]
-        if gain_rule:
-            active[rows[gain <= tol]] = False
-        active[idx[~taken]] = False
-    return x, f, ~active, grad, hess
+        taken = ok.any(axis=0)
+        rung = (ok.argmax(axis=0), np.arange(idx.size))
+        gain = ft[rung] - fs
+        xs, fs = np.where(taken[:, None], trial[rung], xs), np.where(taken, ft[rung], fs)
+        out = ~taken | (gain <= tol) if gain_rule else ~taken
+        if out.any():
+            idx, xs, fs, ss = retire(out)
+    x[idx], f[idx] = xs, fs
+    return x, f, np.bincount(idx, minlength=len(x)) == 0, grad, hess
 
 
 def maximize_bell(pi, kind, config=None):

@@ -102,14 +102,8 @@ def _emit_csv(header, rows, out, manifest):
 
 
 def _optimizer_config(args):
-    return OptimizerConfig(
-        grid_bounds=args.grid_bounds,
-        grid_points=args.grid_points,
-        restarts=args.restarts,
-        simplex_tol=args.simplex_tol,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
+    names = ("grid_bounds", "grid_points", "restarts", "simplex_tol", "max_iters", "seed")
+    return OptimizerConfig(**{name: getattr(args, name) for name in names})
 
 
 def _add_mode_flags(parser):
@@ -266,8 +260,6 @@ def _build_parser():
     _add_mode_flags(p)
     p.add_argument("--settings", choices=(RESTRICTED, GENERAL), default=RESTRICTED)
     _add_optimizer_flags(p)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_bell_max)
 
     p = sub.add_parser("bell-scan", help="restricted Bell-sum scan table")
@@ -277,8 +269,6 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--py", type=float, default=None,
                    help="fix py at this value; default scans the diagonal py = x")
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_bell_scan)
 
     p = sub.add_parser("corr", help="quadrature correlation coefficient")
@@ -290,14 +280,10 @@ def _build_parser():
     p.add_argument("--phi-min", type=float, default=0.0)
     p.add_argument("--phi-max", type=float, default=2.0 * math.pi)
     p.add_argument("--phi-samples", type=int, default=24)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_corr)
 
     p = sub.add_parser("schmidt", help="HG expansion of an LG mode")
     _add_mode_flags(p)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_schmidt)
 
     p = sub.add_parser("wigner", help="Wigner function table on a 4D grid")
@@ -313,8 +299,6 @@ def _build_parser():
                    help="use the Fourier-integral engine instead of the closed form")
     p.add_argument("--order", type=int, default=None,
                    help="Gauss-Legendre order for --numeric")
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_wigner)
 
     p = sub.add_parser("elliptical-profile",
@@ -325,10 +309,11 @@ def _build_parser():
     p.add_argument("--settings", choices=(RESTRICTED, GENERAL), default=GENERAL)
     p.add_argument("--sign", type=int, default=1, choices=(1, -1))
     _add_optimizer_flags(p)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_elliptical_profile)
 
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=12345)
+        p.add_argument("--out", default=None, help="write the output here instead of stdout")
     return parser
 
 

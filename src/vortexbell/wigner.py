@@ -88,6 +88,8 @@ def wigner_args(point):
 
 def _coords(point):
     """The four coordinates as broadcast float arrays, 0-d for a point of floats."""
+    if type(point) is np.ndarray and point.dtype == np.float64 and point.ndim > 1:
+        return tuple(point)  # rows of one array, already of one shape
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in point))
 
 
@@ -104,9 +106,9 @@ def _masked(beam, coords, order):
     value, envelope, first, second = beam(*coords, order)
     live = envelope > 0.0
     # masking only on underflow leaves the result the product itself, no copy
-    if np.all(live):
+    if live.all():
         return value, None, first, second
-    if not all(np.all(np.isfinite(c)) for c in coords):
+    if not all(np.isfinite(c).all() for c in coords):
         raise ValueError("phase-space point must be finite")
     return np.where(live, value, 0.0), live, first, second
 

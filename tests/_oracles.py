@@ -20,6 +20,9 @@ match it bit for bit.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
 at a time, so the one-call search must return its points bit for bit.
+The einsum Newton step is the modified-Newton step as three einsums, with
+the escape step added after, as it was before the step became two matmuls
+around ``eigh``: the same step, rounded differently.
 The z-space jet is the chain rule the Pi evaluators applied before the Bell
 search differentiated in settings space: the gradient and Hessian of Pi
 over (X, P_X, Y, P_Y) from the forms and partials ``pi(point, 2)`` returns,
@@ -288,6 +291,18 @@ def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule):
             active[idx[pending[spent]]] = False
             pending = pending[~spent]
     return x, f, ~active, grad, hess
+
+
+def einsum_newton_step(grad, hess):
+    """``bell._newton_step`` as three einsums, the escape step added after them."""
+    lam, vec = np.linalg.eigh(hess)
+    floor = bell._CURVATURE_FLOOR * np.abs(lam).max(axis=1)
+    scale = np.maximum(np.abs(lam), np.maximum(floor, bell._TINY)[:, None])
+    step = np.einsum("nij,nj->ni", vec, np.einsum("nij,ni->nj", vec, grad) / scale)
+    top, top_vec = lam[:, -1], vec[:, :, -1]
+    uphill = np.where(np.einsum("ni,ni->n", grad, top_vec) < 0.0, -1.0, 1.0)
+    escape = np.where(top > floor, uphill / np.sqrt(np.maximum(top, bell._TINY)), 0.0)
+    return step + escape[:, None] * top_vec, top > floor, top < 0.0
 
 
 def z_jet(pi, point):

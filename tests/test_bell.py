@@ -1,11 +1,14 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from vortexbell import bell, wigner
 
-from _oracles import bell_jet_by_lift_sums, scipy_maximize_bell, sequential_ascend
+from _oracles import (bell_jet_by_lift_sums, einsum_newton_step, scipy_maximize_bell,
+                      sequential_ascend)
 
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
@@ -288,6 +291,100 @@ class TestLineSearch:
                                   x, f, sigma, True, max_iters)
             assert _bits(*new) == _bits(*old)
 
+    @pytest.mark.parametrize("gain_rule", [True, False])
+    def test_compaction_with_a_stuck_row(self, gain_rule):
+        # the fourth Newton iteration's jet is not finite in the second row it is taken on,
+        # and rows retire at different iterations; each side counts its own calls
+        pi = wigner.lg_transform_evaluator((5, 3))
+        x, f, sigma = _search_starts(pi, bell.GENERAL)
+        results, sizes = [], []
+        for search in (bell._ascend, sequential_ascend):
+            calls, seen = [0], []
+
+            def patched(u, order=0, calls=calls, seen=seen):
+                out = bell._bell(pi, bell.GENERAL, u, order)
+                if order:
+                    calls[0] += 1
+                    seen.append(len(u))
+                    if calls[0] == 4:
+                        out[1][1], out[2][1, 0, 0] = math.nan, math.inf
+                return out
+
+            results.append(search(patched, x, f, sigma, bell.OptimizerConfig().simplex_tol,
+                                  4000, gain_rule))
+            sizes.append(seen)
+        (new, old), (seen, _) = results, sizes
+        assert _bits(*new) == _bits(*old)
+        assert seen[3] == len(x) and seen[4] < seen[3]
+        assert len(set(seen)) > 2  # rows retire at more than one iteration
+        stuck = np.flatnonzero(~np.isfinite(new[3]).all(axis=1))
+        assert stuck.size == 1 and new[2][stuck[0]]
+        assert np.isinf(new[4][stuck[0], 0, 0])
+
+
+def _hessians(eigenvalues, seed):
+    """Symmetric matrices with the given rows of eigenvalues and random eigenvectors."""
+    rng = np.random.default_rng(seed)
+    lam = np.asarray(eigenvalues, dtype=float)
+    q, _ = np.linalg.qr(rng.standard_normal(lam.shape + lam.shape[-1:]))
+    hess = (q * lam[:, None]) @ q.swapaxes(-1, -2)
+    return 0.5 * (hess + hess.swapaxes(-1, -2)), rng.standard_normal(lam.shape)
+
+
+class TestNewtonStep:
+    """The two-matmul step against the einsum step it replaced, to rounding."""
+
+    @staticmethod
+    def _matches_oracle(grad, hess):
+        step, curved, pure = bell._newton_step(grad, hess)
+        ref, ref_curved, ref_pure = einsum_newton_step(grad, hess)
+        assert np.array_equal(curved, ref_curved) and np.array_equal(pure, ref_pure)
+        scale = np.linalg.norm(ref, axis=1, keepdims=True)
+        assert np.all(np.abs(step - ref) <= 1e-13 * scale)
+        return step, curved, pure
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_definite_hessians_take_the_pure_newton_step(self, d):
+        lam = -np.exp(np.random.default_rng(d).uniform(-3.0, 3.0, (6, d)))
+        hess, grad = _hessians(lam, d)
+        step, curved, pure = self._matches_oracle(grad, hess)
+        assert pure.all() and not curved.any()
+        assert np.allclose(step, -np.linalg.solve(hess, grad[..., None])[..., 0],
+                           rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_saddles_and_valleys_escape_uphill(self, d):
+        rng = np.random.default_rng(10 + d)
+        saddles = np.sort(rng.uniform(-2.0, 2.0, (4, d)), axis=1)
+        saddles[:, 0], saddles[:, -1] = -1.5, 0.7
+        valleys = rng.uniform(0.1, 3.0, (3, d))
+        hess, grad = _hessians(np.vstack([saddles, valleys]), 20 + d)
+        step, curved, pure = self._matches_oracle(grad, hess)
+        assert curved.all() and not pure.any()
+        lam, vec = np.linalg.eigh(hess)
+        top, top_vec = lam[:, -1], vec[:, :, -1]
+        # the escape goes along the top eigenvector, on the side where the gradient points
+        uphill = np.einsum("ni,ni->n", grad, top_vec)
+        along = np.einsum("ni,ni->n", step, top_vec) - uphill / top
+        assert np.allclose(along, np.sign(uphill) / np.sqrt(top))
+
+    def test_one_row_batch(self):
+        hess, grad = _hessians([[-2.0, -1.0, 0.5, 3.0]], 3)
+        step, _, _ = self._matches_oracle(grad, hess)
+        assert step.shape == (1, 4)
+        assert _bits(step[0]) == _bits(bell._newton_step(np.vstack([grad, grad]),
+                                                         np.vstack([hess, hess]))[0][1])
+
+    def test_gradient_orthogonal_to_the_top_eigenvector_goes_plus(self):
+        # diagonal Hessians: the top eigenvector is a unit axis, and the gradient
+        # has an exact zero on it, so the uphill sign is a tie and reads +1
+        hess = np.array([np.diag([-3.0, -2.0, -1.0, 4.0]), np.diag([-1.0, 2.0, -4.0, -3.0])])
+        grad = np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        step, curved, _ = self._matches_oracle(grad, hess)
+        assert curved.all()
+        top_vec = np.linalg.eigh(hess)[1][:, :, -1]
+        assert np.array_equal(np.einsum("ni,ni->n", step, top_vec), [0.5, 1.0 / math.sqrt(2.0)])
+
 
 class TestMaximize:
     def test_restricted_lowest_vortex(self):
@@ -431,6 +528,36 @@ class TestMaximize:
         with pytest.raises(ValueError):
             bell.OptimizerConfig(seed=-1)
         assert bell.OptimizerConfig(seed=np.int64(0)).seed == 0
+
+
+class TestSeeds:
+    def test_default_general_seeds_keep_their_draws(self):
+        # draws on [-1, 1] scaled by the bound 2 have the bits of draws on [-2, 2]
+        for seed in (0, 7, 12345):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            picks = rng.integers(0, 7, size=(16, 8))
+            expected = np.vstack([np.zeros((1, 8)), np.linspace(-2.0, 2.0, 7)[picks],
+                                  rng.uniform(-2.0, 2.0, size=(64, 8))])
+            seeds = bell._seed_points(bell.GENERAL, bell.OptimizerConfig(seed=seed))
+            assert _bits(seeds) == _bits(expected)
+
+    def test_seeds_are_made_once_and_read_only(self):
+        seeds = bell._seed_points(bell.GENERAL, bell.OptimizerConfig(seed=3))
+        assert bell._seed_points(bell.GENERAL, bell.OptimizerConfig(seed=3)) is seeds
+        with pytest.raises(ValueError):
+            seeds[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bound", [1e308, 1.7e308, sys.float_info.max])
+    def test_largest_bounds_seed_without_overflow(self, bound):
+        cfg = bell.OptimizerConfig(grid_bounds=bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in (bell.GENERAL, bell.RESTRICTED):
+                seeds = bell._seed_points(kind, cfg)
+                assert np.isfinite(seeds).all()
+                assert 0.5 * bound < np.abs(seeds).max() <= bound
+            result = bell.maximize_bell(PI_10, bell.GENERAL, cfg)
+        assert math.isfinite(result.best_value)
 
 
 class TestNelderMead:

@@ -108,6 +108,20 @@ class TestBellMax:
         assert payload["converged"] is False
         assert payload["best_value"] == 1.0
 
+    def test_largest_grid_bounds_run_without_traceback(self, capsys):
+        # general seeds drawn across the whole float range, in process and as a command
+        code, payload = run_json(capsys, ["bell-max", "--n", "1", "--m", "0", "--settings",
+                                          "general", "--grid-bounds", "1.7e308"])
+        assert code in (0, 3) and math.isfinite(payload["best_value"])
+        result = subprocess.run(
+            [sys.executable, "-m", "vortexbell", "bell-max", "--n", "1", "--m", "0",
+             "--settings", "general", "--grid-bounds", "1e308"],
+            capture_output=True, text=True, timeout=120, env=_child_env(),
+        )
+        assert result.returncode in (0, 3), result.stderr
+        assert "Traceback" not in result.stderr
+        assert math.isfinite(json.loads(result.stdout)["best_value"])
+
     def test_json_reproducible_modulo_timestamp(self, capsys):
         argv = ["bell-max", "--n", "1", "--m", "0", "--seed", "777"]
         _, first = run_json(capsys, argv)

@@ -33,7 +33,8 @@ class TestLaguerre:
 
     def test_high_degree_matches_series(self):
         # |L_p^alpha(x)| <= C(p+alpha, p) e^{x/2} for x >= 0; the recurrence's measured
-        # worst case on this range is 4.0e-15 of that bound, at x = 0
+        # worst case on these points is 4.0e-15 of that bound, at x = 0 (just above 0,
+        # see the next test, it reaches 1.0e-13)
         xs = np.concatenate([[0.0, 0.5, 1.0], np.linspace(10.0, 300.0, 30)])
         for p in (30, 64):
             for alpha in range(11):
@@ -42,6 +43,18 @@ class TestLaguerre:
                     bound = math.comb(p + alpha, p) * math.exp(x / 2.0)
                     error = abs(value - laguerre_series(p, alpha, float(x)))
                     assert error <= 1e-14 * bound, (p, alpha, x)
+
+    def test_high_degree_accuracy_just_above_zero(self):
+        # the worst case of the stated 1.2e-13 of C(p+alpha, p) e^{x/2}: 1.0e-13 at
+        # x = 1e-5 for (64, 0), 2.0e-14 for p = 30; a division per step gives 8.9e-14
+        xs = np.geomspace(1e-8, 1.0, 49)
+        for p in (30, 64):
+            for alpha in range(11):
+                got = specfun.laguerre(p, alpha, xs)
+                for x, value in zip(xs, got):
+                    bound = math.comb(p + alpha, p) * math.exp(x / 2.0)
+                    error = abs(value - laguerre_series(p, alpha, float(x)))
+                    assert error <= 1.2e-13 * bound, (p, alpha, x)
 
     def test_overflow_is_the_leading_term_infinity(self):
         # L_p(x) ~ (-x)^p / p!: L_64(1e7) ~ 1e359, which is past the largest float
