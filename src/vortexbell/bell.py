@@ -387,7 +387,7 @@ class EllipticalProfile:
     all_converged: bool
 
 
-def elliptical_profile(t_values=None, kind=GENERAL, sign=+1, config=None):
+def elliptical_profile(t_values=None, kind=GENERAL, config=None):
     """Maximize |B| of the elliptical beam at each squeeze value t.
 
     The two sign branches are exact mirror images (Y -> -Y, P_Y -> -P_Y maps
@@ -396,8 +396,6 @@ def elliptical_profile(t_values=None, kind=GENERAL, sign=+1, config=None):
     scanned grid is reported alongside the profile; ties resolve to the
     smallest t. An empty ``t_values`` raises ValueError.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     ts = DEFAULT_T_GRID if t_values is None else tuple(float(t) for t in t_values)
     if not ts:
         raise ValueError("t_values must hold at least one squeeze value")

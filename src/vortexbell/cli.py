@@ -112,16 +112,17 @@ def _add_mode_flags(parser):
 
 
 def _add_optimizer_flags(parser):
-    parser.add_argument("--grid-bounds", type=float, default=2.0,
+    defaults = OptimizerConfig()  # the library states the defaults once
+    parser.add_argument("--grid-bounds", type=float, default=defaults.grid_bounds,
                         help="half-width of the seeding box per parameter")
-    parser.add_argument("--grid-points", type=int, default=21,
+    parser.add_argument("--grid-points", type=int, default=defaults.grid_points,
                         help="grid points per axis for restricted seeding, "
                              "quadratically spaced and densest near 0")
-    parser.add_argument("--restarts", type=int, default=8,
+    parser.add_argument("--restarts", type=int, default=defaults.restarts,
                         help="number of best seeds refined together by Newton ascent")
-    parser.add_argument("--simplex-tol", type=float, default=1e-9,
+    parser.add_argument("--simplex-tol", type=float, default=defaults.simplex_tol,
                         help="step, gradient and gain tolerance at which a start stops")
-    parser.add_argument("--max-iters", type=int, default=4000,
+    parser.add_argument("--max-iters", type=int, default=defaults.max_iters,
                         help="Newton iteration cap for the refinement and for the polish")
 
 
@@ -235,7 +236,7 @@ def _cmd_elliptical_profile(args):
         raise ValueError(f"--t-samples must be >= 1, got {args.t_samples}")
     cfg = _optimizer_config(args)
     ts = np.linspace(args.t_min, args.t_max, args.t_samples)
-    profile = elliptical_profile(ts, kind=args.settings, sign=args.sign, config=cfg)
+    profile = elliptical_profile(ts, kind=args.settings, config=cfg)
     summary = {
         "sup_t": profile.sup_t,
         "sup_best_abs_B": profile.sup_value,
@@ -307,12 +308,11 @@ def _build_parser():
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--t-samples", type=int, default=21)
     p.add_argument("--settings", choices=(RESTRICTED, GENERAL), default=GENERAL)
-    p.add_argument("--sign", type=int, default=1, choices=(1, -1))
     _add_optimizer_flags(p)
     p.set_defaults(func=_cmd_elliptical_profile)
 
     for p in sub.choices.values():
-        p.add_argument("--seed", type=int, default=12345)
+        p.add_argument("--seed", type=int, default=OptimizerConfig().seed)
         p.add_argument("--out", default=None, help="write the output here instead of stdout")
     return parser
 

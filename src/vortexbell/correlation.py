@@ -6,69 +6,51 @@ cross-correlation
 
     C(theta, phi) = <X_theta Y_phi> / sqrt(<X_theta^2> <Y_phi^2>)
 
-is what grows with orbital angular momentum. All brackets come from the
-exact LG moment table, which gives C = (n - m) sin(phi - theta)/(n + m + 1).
-The angles may be numpy arrays that broadcast against each other, so a scan
-is one array expression. C_max is reported signed, on the
-phi - theta = +pi/2 branch, so exchanging the mode indices flips its sign.
-"""
+is what grows with orbital angular momentum. The exact LG moment table
+(``quadrature.moments``) gives <X_theta Y_phi> = (n - m) sin(phi - theta)/2
+and <X_theta^2> = <Y_phi^2> = (n + m + 1)/2 at every angle, so
 
-import math
-from dataclasses import dataclass
+    C = c sin(phi - theta),    c = (n - m)/(n + m + 1),
+
+which is evaluated as c (cos theta sin phi - sin theta cos phi): the sines
+and cosines then run on the angles themselves, and a scan over a theta
+column and a phi row costs two products and a difference per cell. The
+angles may be numpy arrays that broadcast against each other. C_max = c is
+reported signed, on the phi - theta = +pi/2 branch, so exchanging the mode
+indices flips its sign.
+"""
 
 import numpy as np
 
-from .quadrature import moments
+from .modes import as_mode
 
 __all__ = [
-    "QuadratureAngles",
-    "correlation_from_moments",
     "quadrature_correlation",
     "max_correlation",
     "correlation_scan",
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureAngles:
-    """Quadrature phases (radians): theta for the X side, phi for the Y side.
+def max_correlation(mode):
+    """Signed maximum correlation <X P_Y> / sqrt(<X^2><P_Y^2>) = (n - m)/(n + m + 1).
 
-    Either may be an array; every entry must be finite.
+    1/2 for the lowest vortex mode, zero when n = m, approaching +/-1 with
+    growing |n - m|.
     """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.theta).all() and np.isfinite(self.phi).all()):
-            raise ValueError("quadrature angles must be finite")
-
-
-def correlation_from_moments(table, angles):
-    """C(theta, phi) assembled from a second-moment table, broadcast over the angles."""
-    if not isinstance(angles, QuadratureAngles):
-        angles = QuadratureAngles(*angles)
-    ct, st = np.cos(angles.theta), np.sin(angles.theta)
-    cp, sp = np.cos(angles.phi), np.sin(angles.phi)
-    cross = ct * cp * table.xy + ct * sp * table.xpy + st * cp * table.ypx + st * sp * table.pxpy
-    var_a = ct * ct * table.xx + st * st * table.pxpx + 2.0 * ct * st * table.xpx_sym
-    var_b = cp * cp * table.yy + sp * sp * table.pypy + 2.0 * cp * sp * table.ypy_sym
-    return cross / np.sqrt(var_a * var_b)
+    mode = as_mode(mode)
+    return (mode.n - mode.m) / (mode.n + mode.m + 1)
 
 
 def quadrature_correlation(mode, angles):
-    """C(theta, phi) for an LG mode; |C| <= 1 and depends only on phi - theta."""
-    return correlation_from_moments(moments(mode), angles)
+    """C(theta, phi) for an LG mode and angles (theta, phi), which may be arrays.
 
-
-def max_correlation(mode):
-    """Signed maximum correlation <X P_Y> / sqrt(<X^2><P_Y^2>).
-
-    Equals (n - m)/(n + m + 1) for LG modes: 1/2 for the lowest vortex mode,
-    zero when n = m, approaching +/-1 with growing |n - m|.
+    |C| <= 1 and C depends only on phi - theta; a non-finite angle raises
+    ValueError.
     """
-    table = moments(mode)
-    return table.xpy / math.sqrt(table.xx * table.pypy)
+    theta, phi = angles
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("quadrature angles must be finite")
+    return max_correlation(mode) * (np.cos(theta) * np.sin(phi) - np.sin(theta) * np.cos(phi))
 
 
 def correlation_scan(mode, theta_grid, phi_grid):
@@ -78,6 +60,6 @@ def correlation_scan(mode, theta_grid, phi_grid):
     if theta_grid.size == 0 or phi_grid.size == 0:
         raise ValueError("angle grids must be nonempty")
     # theta as a column and phi as a row: no meshgrid copies, and cos and sin run on the grids
-    c = correlation_from_moments(moments(mode), (theta_grid[:, None], phi_grid[None, :]))
+    c = quadrature_correlation(mode, (theta_grid[:, None], phi_grid[None, :]))
     return np.column_stack((np.repeat(theta_grid, phi_grid.size),
                             np.tile(phi_grid, theta_grid.size), c.ravel()))

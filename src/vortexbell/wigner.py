@@ -61,6 +61,8 @@ _PI_SQ = math.pi**2
 
 MAX_SQUEEZE = 5.0
 
+_NORM_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class EllipticalParams:
@@ -228,13 +230,13 @@ class NumericWignerPlan:
 
     The plan is immutable after construction and may be shared across
     concurrent evaluations. Construction verifies the field's L2 norm on the
-    plan's own grid: a residual beyond ``norm_tol``, or a NaN one, rejects the
-    field (either it is not unit-normalized or the order/half-width cannot
-    resolve it; the residual is kept as the ``norm_residual`` diagnostic
-    either way).
+    plan's own grid: a residual beyond ``_NORM_TOL`` = 1e-3, or a NaN one,
+    rejects the field (either it is not unit-normalized or the
+    order/half-width cannot resolve it; the residual is kept as the
+    ``norm_residual`` diagnostic either way).
     """
 
-    def __init__(self, field, config=None, norm_tol=1e-3):
+    def __init__(self, field, config=None):
         if config is None:
             config = QuadratureConfig(order=96, half_width=8.0)
         nodes, weights = gauss_nodes(config)
@@ -247,10 +249,10 @@ class NumericWignerPlan:
         amp = np.asarray(field(self._xi_x, self._xi_y))
         norm = float(np.sum(np.outer(weights, weights).ravel() * np.abs(amp) ** 2))
         self.norm_residual = abs(norm - 1.0)
-        if not self.norm_residual <= norm_tol:
+        if not self.norm_residual <= _NORM_TOL:
             raise ValueError(
                 f"field norm on the quadrature grid is {norm:.6g}, off by "
-                f"{self.norm_residual:.3g} (> {norm_tol:g}): either the field is not "
+                f"{self.norm_residual:.3g} (> {_NORM_TOL:g}): either the field is not "
                 "unit-normalized or the quadrature order/half-width is insufficient"
             )
 

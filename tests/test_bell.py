@@ -623,12 +623,6 @@ class TestEllipticalProfile:
         )
         assert profile.rows[0][1] <= 2.0 + 1e-9
 
-    def test_sign_branches_agree(self):
-        cfg = bell.OptimizerConfig(restarts=3, max_iters=1500)
-        plus = bell.elliptical_profile([0.4, 0.8], sign=+1, config=cfg)
-        minus = bell.elliptical_profile([0.4, 0.8], sign=-1, config=cfg)
-        assert plus.rows == minus.rows
-
     def test_sign_reflection_symmetry_is_exact(self):
         # the property the sign-independent profile rests on: mirroring the
         # Y-side settings maps one sign branch onto the other, bit for bit
@@ -645,7 +639,7 @@ class TestEllipticalProfile:
                 )
 
     def test_rejects_bad_inputs(self):
-        for kwargs in [{"t_values": []}, {"t_values": ()}, {"sign": 0}]:
+        for kwargs in [{"t_values": []}, {"t_values": ()}]:
             with pytest.raises(ValueError):
                 bell.elliptical_profile(**kwargs)
 

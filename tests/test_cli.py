@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexbell import wigner
+from vortexbell import bell, wigner
 from vortexbell.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -121,6 +122,14 @@ class TestBellMax:
         assert result.returncode in (0, 3), result.stderr
         assert "Traceback" not in result.stderr
         assert math.isfinite(json.loads(result.stdout)["best_value"])
+
+    def test_manifest_defaults_are_the_library_config(self, capsys):
+        # with no optimizer flags the manifest lists exactly OptimizerConfig()'s values
+        _, payload = run_json(capsys, ["bell-max", "--n", "1", "--m", "0"])
+        parameters = payload["manifest"]["parameters"]
+        defaults = dataclasses.asdict(bell.OptimizerConfig())
+        assert {name: parameters[name] for name in defaults} == defaults
+        assert payload["manifest"]["seed"] == defaults["seed"]
 
     def test_json_reproducible_modulo_timestamp(self, capsys):
         argv = ["bell-max", "--n", "1", "--m", "0", "--seed", "777"]
@@ -353,20 +362,19 @@ class TestEllipticalProfile:
             max(float(l.split(",")[1]) for l in lines[1:]), abs=1e-12
         )
 
-    def test_sign_branches_identical(self, capsys):
+    def test_csv_on_stdout_summary_on_stderr(self, capsys):
         argv = ["elliptical-profile", "--t-min", "0.2", "--t-max", "0.4",
                 "--t-samples", "2", "--restarts", "2"]
-        main(argv + ["--sign", "1"])
-        plus = capsys.readouterr()
-        main(argv + ["--sign", "-1"])
-        minus = capsys.readouterr()
+        assert main(argv) == 0
+        run = capsys.readouterr()
         # stdout is the CSV alone; the summary is JSON on stderr
-        assert plus.out == minus.out
-        assert plus.out.splitlines()[0] == "t,best_abs_B"
-        assert len(plus.out.splitlines()) == 3
-        summary = json.loads(plus.err)
+        assert run.out.splitlines()[0] == "t,best_abs_B"
+        assert len(run.out.splitlines()) == 3
+        summary = json.loads(run.err)
         assert summary["sup_t"] == 0.4
         assert summary["converged"] is True
+        # both sign branches give one profile, so the command takes no --sign
+        assert main(argv + ["--sign", "1"]) == 2
 
     def test_default_profile_exits_zero(self, capsys):
         assert main(["elliptical-profile"]) == 0

@@ -8,13 +8,15 @@ from vortexbell import correlation, quadrature
 
 class TestQuadratureCorrelation:
     def test_lowest_vortex_closed_form(self):
-        # C = (1/2) sin(phi - theta) on a 20x20 grid
+        # C = (n - m) sin(phi - theta)/(n + m + 1) on a 20x20 grid, 1/2 sin for (1,0)
         thetas = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
         phis = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
-        for theta in thetas:
-            for phi in phis:
-                got = correlation.quadrature_correlation((1, 0), (theta, phi))
-                assert got == pytest.approx(0.5 * math.sin(phi - theta), abs=1e-8)
+        for n, m in [(1, 0), (3, 1), (0, 5), (40, 20)]:
+            for theta in thetas:
+                for phi in phis:
+                    got = correlation.quadrature_correlation((n, m), (theta, phi))
+                    expected = (n - m) * math.sin(phi - theta) / (n + m + 1)
+                    assert got == pytest.approx(expected, abs=1e-15), (n, m, theta, phi)
 
     def test_ground_mode_uncorrelated(self):
         rng = np.random.default_rng(67)
@@ -162,4 +164,4 @@ class TestCorrelationScan:
 class TestAngles:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            correlation.QuadratureAngles(math.nan, 0.0)
+            correlation.quadrature_correlation((1, 0), (math.nan, 0.0))
