@@ -209,7 +209,8 @@ def _cmd_wigner(args):
         params = EllipticalParams(args.elliptical_t, args.sign)
         closed = lambda pt: wigner_elliptical(params, pt)
         numeric_plan = lambda order: NumericWignerPlan(
-            lambda X, Y: elliptical_field(params, X, Y), QuadratureConfig(order, 8.0))
+            lambda X, Y: elliptical_field(params, X, Y),
+            None if order is None else QuadratureConfig(order, 8.0))
     else:
         mode = ModeIndex(args.n, args.m)
         closed = lambda pt: wigner_lg(mode, pt)
@@ -218,7 +219,7 @@ def _cmd_wigner(args):
     axis = np.linspace(args.grid_min, args.grid_max, args.grid_samples)
     grid = [g.ravel() for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
     if args.numeric:
-        plan = numeric_plan(96 if args.order is None else args.order)
+        plan = numeric_plan(args.order)
         w = np.array([plan(point) for point in zip(*grid)])
     else:
         w = closed(grid)
@@ -299,7 +300,7 @@ def _build_parser():
     p.add_argument("--numeric", action="store_true",
                    help="use the Fourier-integral engine instead of the closed form")
     p.add_argument("--order", type=int, default=None,
-                   help="Gauss-Legendre order for --numeric")
+                   help="Gauss-Legendre order for --numeric (default 96, 3(n+m)+56 past n+m=13)")
     p.set_defaults(func=_cmd_wigner)
 
     p = sub.add_parser("elliptical-profile",

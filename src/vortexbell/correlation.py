@@ -14,10 +14,10 @@ and <X_theta^2> = <Y_phi^2> = (n + m + 1)/2 at every angle, so
 
 which is evaluated as c (cos theta sin phi - sin theta cos phi): the sines
 and cosines then run on the angles themselves, and a scan over a theta
-column and a phi row costs two products and a difference per cell. The
-angles may be numpy arrays that broadcast against each other. C_max = c is
-reported signed, on the phi - theta = +pi/2 branch, so exchanging the mode
-indices flips its sign.
+column and a phi row costs two products and a difference per cell, each
+row written once, in place. The angles may be numpy arrays that broadcast
+against each other. C_max = c is reported signed, on the phi - theta = +pi/2
+branch, so exchanging the mode indices flips its sign.
 """
 
 import numpy as np
@@ -59,7 +59,8 @@ def correlation_scan(mode, theta_grid, phi_grid):
     phi_grid = np.asarray(phi_grid, dtype=float).ravel()
     if theta_grid.size == 0 or phi_grid.size == 0:
         raise ValueError("angle grids must be nonempty")
-    # theta as a column and phi as a row: no meshgrid copies, and cos and sin run on the grids
-    c = quadrature_correlation(mode, (theta_grid[:, None], phi_grid[None, :]))
-    return np.column_stack((np.repeat(theta_grid, phi_grid.size),
-                            np.tile(phi_grid, theta_grid.size), c.ravel()))
+    # theta as a column and phi as a row: cos and sin run on the grids, no meshgrid copies
+    rows = np.empty((theta_grid.size, phi_grid.size, 3))
+    rows[..., 0], rows[..., 1] = theta_grid[:, None], phi_grid
+    rows[..., 2] = quadrature_correlation(mode, (theta_grid[:, None], phi_grid[None, :]))
+    return rows.reshape(-1, 3)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _as_finite, _check_degree, _laguerre, ln_factorial
+from .specfun import _as_finite, _blocked, _check_degree, _laguerre, ln_factorial
 
 __all__ = [
     "ModeIndex",
@@ -223,16 +223,20 @@ def reconstruct_from_schmidt(mode, X, Y):
     recurrence forward and Clenshaw's backward sum over j together. c_k is
     real for even k and imaginary for odd k: the sum runs as two real
     accumulators, and psi_0(X) multiplies them once at the end. Working
-    memory is a fixed number of arrays, whatever the order. Agrees with
-    lg_amplitude to 1e-14 for every n + m <= 64 on [-9, 9]^2.
+    memory is a fixed number of arrays, whatever the order, in cache-sized
+    blocks past ``_BLOCK`` points. Agrees with lg_amplitude to 1e-14 for
+    every n + m <= 64 on [-9, 9]^2.
     """
     terms = schmidt_coefficients(mode)
+    coords = np.broadcast_arrays(_finite(X), _finite(Y))
+    return _blocked(lambda x, y: _schmidt_sum(terms, x, y), coords, complex)[()]
+
+
+def _schmidt_sum(terms, X, Y):
     total = len(terms) - 1
-    X, Y = _finite(X), _finite(Y)
-    shape = np.broadcast_shapes(X.shape, Y.shape)
     # [b_{j+1}, b_{j+2}] of Clenshaw's sum for the real and the imaginary part
-    parts = [[np.zeros(shape), np.zeros(shape)] for _ in range(2)]
-    tmp = np.empty(shape)
+    parts = [[np.zeros(X.shape), np.zeros(X.shape)] for _ in range(2)]
+    tmp = np.empty(X.shape)
     # a huge X overflows the b_j quietly; the inf * 0 it leaves is masked below
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (term, psi) in enumerate(zip(terms, _hermite_functions(Y))):
@@ -250,11 +254,11 @@ def reconstruct_from_schmidt(mode, X, Y):
             for pair in parts:
                 pair.reverse()
         psi = _hermite_function(0, X)
-        out = np.empty(shape, dtype=complex)
+        out = np.empty(X.shape, dtype=complex)
         np.multiply(parts[0][0], psi, out=out.real)
         np.multiply(parts[1][0], psi, out=out.imag)
     np.copyto(out, 0.0, where=psi == 0.0)
-    return out[()]
+    return out
 
 
 def physical_to_scaled(x, p, scale):

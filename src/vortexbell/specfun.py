@@ -58,6 +58,25 @@ def _as_finite(x):
     return x
 
 
+# points per block of a large grid call: 128 KiB per float temporary, which stays in cache
+_BLOCK = 1 << 14
+
+
+def _blocked(kernel, coords, dtype=float):
+    """kernel(*coords) for an elementwise kernel and coordinates of one shape (broadcast views
+    too): past ``_BLOCK`` points it runs on C-order blocks read without a full-size copy, so its
+    temporaries stay in cache, and each point meets the same operations, with the same bits."""
+    if coords[0].size <= _BLOCK:
+        return kernel(*coords)
+    blocks = np.nditer([*coords, None], ["external_loop", "buffered"],
+                       [["readonly"]] * len(coords) + [["writeonly", "allocate"]],
+                       op_dtypes=[None] * len(coords) + [dtype], order="C", buffersize=_BLOCK)
+    with blocks:
+        for *block, out in blocks:
+            out[...] = kernel(*block)
+        return blocks.operands[-1]
+
+
 def _laguerres(alpha, x):
     """Yield L_0^alpha(x), L_1^alpha(x), ... for a float or a float array x, unvalidated.
 

@@ -27,6 +27,12 @@ The z-space jet is the chain rule the Pi evaluators applied before the Bell
 search differentiated in settings space: the gradient and Hessian of Pi
 over (X, P_X, Y, P_Y) from the forms and partials ``pi(point, 2)`` returns,
 and the Bell jet pulls it back through the lift table as a sum per term.
+The unblocked Schmidt sum is ``reconstruct_from_schmidt`` as it ran before
+large grids went through it in cache-sized blocks: one pass over arrays of
+the full broadcast shape, so every block must match it bit for bit.
+The two-field Wigner integral is ``NumericWignerPlan``'s sum as it ran
+before E(R - xi) came from E(R + xi) on the reversed nodes: the field
+evaluated at R + xi and at R - xi on the meshgrid of the plan's nodes.
 """
 
 import cmath
@@ -39,7 +45,8 @@ from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre
 
 from vortexbell import bell, specfun, wigner
-from vortexbell.modes import _finite, _lg_norm, as_mode, lg_amplitude
+from vortexbell.modes import (_finite, _hermite_function, _hermite_functions, _lg_norm, as_mode,
+                              lg_amplitude, schmidt_coefficients)
 from vortexbell.specfun import _laguerre
 
 
@@ -352,3 +359,46 @@ def log_domain_pi(nm, point):
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.abs(mn)) + np.log(np.abs(mm)) + sn + sm - 4 * q0
     return (-1.0) ** (n + m) * np.sign(mn) * np.sign(mm) * np.exp(log_mag), 4 * q0, 4 * q2
+
+
+def schmidt_sum_unblocked(mode, X, Y):
+    """sum_k c_k psi_{N-k}(X) psi_k(Y) in one pass over full-size arrays (Clenshaw in X)."""
+    terms = schmidt_coefficients(mode)
+    total = len(terms) - 1
+    X, Y = _finite(X), _finite(Y)
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    parts = [[np.zeros(shape), np.zeros(shape)] for _ in range(2)]
+    tmp = np.empty(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (term, psi) in enumerate(zip(terms, _hermite_functions(Y))):
+            j = total - k
+            for b1, b2 in parts:
+                b2 *= -math.sqrt((j + 1.0) / (j + 2.0))
+                np.multiply(X, b1, out=tmp)
+                tmp *= math.sqrt(2.0 / (j + 1.0))
+                b2 += tmp
+            coefficient = term.coefficient.imag if k % 2 else term.coefficient.real
+            if coefficient != 0.0:
+                np.multiply(psi, coefficient, out=tmp)
+                parts[k % 2][1] += tmp
+            for pair in parts:
+                pair.reverse()
+        psi = _hermite_function(0, X)
+        out = np.empty(shape, dtype=complex)
+        np.multiply(parts[0][0], psi, out=out.real)
+        np.multiply(parts[1][0], psi, out=out.imag)
+    np.copyto(out, 0.0, where=psi == 0.0)
+    return out[()]
+
+
+def numeric_wigner_two_fields(plan, point):
+    """W at a point from a plan's nodes, weights and field, evaluating E(R + xi) and E(R - xi)."""
+    x, px, y, py = (float(v) for v in point)
+    nodes, weights = plan._nodes, plan._weights
+    xi_x, xi_y = (xi.ravel() for xi in np.meshgrid(nodes, nodes, indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward = np.asarray(plan._field(x + xi_x, y + xi_y))
+        backward = np.asarray(plan._field(x - xi_x, y - xi_y))
+        phase_x, phase_y = (weights * np.exp(2j * (p * nodes)) for p in (px, py))
+        product = (np.conj(forward) * backward).reshape(nodes.size, -1)
+        return float((phase_x @ product @ phase_y).real) / math.pi**2

@@ -330,6 +330,13 @@ class TestWigner:
         code = main(["wigner", "--n", "1", "--m", "0", "--elliptical-t", "0.5"])
         assert code == 2
 
+    def test_numeric_default_order_resolves_high_modes(self, capsys):
+        code = main(["wigner", "--n", "16", "--m", "16", "--numeric", "--grid-samples", "1",
+                     "--grid-min", "0.2", "--grid-max", "0.2"])
+        row = [float(v) for v in capsys.readouterr().out.strip().split("\n")[1].split(",")]
+        assert code == 0
+        assert row[4] == pytest.approx(wigner.wigner_lg((16, 16), (0.2,) * 4), abs=1e-6)
+
     def test_numeric_engine_rejects_unresolvable_squeeze(self, capsys):
         # at t = 2 the squeezed field outgrows the default integration box
         code = main(["wigner", "--elliptical-t", "2", "--numeric"])

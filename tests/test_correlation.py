@@ -143,6 +143,16 @@ class TestCorrelationScan:
         assert rows[:, 0].tolist() == [0.1, 0.1, 0.2, 0.2]
         assert rows[:, 1].tolist() == [0.3, 0.4, 0.3, 0.4]
 
+    def test_rows_match_stacked_columns(self):
+        # theta repeated, phi tiled and C raveled, as column_stack assembles them
+        thetas, phis = np.linspace(-7.0, 8.0, 37), np.linspace(8.0, -7.0, 29)
+        for nm in [(1, 0), (3, 1), (40, 20), (2, 2)]:
+            c = correlation.quadrature_correlation(nm, (thetas[:, None], phis[None, :]))
+            expected = np.column_stack((np.repeat(thetas, phis.size), np.tile(phis, thetas.size),
+                                        c.ravel()))
+            assert np.array_equal(correlation.correlation_scan(nm, thetas, phis), expected)
+        assert correlation.correlation_scan((1, 0), 0.3, phis).shape == (phis.size, 3)
+
     def test_matches_scalar_cell_by_cell(self):
         thetas = np.linspace(-1.0, 7.0, 13)
         phis = np.linspace(0.5, -6.0, 11)

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from vortexbell import modes
+from vortexbell import modes, specfun
 
-from _oracles import gauss_hermite_grid, hermite, lg_gradient, lg_polar
+from _oracles import gauss_hermite_grid, hermite, lg_gradient, lg_polar, schmidt_sum_unblocked
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
@@ -208,6 +209,55 @@ class TestSchmidt:
                 modes.reconstruct_from_schmidt((3, 1), X, Y)
             with pytest.raises(ValueError):
                 modes.hg_amplitude((3, 1), X, Y)
+
+
+class TestSchmidtBlocks:
+    """Beyond ``_BLOCK`` points the Schmidt sum runs in blocks, with the bits of one pass."""
+
+    MODES = [(20, 10), (1, 0), (32, 32), (0, 64), (5, 3)]
+    BLOCK = specfun._BLOCK
+
+    @pytest.mark.parametrize("nm", MODES, ids=str)
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_edges_match_one_pass(self, nm, extra):
+        size = self.BLOCK + extra
+        X, Y = np.random.default_rng(size).uniform(-6.0, 6.0, (2, size))
+        rebuilt = modes.reconstruct_from_schmidt(nm, X, Y)
+        assert rebuilt.shape == (size,) and rebuilt.dtype == complex
+        assert np.array_equal(rebuilt, schmidt_sum_unblocked(nm, X, Y))
+
+    @pytest.mark.parametrize("nm", MODES, ids=str)
+    def test_grid_and_broadcast_axes_match_one_pass(self, nm):
+        axis = np.linspace(-7.0, 6.5, 256)
+        X, Y = np.meshgrid(axis, axis[::-1], indexing="ij")
+        rebuilt = modes.reconstruct_from_schmidt(nm, X, Y)
+        assert rebuilt.shape == (256, 256) and rebuilt.flags.c_contiguous
+        assert np.array_equal(rebuilt, schmidt_sum_unblocked(nm, X, Y))
+        # the same points from a (256, 1) column and a (1, 256) row
+        assert np.array_equal(modes.reconstruct_from_schmidt(nm, axis[:, None], axis[None, ::-1]),
+                              rebuilt)
+
+    @pytest.mark.parametrize("nm", MODES, ids=str)
+    def test_scalar_and_empty_inputs_match_one_pass(self, nm):
+        for X, Y in [(0.7, -1.3), (np.float64(2.0), np.array(-0.5))]:
+            value = modes.reconstruct_from_schmidt(nm, X, Y)
+            assert isinstance(value, complex) and value == schmidt_sum_unblocked(nm, X, Y)
+        for X, Y in [(np.empty(0), 0.3), (np.empty((3, 0)), np.empty((1, 0)))]:
+            rebuilt = modes.reconstruct_from_schmidt(nm, X, Y)
+            assert rebuilt.shape == np.broadcast_shapes(np.shape(X), np.shape(Y))
+            assert rebuilt.dtype == complex
+
+    def test_large_grid_works_in_cache_sized_memory(self):
+        # one pass holds about nine full-size float arrays; the blocks hold them per block
+        axis = np.linspace(-5.0, 5.0, 256)
+        X, Y = np.meshgrid(axis, axis, indexing="ij")
+        tracemalloc.start()
+        try:
+            rebuilt = modes.reconstruct_from_schmidt((20, 10), X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rebuilt.nbytes
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,16 @@ class TestGaussNodes:
             got = float(np.sum(weights * nodes ** (2 * k)))
             assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("half_width", [1.0, 8.0, 4.0 + math.sqrt(65), 4.0 + math.sqrt(129)])
+    def test_nodes_antisymmetric_and_weights_symmetric(self, half_width):
+        # the numeric Wigner plan takes E(R - xi) as E(R + xi) on the reversed nodes
+        x = np.array([0.0, -0.7, 1.3e-3, 5.25])[:, None]
+        for order in range(1, quadrature.MAX_ORDER + 1):
+            nodes, weights = quadrature.gauss_nodes(quadrature.QuadratureConfig(order, half_width))
+            assert np.array_equal(nodes, -nodes[::-1]), order
+            assert np.array_equal(weights, weights[::-1]), order
+            assert np.array_equal(x - nodes, x + nodes[::-1]), order
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             quadrature.QuadratureConfig(order=0)

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from vortexbell import modes, wigner
+from vortexbell import modes, quadrature, wigner
 from vortexbell.quadrature import QuadratureConfig
 
-from _oracles import laguerre_recurrence, log_domain_pi, z_jet
+from _oracles import laguerre_recurrence, log_domain_pi, numeric_wigner_two_fields, z_jet
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
@@ -251,6 +252,37 @@ class TestNumericEngine:
                         pt = (x, px, y, py)
                         worst = max(worst, abs(plan(pt) - wigner.wigner_lg(nm, pt)))
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("field, config", [
+        pytest.param(partial(modes.lg_amplitude, nm), wigner.lg_numeric_plan(nm).config, id=str(nm))
+        for nm in [(1, 0), (5, 3), (20, 10)]
+    ] + [pytest.param(partial(wigner.elliptical_field, (0.7, 1)), None, id="elliptical-0.7")])
+    def test_one_field_call_per_point_matches_two(self, field, config):
+        calls = []
+
+        def counted(X, Y):
+            calls.append(np.size(X))
+            return field(X, Y)
+
+        plan = wigner.NumericWignerPlan(counted, config)
+        nodes = plan.config.order ** 2
+        assert calls == [nodes]  # the norm check
+        for point in np.random.default_rng(7).uniform(-1.5, 1.5, (6, 4)):
+            calls.clear()
+            value = plan(point)
+            assert calls == [nodes]  # one field call over the whole grid
+            assert value == numeric_wigner_two_fields(plan, point)
+
+    @pytest.mark.parametrize("nm", [((total + 1) // 2, total // 2) for total in range(65)]
+                             + [(16, 16), (20, 12), (48, 16), (0, 64)], ids=str)
+    def test_default_order_resolves_the_mode(self, nm):
+        # the default order passes the plan's own norm check and resolves W itself:
+        # 3 (n + m) + 24 passes the norm check, yet is off W by 6.2e-4 at (16, 16)
+        plan = wigner.lg_numeric_plan(nm)
+        assert plan.config.order == max(96, 3 * sum(nm) + 56) <= quadrature.MAX_ORDER
+        assert plan.norm_residual < 1e-11
+        for point in [(0.3, -1.1, 0.7, 0.2), (-1.6, 0.4, 1.2, -0.9)]:
+            assert plan(point) == pytest.approx(wigner.wigner_lg(nm, point), abs=1e-10)
 
     def test_rejects_unnormalized_field(self):
         bad = lambda X, Y: 2.0 * modes.lg_amplitude((0, 0), X, Y)
