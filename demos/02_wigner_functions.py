@@ -10,7 +10,6 @@ import numpy as np
 
 from vortexbell import (
     lg_numeric_plan,
-    wigner_args,
     wigner_lg,
     wigner_transform,
 )
@@ -21,8 +20,11 @@ for nm in [(0, 0), (1, 0), (1, 1), (2, 1), (5, 0)]:
     print(f"  mode {nm}: Pi(0) = {wigner_transform(nm, (0, 0, 0, 0)):+.1f}")
 
 print("\n=== The rotation-invariant arguments ===")
-for pt in [(1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0), (0.3, -0.2, 0.5, 0.1)]:
-    q0, q2 = wigner_args(pt)
+print("Q0 = (X^2 + Y^2 + P_X^2 + P_Y^2)/4 and Q2 = (X P_Y - Y P_X)/2:")
+for x, px, y, py in [(1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0), (0.3, -0.2, 0.5, 0.1)]:
+    pt = (x, px, y, py)
+    q0 = 0.25 * (x * x + y * y + px * px + py * py)
+    q2 = 0.5 * (x * py - y * px)
     print(f"  point {pt}: Q0 = {q0:.4f}, Q2 = {q2:+.4f}")
 
 print("\n=== A slice of W_10 along the Bell-relevant plane ===")

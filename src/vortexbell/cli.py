@@ -210,7 +210,7 @@ def _cmd_wigner(args):
         closed = lambda pt: wigner_elliptical(params, pt)
         numeric_plan = lambda order: NumericWignerPlan(
             lambda X, Y: elliptical_field(params, X, Y),
-            None if order is None else QuadratureConfig(order, 8.0))
+            None if order is None else QuadratureConfig(order))
     else:
         mode = ModeIndex(args.n, args.m)
         closed = lambda pt: wigner_lg(mode, pt)

@@ -3,7 +3,8 @@
 Everything here works with the dimensionless quadratures (X, Y): the physical
 transverse plane maps in through ``physical_to_scaled`` (x = w X / sqrt(2)),
 and all amplitudes are normalized so that the integral of |amplitude|^2 over
-dX dY is exactly 1.
+dX dY is exactly 1. The LG normalization and the Schmidt weights are square
+roots of exact factorial ratios (Python integers), each rounded once.
 
 Conventions
 -----------
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _as_finite, _blocked, _check_degree, _laguerre, ln_factorial
+from .specfun import _as_finite, _blocked, _check_degree, _laguerre
 
 __all__ = [
     "ModeIndex",
@@ -44,9 +45,6 @@ __all__ = [
 ]
 
 MAX_TOTAL_ORDER = 64
-
-_SQRT_PI = math.sqrt(math.pi)
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,8 @@ class SchmidtTerm:
 
 
 def _lg_norm(radial, azimuthal):
-    # sqrt(p! / (pi (p+|l|)!)) via logs, stable for high orders
-    return math.exp(0.5 * (ln_factorial(radial) - ln_factorial(radial + azimuthal))) / _SQRT_PI
+    # sqrt(p! / (pi (p+|l|)!)): the exact integer ratio rounds once, as int / int does
+    return math.sqrt(math.factorial(radial) / math.factorial(radial + azimuthal) / math.pi)
 
 
 def _finite(X):
@@ -183,34 +181,29 @@ def hg_amplitude(mode, X, Y):
 def schmidt_coefficients(mode):
     """HG expansion of an LG mode: n+m+1 SchmidtTerms on HG modes (n+m-k, k).
 
-    The k-th weight is the t^k coefficient of (1-t)^n (1+t)^m times
+    The k-th weight is the t^k coefficient f_k of (1-t)^n (1+t)^m times
     sqrt(k!(n+m-k)!/(n!m!2^{n+m})), with the per-term phase (-i)^k (see the
-    module docstring). The squared magnitudes sum to 1.
+    module docstring). |c_k|^2 is a ratio of exact integers, rounded once, so
+    each |c_k| is within an ulp of its value and the squares sum to 1.
     """
     mode = as_mode(mode)
     n, m = mode.n, mode.m
     total = n + m
-    # integer convolution keeps f_k/k! exact; binomials overflow doubles past n+m ~ 56
+    # integer convolution keeps f_k exact; binomials overflow doubles past n+m ~ 56
     poly = [0] * (total + 1)
     for j in range(n + 1):
         cj = (-1) ** j * math.comb(n, j)
         for i in range(m + 1):
             poly[j + i] += cj * math.comb(m, i)
     phase_cycle = (1.0, -1.0j, -1.0, 1.0j)  # (-i)^k
+    denominator = math.factorial(n) * math.factorial(m) << total
     terms = []
     for k in range(total + 1):
         fk = poly[k]
-        if fk == 0:
-            coeff = 0.0j
-        else:
-            ln_mag = math.log(abs(fk)) + 0.5 * (
-                ln_factorial(k)
-                + ln_factorial(total - k)
-                - ln_factorial(n)
-                - ln_factorial(m)
-                - total * _LN2
-            )
-            coeff = phase_cycle[k % 4] * math.copysign(1.0, fk) * math.exp(ln_mag)
+        coeff = 0.0j  # a zero weight keeps unsigned zero parts
+        if fk:
+            ratio = fk * fk * math.factorial(k) * math.factorial(total - k) / denominator
+            coeff = phase_cycle[k % 4] * math.copysign(1.0, fk) * math.sqrt(ratio)
         terms.append(SchmidtTerm(hg_index=ModeIndex(total - k, k), coefficient=complex(coeff)))
     return terms
 

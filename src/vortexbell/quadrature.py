@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modes import as_mode
-from .specfun import _check_degree
 
 __all__ = [
     "QuadratureConfig",
@@ -30,15 +29,13 @@ __all__ = [
 ]
 
 MAX_ORDER = 256
-# Gauss-Hermite points per axis of wigner_moments: order^4 Pi evaluations a call
-MAX_HERMITE_ORDER = 96
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss-Legendre nodes per axis and the box half-width they span."""
+    """Gauss-Legendre nodes per axis and the half-width they span; by default the numeric plan's."""
 
-    order: int = 64
+    order: int = 96
     half_width: float = 8.0
 
     def __post_init__(self):
@@ -92,24 +89,17 @@ def moments(mode):
     )
 
 
-def wigner_moments(mode, order=None):
+def wigner_moments(mode):
     """Second moments from the 4D Wigner function; the cross-check route.
 
-    The exp(-4 Q0) factor matches the Hermite weight axis by axis, so an
-    ``order``-point Gauss-Hermite rule per axis is exact from order n + m + 2
-    on. ``order`` defaults to max(12, n + m + 3) and must be an integer from
-    n + m + 2 to MAX_HERMITE_ORDER: TypeError for a bool or non-integer,
-    ValueError outside that range.
+    The exp(-4 Q0) factor matches the Hermite weight axis by axis, so a
+    Gauss-Hermite rule per axis is exact from n + m + 2 points on; this one
+    takes max(12, n + m + 3), at most 67 for n + m <= 64.
     """
     from .wigner import wigner_transform
 
     mode = as_mode(mode)
-    if order is None:
-        order = max(12, mode.total + 3)
-    order = _check_degree(order, "order", cap=MAX_HERMITE_ORDER)
-    if order < mode.total + 2:
-        raise ValueError(f"order={order} is below n+m+2={mode.total + 2}, where the rule is exact")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = np.polynomial.hermite.hermgauss(max(12, mode.total + 3))
     weights = weights * np.exp(nodes * nodes)
     # u[i] is the rule's weight times the node to the power i, for each axis
     u = np.stack([weights, weights * nodes, weights * nodes * nodes])

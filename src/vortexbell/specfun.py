@@ -1,4 +1,4 @@
-"""Stable special-function evaluation: Laguerre polynomials and log-factorials.
+"""Stable special-function evaluation: Laguerre polynomials.
 
 Laguerre polynomials are evaluated with their three-term recurrence (never
 a factorial series), which stays accurate for the degrees this package
@@ -15,8 +15,7 @@ numpy, and an array alpha stacks several recurrences in one. The public
 ``laguerre`` returns a signed infinity where the value overflows.
 ``laguerre_scaled`` keeps the division, so that it stays independent of
 the evaluators' recurrence, and always returns numpy arrays; no evaluator
-calls it. ``ln_factorial`` reads a table of ln(n!) for 0 <= n <= 128 and
-rejects a larger n; the package passes at most the total mode order, 64.
+calls it.
 """
 
 import itertools
@@ -24,12 +23,9 @@ import math
 
 import numpy as np
 
-__all__ = ["laguerre", "ln_factorial"]
+__all__ = ["laguerre"]
 
 MAX_DEGREE = 64
-
-# cumulative sums of ln k: ln(n!) for 0 <= n <= 128
-_LN_FACT_TABLE = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 129)))))
 
 _RESCALE = 1e150
 _LN_RESCALE = math.log(_RESCALE)
@@ -158,8 +154,3 @@ def laguerre_scaled(p, alpha, x):
             cur = cur / divisor
             shift = shift + np.where(big, _LN_RESCALE, 0.0)
     return np.asarray(cur), np.asarray(shift)
-
-
-def ln_factorial(n):
-    """ln(n!) from a table for 0 <= n <= 128, relative error below 1e-12; ValueError beyond."""
-    return float(_LN_FACT_TABLE[_check_degree(n, "n", cap=_LN_FACT_TABLE.size - 1)])

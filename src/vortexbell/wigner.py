@@ -40,11 +40,10 @@ import numpy as np
 
 from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import _BLOCK, _blocked, _laguerre, _laguerres  # noqa: F401
+from .specfun import _blocked, _laguerre, _laguerres
 
 __all__ = [
     "EllipticalParams",
-    "wigner_args",
     "wigner_lg",
     "wigner_transform",
     "lg_transform_evaluator",
@@ -79,19 +78,15 @@ class EllipticalParams:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
-def wigner_args(point):
-    """(Q0, Q2) for a phase-space point; components may be arrays."""
-    x, px, y, py = point
-    q0 = 0.25 * (x * x + y * y + px * px + py * py)
-    q2 = 0.5 * (x * py - y * px)
-    return q0, q2
-
-
 def _coords(point):
-    """The four coordinates as broadcast float arrays, 0-d for a point of floats."""
+    """The 4 coordinates as broadcast float arrays, 0-d for a point of floats; else ValueError."""
     if type(point) is np.ndarray and point.dtype == np.float64 and point.ndim > 1:
-        return tuple(point)  # rows of one array, already of one shape
-    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in point))
+        coords = tuple(point)  # rows of one array, already of one shape
+    else:
+        coords = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in point))
+    if len(coords) != 4:
+        raise ValueError(f"a phase-space point has 4 coordinates, got {len(coords)}")
+    return coords
 
 
 def _masked(beam, coords, order):
@@ -222,8 +217,7 @@ class NumericWignerPlan:
     """
 
     def __init__(self, field, config=None):
-        if config is None:
-            config = QuadratureConfig(order=96, half_width=8.0)
+        config = QuadratureConfig() if config is None else config
         nodes, weights = gauss_nodes(config)
         self._field, self.config, self._nodes, self._weights = field, config, nodes, weights
         self._xi_x, self._xi_y = np.meshgrid(nodes, nodes, indexing="ij")

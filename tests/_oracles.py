@@ -33,11 +33,15 @@ the full broadcast shape, so every block must match it bit for bit.
 The two-field Wigner integral is ``NumericWignerPlan``'s sum as it ran
 before E(R - xi) came from E(R + xi) on the reversed nodes: the field
 evaluated at R + xi and at R - xi on the meshgrid of the plan's nodes.
+The 50-digit Schmidt weights and LG norms take f_k straight from its binomial
+sum and run the factorial ratios and square roots in ``decimal``.
+``wigner_args`` gives the closed forms' arguments Q0 and Q2 literally.
 """
 
 import cmath
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +73,41 @@ def laguerre_recurrence(p, alpha, x):
     for k in range(2, p + 1):
         prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) * (1.0 / k)
     return cur
+
+
+# pi to 50 digits
+_PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def schmidt_magnitudes_decimal(n, m):
+    """|c_k| = |f_k| sqrt(k!(N-k)!/(n!m!2^N)), N = n + m, for k = 0..N, to 50 digits."""
+    total = n + m
+    with localcontext() as ctx:
+        ctx.prec = 50
+        out = []
+        for k in range(total + 1):
+            fk = sum((-1) ** j * math.comb(n, j) * math.comb(m, k - j)
+                     for j in range(max(0, k - m), min(n, k) + 1))
+            ratio = Decimal(math.factorial(k) * math.factorial(total - k)) / (
+                Decimal(math.factorial(n) * math.factorial(m)) * Decimal(2) ** total)
+            out.append(abs(fk) * ratio.sqrt())
+        return out
+
+
+def lg_norm_decimal(radial, azimuthal):
+    """sqrt(p! / (pi (p+|l|)!)) to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (Decimal(math.factorial(radial))
+                / (_PI_50 * math.factorial(radial + azimuthal))).sqrt()
+
+
+def wigner_args(point):
+    """(Q0, Q2) for a phase-space point; components may be arrays."""
+    x, px, y, py = point
+    q0 = 0.25 * (x * x + y * y + px * px + py * py)
+    q2 = 0.5 * (x * py - y * px)
+    return q0, q2
 
 
 def hermite_series(n, x):
@@ -353,7 +392,7 @@ def bell_jet_by_lift_sums(pi, kind, u):
 def log_domain_pi(nm, point):
     """(Pi_nm, 4Q0, 4Q2) at a point, Pi from laguerre_scaled log magnitudes and signs."""
     n, m = nm
-    q0, q2 = wigner.wigner_args(point)
+    q0, q2 = wigner_args(point)
     mn, sn = specfun.laguerre_scaled(n, 0, 4 * (q0 + q2))
     mm, sm = specfun.laguerre_scaled(m, 0, 4 * (q0 - q2))
     with np.errstate(divide="ignore"):

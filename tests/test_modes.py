@@ -1,15 +1,18 @@
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from vortexbell import modes, specfun
 
-from _oracles import gauss_hermite_grid, hermite, lg_gradient, lg_polar, schmidt_sum_unblocked
+from _oracles import (gauss_hermite_grid, hermite, lg_gradient, lg_norm_decimal, lg_polar,
+                      schmidt_magnitudes_decimal, schmidt_sum_unblocked)
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
+ALL_MODES = [(n, total - n) for total in range(modes.MAX_TOTAL_ORDER + 1) for n in range(total + 1)]
 
 
 class TestLgAmplitude:
@@ -160,6 +163,23 @@ class TestSchmidt:
                     abs(t.coefficient) ** 2 for t in modes.schmidt_coefficients((n, m))
                 )
                 assert total == pytest.approx(1.0, abs=1e-10), (n, m)
+
+    def test_weights_are_correctly_rounded(self):
+        # every mode: |c_k| within 2 ulps of its 50-digit value, sum |c_k|^2 within 8 ulps of 1
+        for nm in ALL_MODES:
+            terms = modes.schmidt_coefficients(nm)
+            for term, exact in zip(terms, schmidt_magnitudes_decimal(*nm)):
+                ulp = Decimal(math.ulp(float(exact)))
+                assert abs(Decimal(abs(term.coefficient)) - exact) <= 2 * ulp, (nm, term)
+            total = math.fsum(abs(t.coefficient) ** 2 for t in terms)
+            assert abs(total - 1.0) <= 8 * math.ulp(1.0), (nm, total - 1.0)
+
+    def test_lg_norm_is_correctly_rounded(self):
+        for n, m in ALL_MODES:
+            p, a = min(n, m), abs(n - m)
+            exact = lg_norm_decimal(p, a)
+            ulp = Decimal(math.ulp(float(exact)))
+            assert abs(Decimal(modes._lg_norm(p, a)) - exact) <= 4 * ulp, (p, a)
 
     def test_reconstruction_identity(self):
         axis = np.linspace(-4.0, 4.0, 21)

@@ -154,34 +154,6 @@ class TestMoments:
         assert a == b
 
 
-class TestWignerMoments:
-    @pytest.mark.parametrize("nm, order", [((1, 0), 3), ((2, 1), 5), ((5, 5), 12), ((10, 0), 12)])
-    def test_exact_from_order_n_plus_m_plus_2(self, nm, order):
-        exact = quadrature.moments(nm)
-        table = quadrature.wigner_moments(nm, order)
-        for key in MOMENT_KEYS:
-            assert getattr(table, key) == pytest.approx(getattr(exact, key), abs=1e-12), key
-
-    def test_default_and_numpy_integer_orders(self):
-        exact = vars(quadrature.moments((3, 1)))
-        for order in (None, np.int64(12), 7):
-            table = vars(quadrature.wigner_moments((3, 1), order))
-            assert table == pytest.approx(exact, abs=1e-12), order
-
-    @pytest.mark.parametrize("order", [True, False, 12.0, "12", 1.5])
-    def test_rejects_non_integer_order(self, order):
-        with pytest.raises(TypeError):
-            quadrature.wigner_moments((1, 0), order)
-
-    @pytest.mark.parametrize("nm, order", [
-        ((1, 0), 2), ((1, 0), 1), ((1, 0), 0), ((0, 0), -1), ((10, 0), 11), ((20, 10), 31),
-        ((1, 0), quadrature.MAX_HERMITE_ORDER + 1), ((1, 0), 300),
-    ])
-    def test_rejects_order_out_of_range(self, nm, order):
-        with pytest.raises(ValueError):
-            quadrature.wigner_moments(nm, order)
-
-
 class TestFirstMoments:
     # the closed-form table has no first moments: it rests on all of them vanishing
     def test_all_components_vanish(self):

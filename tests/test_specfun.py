@@ -219,33 +219,3 @@ class TestHermite:
             hermite(65, 0.0)
         with pytest.raises(ValueError):
             hermite(2, math.inf)
-
-
-class TestLnFactorial:
-    def test_zero_and_one(self):
-        assert specfun.ln_factorial(0) == 0.0
-        assert specfun.ln_factorial(1) == 0.0
-
-    def test_small_value(self):
-        # direct product: 5! = 120
-        assert specfun.ln_factorial(5) == pytest.approx(math.log(120.0), rel=1e-14)
-
-    def test_exact_products_up_to_twenty(self):
-        for n in range(2, 21):
-            assert specfun.ln_factorial(n) == pytest.approx(
-                math.log(math.factorial(n)), rel=1e-13
-            )
-
-    def test_relative_error_vs_lgamma(self):
-        for n in (50, 128):
-            assert specfun.ln_factorial(n) == pytest.approx(
-                math.lgamma(n + 1.0), rel=1e-12
-            )
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            specfun.ln_factorial(129)
-        with pytest.raises(ValueError):
-            specfun.ln_factorial(-1)
-        with pytest.raises(TypeError):
-            specfun.ln_factorial(2.5)

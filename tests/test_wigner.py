@@ -5,10 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from vortexbell import modes, quadrature, wigner
+from vortexbell import modes, quadrature, specfun, wigner
 from vortexbell.quadrature import QuadratureConfig
 
-from _oracles import laguerre_recurrence, log_domain_pi, numeric_wigner_two_fields, z_jet
+from _oracles import (laguerre_recurrence, log_domain_pi, numeric_wigner_two_fields, wigner_args,
+                      z_jet)
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
@@ -28,20 +29,20 @@ def gh4_weights(order):
 
 class TestWignerArgs:
     def test_origin(self):
-        assert wigner.wigner_args((0, 0, 0, 0)) == (0.0, 0.0)
+        assert wigner_args((0, 0, 0, 0)) == (0.0, 0.0)
 
     def test_direct_substitution(self):
-        q0, q2 = wigner.wigner_args((1.0, 0.0, 0.0, 1.0))
+        q0, q2 = wigner_args((1.0, 0.0, 0.0, 1.0))
         assert (q0, q2) == (0.5, 0.5)
 
     def test_cross_cancellation(self):
-        q0, q2 = wigner.wigner_args((1.0, 1.0, 1.0, 1.0))
+        q0, q2 = wigner_args((1.0, 1.0, 1.0, 1.0))
         assert (q0, q2) == (1.0, 0.0)
 
     def test_cauchy_schwarz_bound(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(-5, 5, (2000, 4))
-        q0, q2 = wigner.wigner_args(tuple(pts.T))
+        q0, q2 = wigner_args(tuple(pts.T))
         assert np.all(np.abs(q2) <= q0 + 1e-12)
 
 
@@ -127,7 +128,7 @@ class TestClosedForm:
             naives = []
             for r in rs:
                 pt = (r, 0.0, 0.0, r)
-                q0, q2 = wigner.wigner_args(pt)
+                q0, q2 = wigner_args(pt)
                 naive = (
                     (-1.0) ** (nm[0] + nm[1])
                     * laguerre(nm[0], 0, 4 * (q0 + q2))
@@ -147,7 +148,7 @@ class TestClosedForm:
     def test_array_matches_scalar(self, n, m):
         rng = np.random.default_rng(47)
         pts = rng.uniform(-8, 8, (3000, 4))
-        q0, q2 = wigner.wigner_args(tuple(pts.T))
+        q0, q2 = wigner_args(tuple(pts.T))
         reach = 4 * q0 + 4 * np.abs(q2)
         assert np.any(reach <= 60.0) and np.any(reach > 60.0)
         pi = wigner.lg_transform_evaluator((n, m))
@@ -499,6 +500,18 @@ class TestDerivatives:
                 with pytest.raises(ValueError):
                     pi((math.nan, 0.0, 0.0, 0.0), order)
 
+    def test_rejects_points_without_four_coordinates(self):
+        points = [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.4, 0.5), np.zeros((3, 5)), np.zeros((5, 2)),
+                  tuple(np.zeros((3, 2)))]
+        for pi in (wigner.lg_transform_evaluator((1, 0)),
+                   wigner.elliptical_transform_evaluator((0.5, +1))):
+            for order in (0, 2):
+                for point in points:
+                    with pytest.raises(ValueError, match="4 coordinates"):
+                        pi(point, order)
+        with pytest.raises(ValueError, match="4 coordinates, got 3"):
+            wigner.wigner_transform((1, 0), (1.0, 2.0, 3.0))
+
 
 def _three_recurrences(p, u):
     """(L_p, D L_p, D^2 L_p) from separate L_p, L_{p-1}^(1) and L_{p-2}^(2) recurrences."""
@@ -546,7 +559,7 @@ class TestPhaseRotationSymmetry:
 class TestBlocks:
     """Pi on more than ``_BLOCK`` points, filled block by block, has the bits of smaller calls."""
 
-    BLOCK = wigner._BLOCK
+    BLOCK = specfun._BLOCK
     EVALUATORS = [
         pytest.param(wigner.lg_transform_evaluator((1, 0)), id="lg-1-0"),
         pytest.param(wigner.lg_transform_evaluator((30, 0)), id="lg-30-0"),
