@@ -16,8 +16,9 @@ quadratically spaced, dense near 0, where the violation basin of the mode
 (n, 0) sits at |x| ~ 0.6/sqrt(n). Each Newton step backtracks over every
 start's ladder of halved steps in one Pi call. A short pure-Newton step
 skips the Armijo test, whose gain near a maximum is below the rounding
-noise of B. Every evaluation is batched over the starts; everything is
-deterministic for a fixed seed.
+noise of B. A start below the incumbent, the best value of a start that
+has stopped, stops at the end of the iteration. Every evaluation is
+batched over the starts; everything is deterministic for a fixed seed.
 """
 
 import functools
@@ -122,10 +123,11 @@ class OptimizerConfig:
 
     Restricted seeds are the ``grid_points`` x ``grid_points`` grid with axis
     ``grid_bounds * s * |s|``, ``s`` evenly spaced in [-1, 1], so the seeds
-    are densest near 0. ``restarts`` seeds are refined. ``simplex_tol`` is
-    the step and gain tolerance at which a start retires (the name predates
-    the Newton search), and ``max_iters`` caps the Newton iterations of the
-    lockstep phase and of the polish each.
+    are densest near 0. ``restarts`` seeds are refined until they stop or
+    fall behind a stopped start. ``simplex_tol`` is the step and gain
+    tolerance at which a start retires (the name predates the Newton
+    search), and ``max_iters`` caps the Newton iterations of the lockstep
+    phase and of the polish each.
     """
 
     grid_bounds: float = 2.0
@@ -242,13 +244,14 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
     its step, or its gradient with no uphill curvature left, is within
     ``tol``, when backtracking finds no Armijo point with a step above
     ``tol``, or, with ``gain_rule``, when its gain in sigma * B is within
-    ``tol``. Backtracking halves the step while alpha * |step| > ``tol``;
-    every start's ladder of trials is one ``bell`` call, and a start takes
-    its first Armijo point, the one that halving one trial at a time finds.
-    A pure-Newton step of length <= 1e-5 is taken without the Armijo test.
-    Returns x, f = sigma * B, whether each start retired within
-    ``max_iters``, and the gradient and Hessian of sigma * B at the last
-    point where they were taken.
+    ``tol``. After each iteration, a start whose f is below the incumbent,
+    the highest f of a retired start, retires too. Backtracking halves the
+    step while alpha * |step| > ``tol``; every start's ladder of trials is
+    one ``bell`` call, and a start takes its first Armijo point, the one
+    that halving one trial at a time finds. A pure-Newton step of length
+    <= 1e-5 is taken without the Armijo test. Returns x, f = sigma * B,
+    whether each start retired within ``max_iters``, and the gradient and
+    Hessian of sigma * B at the last point where they were taken.
     """
     x, f = x.copy(), f.copy()
     grad, hess = np.zeros(x.shape), np.zeros(x.shape + x.shape[1:])
@@ -256,10 +259,13 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
     # the rows out back to x and f, and drops them from these arrays and ``more``
     idx = np.flatnonzero(np.isfinite(f))
     xs, fs, ss = x[idx], f[idx], sigma[idx]
+    best = -math.inf  # the incumbent: the highest f of a start that stopped
 
     def retire(out, *more):
+        nonlocal best
         rows, keep = idx[out], ~out
         x[rows], f[rows] = xs[out], fs[out]
+        best = fs[out].max(initial=best)
         return [a[keep] for a in (idx, xs, fs, ss, *more)]
 
     # Armijo backtracking in one call: every start's halving ladder
@@ -306,6 +312,8 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
         out = ~taken | (gain <= tol) if gain_rule else ~taken
         if out.any():
             idx, xs, fs, ss = retire(out)
+        if (fs < best).any():  # trailing starts, below the incumbent
+            idx, xs, fs, ss = retire(fs < best)
     x[idx], f[idx] = xs, fs
     return x, f, np.bincount(idx, minlength=len(x)) == 0, grad, hess
 
@@ -318,15 +326,16 @@ def maximize_bell(pi, kind, config=None):
     seeds ascend together by damped modified Newton on sigma * B, sigma the
     sign of B at the seed, with the gradient and Hessian that ``_bell``
     chains from ``pi(points, 2)``; a start retires once its step, gradient
-    or gain is within ``simplex_tol``. The best start is then polished
-    alone, without the gain rule. ``converged`` means the polish stopped
-    within ``max_iters``, with |grad B| <= 1e-7, a Hessian not all zero (as
-    on a plateau where Pi underflowed) and no Hessian eigenvalue above 1e-6
-    max|lambda| (zero modes of the beam's rotation symmetry are allowed).
-    ``evaluations`` counts every Bell sum computed, value or derivative;
-    since each Newton step evaluates its whole backtracking ladder at once,
-    that includes the trials past the one a start accepts. Non-finite
-    values are rejected.
+    or gain is within ``simplex_tol``, or once it is below the best value
+    of a retired start. The best start is then polished alone, without the
+    gain rule. ``converged`` means the polish stopped within ``max_iters``,
+    with |grad B| <= 1e-7, a Hessian not all zero (as on a plateau where Pi
+    underflowed) and no Hessian eigenvalue above 1e-6 max|lambda| (zero
+    modes of the beam's rotation symmetry are allowed). ``evaluations``
+    counts every Bell sum computed, value or derivative, so not those a
+    trailing start would have taken after it was cut; since each Newton
+    step evaluates its whole backtracking ladder at once, it includes the
+    trials past the one a start accepts. Non-finite values are rejected.
     The result is bit-reproducible for a fixed config.
     """
     _check_kind(kind)

@@ -232,8 +232,11 @@ class NumericWignerPlan:
             )
 
     def __call__(self, point):
-        """W at one point; a non-finite point, or a non-finite integral, raises ValueError."""
-        point = tuple(float(v) for v in point)
+        """W at one point; another shape, or a non-finite point or integral, raises ValueError."""
+        coords = _coords(point)
+        if coords[0].ndim:
+            raise ValueError(f"the plan evaluates one point, got shape {coords[0].shape}")
+        point = tuple(float(v) for v in coords)
         if not all(math.isfinite(v) for v in point):
             raise ValueError(f"phase-space point must be finite, got {point}")
         x, px, y, py = point

@@ -284,15 +284,19 @@ def scipy_maximize_bell(pi, kind, config=None):
     )
 
 
-def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule):
+def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule, prune=True):
     """``bell._ascend`` with its Armijo backtracking halving one trial per call.
 
     The search as it was before its ladder of step lengths went into one
     ``bell_fn`` call per Newton step; the rest is the package's own
-    ``_newton_step`` and constants.
+    ``_newton_step`` and constants. With ``prune``, as in ``_ascend``, a start
+    whose f is below the incumbent, the highest f of a start that stopped,
+    stops at the end of each iteration; without it every start runs until it
+    stops on its own.
     """
     x, f = x.copy(), f.copy()
-    active = np.isfinite(f)
+    began = np.isfinite(f)
+    active = began.copy()
     grad = np.zeros(x.shape)
     hess = np.zeros(x.shape + x.shape[1:])
     for _ in range(max_iters):
@@ -336,6 +340,9 @@ def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule):
             spent = alpha[pending] * size[pending] <= tol
             active[idx[pending[spent]]] = False
             pending = pending[~spent]
+        stopped = began & ~active
+        if prune and stopped.any():
+            active &= ~(f < f[stopped].max())
     return x, f, ~active, grad, hess
 
 

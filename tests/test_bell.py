@@ -208,9 +208,8 @@ class TestBellDerivatives:
                 assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref)) + 1e-300
 
 
-def _search_starts(pi, kind):
+def _search_starts(pi, kind, cfg=bell.OptimizerConfig()):
     """The starts, sigma * B and sigma that maximize_bell's lockstep phase ascends from."""
-    cfg = bell.OptimizerConfig()
     seeds = bell._seed_points(kind, cfg)
     values = bell._bell(pi, kind, seeds)
     key = np.where(np.isfinite(values), -np.abs(values), np.inf)
@@ -293,9 +292,10 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("gain_rule", [True, False])
     def test_compaction_with_a_stuck_row(self, gain_rule):
-        # the fourth Newton iteration's jet is not finite in the second row it is taken on,
-        # and rows retire at different iterations; each side counts its own calls
-        pi = wigner.lg_transform_evaluator((5, 3))
+        # the fourth Newton iteration's jet is not finite in the sixth row it is taken on,
+        # a row low enough that the incumbent it sets cuts no other, and rows retire at
+        # different iterations; each side counts its own calls
+        pi = PI_10
         x, f, sigma = _search_starts(pi, bell.GENERAL)
         results, sizes = [], []
         for search in (bell._ascend, sequential_ascend):
@@ -307,7 +307,7 @@ class TestLineSearch:
                     calls[0] += 1
                     seen.append(len(u))
                     if calls[0] == 4:
-                        out[1][1], out[2][1, 0, 0] = math.nan, math.inf
+                        out[1][5], out[2][5, 0, 0] = math.nan, math.inf
                 return out
 
             results.append(search(patched, x, f, sigma, bell.OptimizerConfig().simplex_tol,
@@ -320,6 +320,74 @@ class TestLineSearch:
         stuck = np.flatnonzero(~np.isfinite(new[3]).all(axis=1))
         assert stuck.size == 1 and new[2][stuck[0]]
         assert np.isinf(new[4][stuck[0], 0, 0])
+
+
+_TOL = bell.OptimizerConfig().simplex_tol
+# the benchmark's LG searches and four elliptical squeezes
+_PRUNING_CASES = [
+    *[pytest.param(wigner.lg_transform_evaluator(mode), kind, id=f"lg-{mode[0]}-{mode[1]}-{kind}")
+      for mode, kind in (((1, 0), bell.RESTRICTED), ((2, 0), bell.RESTRICTED),
+                         ((5, 0), bell.RESTRICTED), ((10, 0), bell.RESTRICTED),
+                         ((30, 0), bell.RESTRICTED), ((3, 1), bell.RESTRICTED),
+                         ((20, 10), bell.RESTRICTED), ((1, 0), bell.GENERAL),
+                         ((5, 0), bell.GENERAL), ((30, 0), bell.GENERAL))],
+    *[pytest.param(wigner.elliptical_transform_evaluator((t, +1)), bell.GENERAL,
+                   id=f"elliptical-{t}") for t in (0.1, 0.8, 1.1, 1.9)],
+]
+
+
+class TestTrailingStarts:
+    """Cutting the starts below the incumbent, the best start that stopped."""
+
+    @staticmethod
+    def _oracle_search(bell_fn, x, f, sigma, prune):
+        """maximize_bell's lockstep phase and polish on the sequential oracle."""
+        x, f, stopped, _, _ = sequential_ascend(bell_fn, x, f, sigma, _TOL, 4000, True, prune)
+        w = [int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))]
+        x, f_end, polished, _, _ = sequential_ascend(bell_fn, x[w], f[w], sigma[w], _TOL, 4000,
+                                                     False, prune)
+        return f_end[0], stopped[w[0]], polished[0]
+
+    @pytest.mark.parametrize("pi, kind", _PRUNING_CASES)
+    def test_never_lowers_the_maximum(self, pi, kind):
+        def bell_fn(u, order=0):
+            return bell._bell(pi, kind, u, order)
+
+        # restricted seeds are a grid, the same at every optimizer seed
+        for seed in range(4) if kind == bell.GENERAL else [0]:
+            x, f, sigma = _search_starts(pi, kind, bell.OptimizerConfig(seed=seed))
+            pruned = self._oracle_search(bell_fn, x, f, sigma, True)
+            full = self._oracle_search(bell_fn, x, f, sigma, False)
+            assert pruned[0] >= full[0] - 1e-12
+            assert pruned[1:] == full[1:]
+
+    def test_cuts_only_starts_below_the_incumbent(self):
+        pi = wigner.lg_transform_evaluator((30, 0))
+        x, f, sigma = _search_starts(pi, bell.GENERAL, bell.OptimizerConfig(seed=12345))
+        calls = {True: 0, False: 0}
+
+        def counted(pruned):
+            def bell_fn(u, order=0):
+                calls[pruned] += order == 2
+                return bell._bell(pi, bell.GENERAL, u, order)
+            return bell_fn
+
+        bell._ascend(counted(True), x, f, sigma, _TOL, 4000, True)
+        sequential_ascend(counted(False), x, f, sigma, _TOL, 4000, True, prune=False)
+        assert calls[True] < calls[False]
+        # stop both searches after each iteration: a start stopped here but not in the
+        # unpruned search was cut, below a start that stopped on its own
+        cut = np.zeros(len(x), dtype=bool)
+        for k in range(1, calls[True] + 1):
+            new = bell._ascend(counted(True), x, f, sigma, _TOL, k, True)
+            old = sequential_ascend(counted(False), x, f, sigma, _TOL, k, True, prune=False)
+            now = new[2] & ~old[2] & ~cut
+            incumbent = new[1][new[2] & ~cut & ~now].max(initial=-np.inf)
+            assert np.all(new[1][now] < incumbent)
+            cut |= now
+            # every other start is where the unpruned search has it, bit for bit
+            assert _bits(new[0][~cut], new[1][~cut]) == _bits(old[0][~cut], old[1][~cut])
+        assert cut.sum() >= 2
 
 
 def _hessians(eigenvalues, seed):

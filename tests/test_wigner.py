@@ -315,6 +315,19 @@ class TestNumericEngine:
             # at a huge position the field underflows to 0, so W is 0 as in the closed form
             assert plan((1e308, 0.0, 0.0, 0.0)) == 0.0
 
+    def test_rejects_a_point_that_is_not_four_coordinates(self):
+        plan = wigner.lg_numeric_plan((1, 0))
+        for point in [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.4, 0.5), np.zeros(3)]:
+            with pytest.raises(ValueError, match=f"4 coordinates, got {len(point)}"):
+                plan(point)
+
+    def test_rejects_an_array_of_points(self):
+        plan = wigner.lg_numeric_plan((1, 0))
+        for points in [np.zeros((4, 3)), np.zeros((4, 1)), ([0.1, 0.2], 0.0, 0.0, 0.0)]:
+            with pytest.raises(ValueError, match="evaluates one point"):
+                plan(points)
+        assert plan(np.array([0.1, 0.2, 0.3, 0.4])) == plan((0.1, 0.2, 0.3, 0.4))
+
 
 class TestElliptical:
     def test_zero_squeeze_reduces_to_ground(self):
