@@ -240,35 +240,27 @@ def _newton_step(grad, hess):
 def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
     """Damped modified-Newton ascent of sigma * B from every row of x, in lockstep.
 
-    ``bell(u, order)`` evaluates B on rows of settings. A start retires when
+    ``bell(u, order)`` evaluates B on rows of settings. A start stops when
     its step, or its gradient with no uphill curvature left, is within
-    ``tol``, when backtracking finds no Armijo point with a step above
-    ``tol``, or, with ``gain_rule``, when its gain in sigma * B is within
-    ``tol``. After each iteration, a start whose f is below the incumbent,
-    the highest f of a retired start, retires too. Backtracking halves the
-    step while alpha * |step| > ``tol``; every start's ladder of trials is
-    one ``bell`` call, and a start takes its first Armijo point, the one
-    that halving one trial at a time finds. A pure-Newton step of length
-    <= 1e-5 is taken without the Armijo test. Returns x, f = sigma * B,
-    whether each start retired within ``max_iters``, and the gradient and
-    Hessian of sigma * B at the last point where they were taken.
+    ``tol`` (it is not moving: no ladder), when backtracking finds no Armijo
+    point with a step above ``tol``, or, with ``gain_rule``, when its gain in
+    sigma * B is within ``tol``; so then does a start below the incumbent,
+    the highest f of a stopped start, and all leave the search in one pass at
+    the end of the iteration. Backtracking halves the step while alpha *
+    |step| > ``tol``; the moving starts' ladders are one ``bell`` call, and a
+    start takes its first Armijo point, the one that halving one trial at a
+    time finds. A pure-Newton step of length <= 1e-5 is taken without the
+    Armijo test. Returns x, f = sigma * B, whether each start retired within
+    ``max_iters``, and the gradient and Hessian of sigma * B at the last
+    point where they were taken.
     """
     x, f = x.copy(), f.copy()
     grad, hess = np.zeros(x.shape), np.zeros(x.shape + x.shape[1:])
-    # the searching rows idx, with their x, f and sigma; retire(out, *more) writes
-    # the rows out back to x and f, and drops them from these arrays and ``more``
+    # the searching rows idx, with their x, f and sigma
     idx = np.flatnonzero(np.isfinite(f))
     xs, fs, ss = x[idx], f[idx], sigma[idx]
     best = -math.inf  # the incumbent: the highest f of a start that stopped
-
-    def retire(out, *more):
-        nonlocal best
-        rows, keep = idx[out], ~out
-        x[rows], f[rows] = xs[out], fs[out]
-        best = fs[out].max(initial=best)
-        return [a[keep] for a in (idx, xs, fs, ss, *more)]
-
-    # Armijo backtracking in one call: every start's halving ladder
+    # Armijo backtracking in one call: every moving start's halving ladder
     # alpha_j = 2^-j, j = 0 and every j >= 1 with alpha_j * size > tol
     # (exact products, so its length follows from the exponents), as a
     # (rung, start) rectangle over the widest ladder, NaN past a start's own ladder
@@ -291,29 +283,28 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
         # near a maximum the Armijo gain of a Newton step falls below the
         # rounding noise of B, so a short pure-Newton step is taken untested
         trusted = pure & (size <= _TRUSTED_STEP)
-        if not moving.all():
-            idx, xs, fs, ss, g, step, size, trusted = retire(~moving, g, step, size, trusted)
-            if not idx.size:
-                break
-        width = math.frexp(size.max())[1] - tol_exponent + 1
-        ladder = alpha[:width, None] * size > tol
+        width = math.frexp(size[moving].max(initial=0.0))[1] - tol_exponent + 1
+        ladder = (alpha[:width, None] * size > tol) & moving
         trial = xs + alpha[:width, None, None] * step
         ft = np.full(ladder.shape, np.nan)
-        ft[ladder] = bell(trial[ladder])
+        if ladder.any():
+            ft[ladder] = bell(trial[ladder])
         ft *= ss
         slope = np.einsum("ni,ni->n", g, step)
         armijo = ft >= fs + _ARMIJO * alpha[:width, None] * slope
         ok = np.isfinite(ft) & (armijo | trusted)
-        # each start takes its first acceptable rung; one with none retires
+        # each start takes its first acceptable rung; one with none retires,
+        # and so does one the gain rule stops or one below the incumbent
         taken = ok.any(axis=0)
         rung = (ok.argmax(axis=0), np.arange(idx.size))
         gain = ft[rung] - fs
         xs, fs = np.where(taken[:, None], trial[rung], xs), np.where(taken, ft[rung], fs)
         out = ~taken | (gain <= tol) if gain_rule else ~taken
+        best = fs[out].max(initial=best)
+        out |= fs < best
         if out.any():
-            idx, xs, fs, ss = retire(out)
-        if (fs < best).any():  # trailing starts, below the incumbent
-            idx, xs, fs, ss = retire(fs < best)
+            x[idx[out]], f[idx[out]] = xs[out], fs[out]
+            idx, xs, fs, ss = (a[~out] for a in (idx, xs, fs, ss))
     x[idx], f[idx] = xs, fs
     return x, f, np.bincount(idx, minlength=len(x)) == 0, grad, hess
 

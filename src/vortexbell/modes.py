@@ -55,8 +55,8 @@ class ModeIndex:
     m: int
 
     def __post_init__(self):
-        for name in ("n", "m"):
-            _check_degree(getattr(self, name), name, cap=None)
+        for name in ("n", "m"):  # stored as Python ints, so exact and JSON-ready
+            object.__setattr__(self, name, _check_degree(getattr(self, name), name, cap=None))
         if self.n + self.m > MAX_TOTAL_ORDER:
             raise ValueError(
                 f"total order n+m={self.n + self.m} exceeds the cap {MAX_TOTAL_ORDER}"

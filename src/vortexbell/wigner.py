@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .modes import as_mode, lg_amplitude
+from .modes import _finite, as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
 from .specfun import _blocked, _laguerre, _laguerres
 
@@ -268,10 +268,12 @@ def elliptical_field(params, X, Y):
 
     The exponent -(X^2+Y^2) cosh(2t)/2 +- XY sinh(2t) is summed as
     -(e^{-2t} (X +- Y)^2 + e^{2t} (X -+ Y)^2)/4, two terms that are never
-    negative, so a huge finite point gives 0 rather than inf - inf.
+    negative, so a huge finite point gives 0 rather than inf - inf. A
+    coordinate that is not finite raises ValueError.
     """
     if not isinstance(params, EllipticalParams):
         params = EllipticalParams(*params)
+    X, Y = _finite(X), _finite(Y)
     with np.errstate(over="ignore"):
         plus, minus = X + params.sign * Y, X - params.sign * Y
         arg = -0.25 * (math.exp(-2.0 * params.t) * (plus * plus)

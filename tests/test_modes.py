@@ -345,6 +345,15 @@ class TestModeIndex:
 
     def test_as_mode_does_not_truncate(self):
         assert modes.as_mode((np.int64(2), 1)) == modes.ModeIndex(2, 1)
+        # numpy integers are stored as Python ints, so Schmidt weights stay exact
+        mode = modes.ModeIndex(np.int64(3), np.uint8(2))
+        assert type(mode.n) is int and type(mode.m) is int
+        for pair in [(3, 2), (30, 0), (40, 20)]:
+            numpy_pair = tuple(np.int64(v) for v in pair)
+            assert [(t.hg_index, t.coefficient.real.hex(), t.coefficient.imag.hex())
+                    for t in modes.schmidt_coefficients(numpy_pair)] == [
+                (t.hg_index, t.coefficient.real.hex(), t.coefficient.imag.hex())
+                for t in modes.schmidt_coefficients(pair)], pair
         for pair in [(1.7, 0), (True, 0), (0, 2.0)]:
             with pytest.raises(TypeError):
                 modes.as_mode(pair)

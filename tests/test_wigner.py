@@ -415,6 +415,11 @@ class TestElliptical:
         plan = wigner.NumericWignerPlan(lambda X, Y: wigner.elliptical_field(params, X, Y))
         for point in [(1e308, 0.0, 0.0, 0.0), (1e200, 0.3, 1e200, -0.2)]:
             assert plan(point) == 0.0 == wigner.wigner_elliptical(params, point)
+        # a coordinate that is not finite is rejected, as by every other amplitude
+        for X, Y in [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf),
+                     (np.array([0.0, math.nan]), np.zeros(2))]:
+            with pytest.raises(ValueError):
+                wigner.elliptical_field(params, X, Y)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
