@@ -263,7 +263,8 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
     # Armijo backtracking in one call: every moving start's halving ladder
     # alpha_j = 2^-j, j = 0 and every j >= 1 with alpha_j * size > tol
     # (exact products, so its length follows from the exponents), as a
-    # (rung, start) rectangle over the widest ladder, NaN past a start's own ladder
+    # (rung, start) rectangle over the widest ladder, NaN past a start's own
+    # ladder; every moving start has size > tol, so with none it is one dead rung
     tol_exponent = math.frexp(tol)[1]
     alpha = np.ldexp(1.0, -np.arange(np.finfo(float).maxexp - tol_exponent + 1))
     for _ in range(max_iters):
@@ -283,7 +284,7 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
         # near a maximum the Armijo gain of a Newton step falls below the
         # rounding noise of B, so a short pure-Newton step is taken untested
         trusted = pure & (size <= _TRUSTED_STEP)
-        width = math.frexp(size[moving].max(initial=0.0))[1] - tol_exponent + 1
+        width = math.frexp(size[moving].max(initial=tol))[1] - tol_exponent + 1
         ladder = (alpha[:width, None] * size > tol) & moving
         trial = xs + alpha[:width, None, None] * step
         ft = np.full(ladder.shape, np.nan)

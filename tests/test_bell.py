@@ -232,18 +232,20 @@ def _misled_bell(u, order=0):
     return value, -2.0 * (u - 0.3) * flip[:, None], hess
 
 
+_TOL = bell.OptimizerConfig().simplex_tol
+
+
 class TestLineSearch:
     """The one-call backtracking against the sequential search it replaced."""
 
     @staticmethod
-    def _both(bell_fn, x, f, sigma, gain_rule, max_iters=4000):
+    def _both(bell_fn, x, f, sigma, gain_rule, max_iters=4000, tol=_TOL):
         rows = {0: [], 2: []}
 
         def counted(u, order=0):
             rows[order].append(len(u))
             return bell_fn(u, order)
 
-        tol = bell.OptimizerConfig().simplex_tol
         new = bell._ascend(counted, x, f, sigma, tol, max_iters, gain_rule)
         old = sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule)
         # at most one backtracking call per Newton step, and none on zero rows
@@ -291,6 +293,24 @@ class TestLineSearch:
                                   x, f, sigma, True, max_iters)
             assert _bits(*new) == _bits(*old)
 
+    @pytest.mark.parametrize("tol", [1.0, 1.5, 4.0, 1e200])
+    def test_coarse_tolerance(self, tol):
+        # an iteration where no start moves builds a one-rung dead ladder at every
+        # tolerance, including those whose binary exponent is at least 1
+        for kind in (bell.RESTRICTED, bell.GENERAL):
+            x, f, sigma = _search_starts(PI_10, kind)
+
+            def bell_fn(u, order=0, kind=kind):
+                return bell._bell(PI_10, kind, u, order)
+
+            for gain_rule in (True, False):
+                for rows in (slice(None), slice(1)):
+                    new, old = self._both(bell_fn, x[rows], f[rows], sigma[rows], gain_rule,
+                                          tol=tol)
+                    assert _bits(*new) == _bits(*old)
+            result = bell.maximize_bell(PI_10, kind, bell.OptimizerConfig(simplex_tol=tol))
+            assert result.best_value >= np.abs(f).max()
+
     @pytest.mark.parametrize("gain_rule", [True, False])
     def test_compaction_with_a_stuck_row(self, gain_rule):
         # the fourth Newton iteration's jet is not finite in the sixth row it is taken on,
@@ -323,7 +343,6 @@ class TestLineSearch:
         assert np.isinf(new[4][stuck[0], 0, 0])
 
 
-_TOL = bell.OptimizerConfig().simplex_tol
 # the benchmark's LG searches and four elliptical squeezes
 _PRUNING_CASES = [
     *[pytest.param(wigner.lg_transform_evaluator(mode), kind, id=f"lg-{mode[0]}-{mode[1]}-{kind}")
