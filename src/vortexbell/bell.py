@@ -127,7 +127,9 @@ class OptimizerConfig:
     fall behind a stopped start. ``simplex_tol`` is the step and gain
     tolerance at which a start retires (the name predates the Newton
     search), and ``max_iters`` caps the Newton iterations of the lockstep
-    phase and of the polish each.
+    phase and of the polish each. ``converged`` keeps its fixed gradient
+    test, |grad B| <= 1e-7, whatever ``simplex_tol`` is, so a coarse
+    tolerance can stop a search short of it and report False.
     """
 
     grid_bounds: float = 2.0

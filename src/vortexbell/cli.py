@@ -121,7 +121,9 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--restarts", type=int, default=defaults.restarts,
                         help="number of best seeds refined together by Newton ascent")
     parser.add_argument("--simplex-tol", type=float, default=defaults.simplex_tol,
-                        help="step, gradient and gain tolerance at which a start stops")
+                        help="step, gradient and gain tolerance at which a start stops; "
+                             "converged still needs |grad B| <= 1e-7, so a coarse "
+                             "tolerance can exit 3")
     parser.add_argument("--max-iters", type=int, default=defaults.max_iters,
                         help="Newton iteration cap for the refinement and for the polish")
 
@@ -200,13 +202,17 @@ def _cmd_wigner(args):
         raise ValueError("give either --n/--m or --elliptical-t, not both")
     if not elliptical and (args.n is None or args.m is None):
         raise ValueError("a mode needs both --n and --m (or use --elliptical-t)")
+    if not elliptical and args.sign is not None:
+        raise ValueError("--sign picks the elliptical branch, so it needs --elliptical-t")
+    if args.order is not None and not args.numeric:
+        raise ValueError("--order sets the quadrature of --numeric, which is not on")
     if args.grid_samples < 1:
         raise ValueError(f"--grid-samples must be >= 1, got {args.grid_samples}")
     if not -math.inf < args.grid_min <= args.grid_max < math.inf:
         raise ValueError(f"bad grid range [{args.grid_min}, {args.grid_max}]")
 
     if elliptical:
-        params = EllipticalParams(args.elliptical_t, args.sign)
+        params = EllipticalParams(args.elliptical_t, 1 if args.sign is None else args.sign)
         closed = lambda pt: wigner_elliptical(params, pt)
         numeric_plan = lambda order: NumericWignerPlan(
             lambda X, Y: elliptical_field(params, X, Y),
@@ -293,14 +299,16 @@ def _build_parser():
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--elliptical-t", type=float, default=None,
                    help="tabulate the elliptical beam at this squeeze instead of a mode")
-    p.add_argument("--sign", type=int, default=1, choices=(1, -1))
+    p.add_argument("--sign", type=int, default=None, choices=(1, -1),
+                   help="branch of the elliptical beam (default 1); --elliptical-t only")
     p.add_argument("--grid-min", type=float, default=-1.0)
     p.add_argument("--grid-max", type=float, default=1.0)
     p.add_argument("--grid-samples", type=int, default=3)
     p.add_argument("--numeric", action="store_true",
                    help="use the Fourier-integral engine instead of the closed form")
     p.add_argument("--order", type=int, default=None,
-                   help="Gauss-Legendre order for --numeric (default 96, 3(n+m)+56 past n+m=13)")
+                   help="Gauss-Legendre order, --numeric only "
+                        "(default 96, 3(n+m)+56 past n+m=13)")
     p.set_defaults(func=_cmd_wigner)
 
     p = sub.add_parser("elliptical-profile",

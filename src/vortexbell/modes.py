@@ -134,11 +134,22 @@ def lg_amplitude(mode, X, Y):
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = X * X + Y * Y
         gauss = np.exp(-0.5 * r2)
-        spiral = 1.0 if a == 0 else (X + 1j * math.copysign(1.0, l) * Y) ** a
-        value = sign * _lg_norm(p, a) * spiral * _laguerre(p, a, r2) * gauss
+        # the real radial factor first, then one complex array: (X + i sgn(l) Y)^|l| radial
+        radial = sign * _lg_norm(p, a) * gauss
+        if p:  # L_0 = 1
+            radial *= _laguerre(p, a, r2)
+        if l:
+            value = np.empty(np.shape(radial), dtype=complex)
+            value.real = X
+            value.imag = Y if l > 0 else -Y
+            if a > 1:
+                value **= a
+            value *= radial
+        else:
+            value = np.asarray(radial, dtype=complex)
     if not np.all(gauss > 0.0):
         value = np.where(gauss > 0.0, value, 0.0)
-    return np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
+    return value if np.ndim(value) else complex(value)
 
 
 def _hermite_functions(x):

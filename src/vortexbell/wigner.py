@@ -181,8 +181,10 @@ def lg_transform_evaluator(mode):
         # damp is NaN for a NaN point, and 0 for an infinite one or on underflow
         damp = np.exp(-fourq0)
         if not order:  # keeps no polynomial array alive past the product, as large grids need
-            out = sign * _laguerre(n, 0, up) * _laguerre(m, 0, um) * damp
-            return out, damp, None, None
+            out = sign * _laguerre(n, 0, up) if n else sign  # L_0 = 1, so no factor
+            if m:
+                out = out * _laguerre(m, 0, um)
+            return out * damp, damp, None, None
         # Pi = weight L_n(u+) L_m(u-) with weight = sign e^{-(u+ + u-)/2}
         ln, a1, a2 = _damped_derivatives(n, up)
         lm, b1, b2 = _damped_derivatives(m, um)

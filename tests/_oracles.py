@@ -36,6 +36,10 @@ evaluated at R + xi and at R - xi on the meshgrid of the plan's nodes.
 The 50-digit Schmidt weights and LG norms take f_k straight from its binomial
 sum and run the factorial ratios and square roots in ``decimal``.
 ``wigner_args`` gives the closed forms' arguments Q0 and Q2 literally.
+The one-product LG amplitude is ``lg_amplitude`` as it ran before it built
+the real radial factor first: sign, norm, complex spiral, Laguerre factor
+(L_0 = 1 too) and Gaussian multiplied left to right, so the same values
+rounded differently.
 """
 
 import cmath
@@ -108,6 +112,20 @@ def wigner_args(point):
     q0 = 0.25 * (x * x + y * y + px * px + py * py)
     q2 = 0.5 * (x * py - y * px)
     return q0, q2
+
+
+def lg_amplitude_product(mode, X, Y):
+    """LG amplitude as sign norm (X + i sgn(l) Y)^|l| L_p^|l|(r^2) e^{-r^2/2}, 0 on underflow."""
+    mode = as_mode(mode)
+    p, a, l = mode.radial, abs(mode.l), mode.l
+    X, Y = _finite(X), _finite(Y)
+    sign = -1.0 if p % 2 else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = X * X + Y * Y
+        gauss = np.exp(-0.5 * r2)
+        spiral = 1.0 if a == 0 else (X + 1j * math.copysign(1.0, l) * Y) ** a
+        value = sign * _lg_norm(p, a) * spiral * _laguerre(p, a, r2) * gauss
+    return np.where(gauss > 0.0, value, 0.0).astype(complex)
 
 
 def hermite_series(n, x):

@@ -330,6 +330,18 @@ class TestWigner:
         code = main(["wigner", "--n", "1", "--m", "0", "--elliptical-t", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1", "--m", "0", "--order", "50"],
+        ["--elliptical-t", "0.5", "--order", "50"],
+        ["--n", "1", "--m", "0", "--sign", "-1"],
+        ["--n", "1", "--m", "0", "--numeric", "--sign", "1"],
+    ], ids=["order-closed-lg", "order-closed-elliptical", "sign-lg", "sign-lg-numeric"])
+    def test_flag_that_would_be_ignored_is_usage_error(self, capsys, argv):
+        code = main(["wigner", *argv, "--grid-samples", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {argv[-2]} ") and "usage" in err
+
     def test_numeric_default_order_resolves_high_modes(self, capsys):
         code = main(["wigner", "--n", "16", "--m", "16", "--numeric", "--grid-samples", "1",
                      "--grid-min", "0.2", "--grid-max", "0.2"])

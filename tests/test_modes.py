@@ -8,8 +8,9 @@ import pytest
 
 from vortexbell import modes, specfun
 
-from _oracles import (gauss_hermite_grid, hermite, lg_gradient, lg_norm_decimal, lg_polar,
-                      schmidt_magnitudes_decimal, schmidt_sum_unblocked)
+from _oracles import (gauss_hermite_grid, hermite, lg_amplitude_product, lg_gradient,
+                      lg_norm_decimal, lg_polar, schmidt_magnitudes_decimal,
+                      schmidt_sum_unblocked)
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 ALL_MODES = [(n, total - n) for total in range(modes.MAX_TOTAL_ORDER + 1) for n in range(total + 1)]
@@ -70,6 +71,24 @@ class TestLgAmplitude:
                 for t in thetas
             ]
             assert np.max(np.abs(np.diff(vals))) < 1e-10, nm
+
+    def test_matches_one_product_oracle(self):
+        # every n, and every third m from n mod 3, so each l = 0 mode (p, p) is in
+        huge = [40.0, 1e200, -1.7976931348623157e308]
+        X, Y = np.random.default_rng(17).uniform(-9.0, 9.0, (2, 4000))
+        X, Y = np.append(X, huge + [0.3] * 3), np.append(Y, [0.3] * 3 + huge)
+        for n in range(modes.MAX_TOTAL_ORDER + 1):
+            for m in range(n % 3, modes.MAX_TOTAL_ORDER + 1 - n, 3):
+                value = modes.lg_amplitude((n, m), X, Y)
+                expected = lg_amplitude_product((n, m), X, Y)
+                assert value.dtype == complex and value.shape == X.shape
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(value - expected)) <= 1e-15 * scale, (n, m)
+                assert np.array_equal(value[-6:], np.zeros(6)), (n, m)
+                if n == m:  # a real field: every imaginary part is +0.0
+                    assert not np.any(np.signbit(value.imag)) and not np.any(value.imag), n
+                point = modes.lg_amplitude((n, m), float(X[0]), float(Y[0]))
+                assert type(point) is complex and point == value[0], (n, m)
 
     def test_rejects_invalid_mode(self):
         with pytest.raises(ValueError):

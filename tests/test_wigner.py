@@ -183,6 +183,29 @@ class TestClosedForm:
                 assert np.all(np.isfinite(arr)) and np.all(np.abs(arr) <= 1.0)
 
 
+class TestDegreeZeroFactor:
+    """Modes (n, 0) and (0, m) skip the factor L_0 = 1, with the bits of the full product."""
+
+    @pytest.mark.parametrize("nm", [(0, 0), (1, 0), (30, 0), (64, 0), (0, 1), (0, 3), (0, 64)],
+                             ids=str)
+    def test_bit_identical_to_three_factor_product(self, nm):
+        n, m = nm
+        # random directions with 4Q0 uniform in [0, 700], short of the underflow of exp(-4Q0)
+        rng = np.random.default_rng(83)
+        d = rng.normal(size=(4, 3000))
+        x, px, y, py = d / np.linalg.norm(d, axis=0) * np.sqrt(rng.uniform(0.0, 700.0, 3000))
+        fourq0 = x * x + y * y + px * px + py * py
+        fourq2 = 2.0 * (x * py - y * px)
+        sign = -1.0 if (n + m) % 2 else 1.0
+        product = (sign * laguerre_recurrence(n, 0, fourq0 + fourq2)
+                   * laguerre_recurrence(m, 0, fourq0 - fourq2) * np.exp(-fourq0))
+        values = wigner.wigner_transform(nm, (x, px, y, py))
+        assert values.dtype == float and values.tobytes() == product.tobytes()
+        for k in range(0, 3000, 293):
+            value = wigner.wigner_transform(nm, (x[k], px[k], y[k], py[k]))
+            assert value == product[k]
+
+
 class TestFarRange:
     """The plain product beyond the Laguerre argument 60, against a log-domain oracle."""
 
