@@ -30,6 +30,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -145,8 +146,7 @@ def _cmd_bell_max(args):
 
 def _cmd_bell_scan(args):
     mode = ModeIndex(args.n, args.m)
-    py = None if args.py is None else float(args.py)
-    rows = bell_scan(mode, (args.x_min, args.x_max), args.samples, py=py)
+    rows = bell_scan(mode, (args.x_min, args.x_max), args.samples, py=args.py)
     _emit_csv("x,py,abs_B", rows, args.out, _manifest("bell-scan", args))
     return EXIT_OK
 
@@ -213,22 +213,18 @@ def _cmd_wigner(args):
 
     if elliptical:
         params = EllipticalParams(args.elliptical_t, 1 if args.sign is None else args.sign)
-        closed = lambda pt: wigner_elliptical(params, pt)
-        numeric_plan = lambda order: NumericWignerPlan(
-            lambda X, Y: elliptical_field(params, X, Y),
-            None if order is None else QuadratureConfig(order))
+        if args.numeric:
+            config = None if args.order is None else QuadratureConfig(args.order)
+            w_at = NumericWignerPlan(partial(elliptical_field, params), config)
+        else:
+            w_at = partial(wigner_elliptical, params)
     else:
         mode = ModeIndex(args.n, args.m)
-        closed = lambda pt: wigner_lg(mode, pt)
-        numeric_plan = lambda order: lg_numeric_plan(mode, order)
+        w_at = lg_numeric_plan(mode, args.order) if args.numeric else partial(wigner_lg, mode)
 
     axis = np.linspace(args.grid_min, args.grid_max, args.grid_samples)
     grid = [g.ravel() for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
-    if args.numeric:
-        plan = numeric_plan(args.order)
-        w = np.array([plan(point) for point in zip(*grid)])
-    else:
-        w = closed(grid)
+    w = w_at(grid)
     rows = np.column_stack([*grid, w, math.pi**2 * w])
     _emit_csv("x,px,y,py,w,pi", rows, args.out, _manifest("wigner", args))
     return EXIT_OK
@@ -323,12 +319,12 @@ def _build_parser():
     for p in sub.choices.values():
         p.add_argument("--seed", type=int, default=OptimizerConfig().seed)
         p.add_argument("--out", default=None, help="write the output here instead of stdout")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
     """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -340,7 +336,7 @@ def main(argv=None):
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
+        print(commands[args.command].format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
     except BrokenPipeError:
         # the reader stopped early (`| head`); send the unflushed rest nowhere

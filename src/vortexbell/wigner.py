@@ -27,8 +27,8 @@ The numeric engine evaluates the symmetric-point Fourier integral
 
 on a fixed Gauss-Legendre tensor grid: the phase splits into one weighted
 phase vector per axis, and E(R - xi) is E(R + xi) on reversed node axes
-(the nodes are exactly antisymmetric), one field call per point. It is an
-independent cross-check of the closed forms and of user-supplied fields.
+(the nodes are exactly antisymmetric), one field call per distinct (X, Y). It
+is an independent cross-check of the closed forms and of user-supplied fields.
 """
 
 import itertools
@@ -210,12 +210,12 @@ def wigner_lg(mode, point):
 class NumericWignerPlan:
     """Fourier-integral Wigner evaluator over a precomputed Gauss-Legendre grid.
 
-    The plan is immutable after construction and may be shared across
-    concurrent evaluations. Construction verifies the field's L2 norm on the
-    plan's own grid: a residual beyond ``_NORM_TOL`` = 1e-3, or a NaN one,
-    rejects the field (either it is not unit-normalized or the
-    order/half-width cannot resolve it; the residual is kept as the
-    ``norm_residual`` diagnostic either way).
+    A call takes a point of four floats, giving a float, or coordinate arrays,
+    giving W in their broadcast shape. The field product E*(R + xi) E(R - xi)
+    is evaluated once per distinct (X, Y) and shared by the momenta there;
+    each point keeps the bits of a one-point call. The plan is immutable, so
+    calls may run concurrently. A field whose L2 norm on the grid is NaN or off
+    1 by more than ``_NORM_TOL`` = 1e-3 is rejected (see ``norm_residual``).
     """
 
     def __init__(self, field, config=None):
@@ -234,24 +234,28 @@ class NumericWignerPlan:
             )
 
     def __call__(self, point):
-        """W at one point; another shape, or a non-finite point or integral, raises ValueError."""
+        """W at a point or coordinate arrays; a non-finite point or integral raises ValueError."""
         coords = _coords(point)
-        if coords[0].ndim:
-            raise ValueError(f"the plan evaluates one point, got shape {coords[0].shape}")
-        point = tuple(float(v) for v in coords)
-        if not all(math.isfinite(v) for v in point):
-            raise ValueError(f"phase-space point must be finite, got {point}")
-        x, px, y, py = point
+        rows = list(zip(*(c.ravel().tolist() for c in coords)))
+        if not np.isfinite(rows).all():
+            raise ValueError("phase-space point must be finite")
+        momenta = {}  # by position; np.unique(axis=0) made a one-point call a third slower
+        for i, (x, px, y, py) in enumerate(rows):
+            momenta.setdefault((x, y), []).append((i, px, py))
+        total = np.empty(len(rows))
         with np.errstate(over="ignore", invalid="ignore"):
-            forward = np.asarray(self._field(x + self._xi_x, y + self._xi_y))
-            # e^{2i(P_X xi_x + P_Y xi_y)} splits over the tensor grid: one weighted phase per axis
-            phase_x, phase_y = (self._weights * np.exp(2j * (p * self._nodes)) for p in (px, py))
-            # E(R - xi) is E(R + xi) on both node axes reversed (see the module docstring)
-            product = np.conj(forward) * forward[::-1, ::-1]
-            total = float((phase_x @ product @ phase_y).real)
-        if not math.isfinite(total):
-            raise ValueError(f"the Wigner integral at {point} is not finite")
-        return total / _PI_SQ
+            for (x, y), at_position in momenta.items():
+                forward = np.asarray(self._field(x + self._xi_x, y + self._xi_y))
+                # E(R - xi) is E(R + xi) on both node axes reversed (see the module docstring)
+                product = np.conj(forward) * forward[::-1, ::-1]
+                for i, px, py in at_position:
+                    # e^{2i P.xi} splits over the tensor grid: one weighted phase per axis
+                    phase_x, phase_y = (self._weights * np.exp(2j * (p * self._nodes))
+                                        for p in (px, py))
+                    total[i] = (phase_x @ product @ phase_y).real
+        if not np.isfinite(total).all():
+            raise ValueError(f"non-finite Wigner integral at {rows[np.isfinite(total).argmin()]}")
+        return (total / _PI_SQ).reshape(coords[0].shape)[()]
 
 
 def lg_numeric_plan(mode, order=None):

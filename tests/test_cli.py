@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,26 @@ class TestWigner:
         assert np.max(np.abs(rows[:, 5] - values)) <= 1e-12
         assert np.max(np.abs(rows[:, 4] - values / math.pi**2)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "flags, plan",
+        [
+            (["--n", "2", "--m", "1"], wigner.lg_numeric_plan((2, 1))),
+            (["--elliptical-t", "0.5"],
+             wigner.NumericWignerPlan(partial(wigner.elliptical_field, (0.5, 1)))),
+        ],
+        ids=["lg-2-1", "elliptical"],
+    )
+    def test_numeric_rows_are_the_plans_point_values(self, capsys, flags, plan):
+        # 3 samples per axis: 81 points on 9 positions, 9 momenta at each
+        code = main(["wigner", *flags, "--numeric", "--grid-min", "-1.5", "--grid-max", "1",
+                     "--grid-samples", "3"])
+        lines = capsys.readouterr().out.strip().split("\n")
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert code == 0 and len(rows) == 81
+        values = [plan(tuple(row[:4])) for row in rows]
+        assert [row[4] for row in rows] == values
+        assert [row[5] for row in rows] == [math.pi**2 * w for w in values]
+
     @pytest.mark.parametrize("numeric", [[], ["--numeric"]], ids=["closed", "numeric"])
     def test_huge_grid_point_gives_zero(self, capsys, numeric):
         code = main(["wigner", "--n", "1", "--m", "0", "--grid-min", "1e200", "--grid-max",
@@ -426,6 +447,14 @@ class TestHarness:
             capsys.readouterr()
             assert main(argv) == 2, argv
             assert "usage" in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["wigner", "--n", "1", "--m", "0", "--order", "50"],
+        ["bell-scan", "--n", "1", "--m", "0", "--samples", "1"],
+    ], ids=["wigner", "bell-scan"])
+    def test_library_error_shows_the_subcommand_usage(self, capsys, argv):
+        assert main(argv) == 2
+        assert f"usage: vortexbell {argv[0]} [-h]" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

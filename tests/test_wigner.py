@@ -296,6 +296,16 @@ class TestNumericEngine:
             value = plan(point)
             assert calls == [nodes]  # one field call over the whole grid
             assert value == numeric_wigner_two_fields(plan, point)
+        # a batch of 3 positions with 4 momenta each, shuffled: one field call per position
+        rng = np.random.default_rng(8)
+        xy = np.repeat(rng.uniform(-1.5, 1.5, (3, 2)), 4, axis=0)
+        momenta = rng.uniform(-1.5, 1.5, (12, 2))
+        batch = np.column_stack([xy[:, 0], momenta[:, 0], xy[:, 1], momenta[:, 1]])
+        batch = batch[rng.permutation(12)]
+        calls.clear()
+        values = plan(batch.T)
+        assert calls == [nodes] * 3
+        assert values.tolist() == [numeric_wigner_two_fields(plan, point) for point in batch]
 
     @pytest.mark.parametrize("nm", [((total + 1) // 2, total // 2) for total in range(65)]
                              + [(16, 16), (20, 12), (48, 16), (0, 64)], ids=str)
@@ -344,12 +354,33 @@ class TestNumericEngine:
             with pytest.raises(ValueError, match=f"4 coordinates, got {len(point)}"):
                 plan(point)
 
-    def test_rejects_an_array_of_points(self):
+    def test_arrays_give_the_per_point_values_in_their_shape(self):
         plan = wigner.lg_numeric_plan((1, 0))
-        for points in [np.zeros((4, 3)), np.zeros((4, 1)), ([0.1, 0.2], 0.0, 0.0, 0.0)]:
-            with pytest.raises(ValueError, match="evaluates one point"):
-                plan(points)
+        axis = np.linspace(-1.0, 0.5, 3)
+        for points in [([0.1, 0.2], 0.0, 0.0, 0.0),
+                       np.random.default_rng(9).uniform(-1.5, 1.5, (4, 5)),
+                       np.meshgrid(axis, axis, axis, axis, indexing="ij")]:
+            coords = np.broadcast_arrays(*map(np.asarray, points))
+            values = plan(points)
+            assert values.shape == coords[0].shape
+            expected = [plan(tuple(float(c[k]) for c in coords)) for k in np.ndindex(values.shape)]
+            assert values.ravel().tolist() == expected
+        assert isinstance(plan((0.1, 0.2, 0.3, 0.4)), float)
         assert plan(np.array([0.1, 0.2, 0.3, 0.4])) == plan((0.1, 0.2, 0.3, 0.4))
+
+    def test_rejects_a_batch_with_one_bad_point(self):
+        plan = wigner.lg_numeric_plan((1, 0))
+        points = np.random.default_rng(10).uniform(-1.5, 1.5, (4, 6))
+        for k, bad in [(0, math.nan), (1, math.inf), (3, -math.inf)]:
+            nonfinite = points.copy()
+            nonfinite[k, 4] = bad
+            with pytest.raises(ValueError, match="point must be finite"):
+                plan(nonfinite)
+        # one huge momentum overflows its phase, so that integral is not finite
+        huge = points.copy()
+        huge[1, 2] = 1e308
+        with pytest.raises(ValueError, match="finite"):
+            plan(huge)
 
 
 class TestElliptical:
