@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import _as_finite
 from .wigner import elliptical_transform_evaluator, lg_transform_evaluator
 
 __all__ = [
@@ -51,7 +52,15 @@ _GENERAL_LATTICE_POINTS = 7
 _GENERAL_LATTICE_DRAWS = 16
 _GENERAL_UNIFORM_DRAWS = 64
 
-DEFAULT_T_GRID = tuple(round(0.1 * k, 1) for k in range(21))
+
+def _t_grid(t_min, t_max, samples):
+    """Squeeze values t_min + (t_max - t_min) (k / (samples - 1)), k < samples, ending on t_max."""
+    if samples == 1:
+        return (t_min,)
+    return (*(t_min + (t_max - t_min) * (k / (samples - 1)) for k in range(samples - 1)), t_max)
+
+
+DEFAULT_T_GRID = _t_grid(0.0, 2.0, 21)
 
 # term k of the CHSH sum is Pi at the settings _TERMS[k] of
 # (X1, P_X1, X2, P_X2, Y1, P_Y1, Y2, P_Y2), with sign _SIGNS[k]
@@ -94,12 +103,10 @@ def bell_sum(pi, kind, settings):
     term enters with a minus sign. Every entry must be finite.
     """
     _check_kind(kind)
-    u = np.asarray(settings, dtype=float)
+    u = _as_finite(settings, f"{kind} settings")
     size = _LIFT[kind].shape[1]
     if u.shape != (size,):
         raise ValueError(f"{kind} settings must be {size} numbers, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{kind} settings must be finite")
     return float(_bell(pi, kind, u[None])[0])
 
 

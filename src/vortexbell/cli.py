@@ -17,8 +17,8 @@ versions. elliptical-profile adds sup_t, sup_best_abs_B and converged to its
 manifest, which goes to stderr when the CSV goes to stdout, so no stream
 mixes two formats. All numbers carry 17 significant digits.
 
-Exit codes: 0 success, 2 argument error (a bad flag, or a ValueError from
-the library's input validation), 3 optimizer non-convergence, 4 I/O error.
+Exit codes: 0 success, 2 argument error (a bad flag, input the library rejects,
+or a request too large for memory), 3 optimizer non-convergence, 4 I/O error.
 A reader that closes stdout early (``| head``) is not an error: the command
 stops writing and exits 0.
 """
@@ -39,6 +39,7 @@ from .bell import (
     GENERAL,
     RESTRICTED,
     OptimizerConfig,
+    _t_grid,
     bell_scan,
     elliptical_profile,
     maximize_bell,
@@ -238,7 +239,7 @@ def _cmd_elliptical_profile(args):
     if args.t_samples < 1:
         raise ValueError(f"--t-samples must be >= 1, got {args.t_samples}")
     cfg = _optimizer_config(args)
-    ts = np.linspace(args.t_min, args.t_max, args.t_samples)
+    ts = _t_grid(args.t_min, args.t_max, args.t_samples)
     profile = elliptical_profile(ts, kind=args.settings, config=cfg)
     summary = {
         "sup_t": profile.sup_t,
@@ -337,6 +338,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(commands[args.command].format_usage(), file=sys.stderr, end="")
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # the reader stopped early (`| head`); send the unflushed rest nowhere

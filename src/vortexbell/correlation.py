@@ -23,6 +23,7 @@ branch, so exchanging the mode indices flips its sign.
 import numpy as np
 
 from .modes import as_mode
+from .specfun import _as_finite
 
 __all__ = [
     "quadrature_correlation",
@@ -47,9 +48,7 @@ def quadrature_correlation(mode, angles):
     |C| <= 1 and C depends only on phi - theta; a non-finite angle raises
     ValueError.
     """
-    theta, phi = angles
-    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
-        raise ValueError("quadrature angles must be finite")
+    theta, phi = (_as_finite(angle, "quadrature angles") for angle in angles)
     return max_correlation(mode) * (np.cos(theta) * np.sin(phi) - np.sin(theta) * np.cos(phi))
 
 

@@ -113,11 +113,6 @@ def _lg_norm(radial, azimuthal):
     return math.sqrt(math.factorial(radial) / math.factorial(radial + azimuthal) / math.pi)
 
 
-def _finite(X):
-    """X as a float ndarray, 0-d for a scalar; ValueError if any entry is not finite."""
-    return np.asarray(_as_finite(X))
-
-
 def lg_amplitude(mode, X, Y):
     """LG field amplitude at the scaled point (X, Y). Complex; vectorizes over X, Y.
 
@@ -128,7 +123,7 @@ def lg_amplitude(mode, X, Y):
     """
     mode = as_mode(mode)
     p, a, l = mode.radial, abs(mode.l), mode.l
-    X, Y = _finite(X), _finite(Y)
+    X, Y = _as_finite(X), _as_finite(Y)
     sign = -1.0 if p % 2 else 1.0
     # a huge point overflows r2 quietly; the inf * 0 it leaves is masked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,7 +181,7 @@ def _hermite_function(n, x):
 def hg_amplitude(mode, X, Y):
     """HG field amplitude u_{nm}(X, Y) = psi_n(X) psi_m(Y); real-valued, unit L2 norm."""
     mode = as_mode(mode)
-    return _hermite_function(mode.n, _finite(X)) * _hermite_function(mode.m, _finite(Y))
+    return _hermite_function(mode.n, _as_finite(X)) * _hermite_function(mode.m, _as_finite(Y))
 
 
 def schmidt_coefficients(mode):
@@ -232,7 +227,7 @@ def reconstruct_from_schmidt(mode, X, Y):
     every n + m <= 64 on [-9, 9]^2.
     """
     terms = schmidt_coefficients(mode)
-    coords = np.broadcast_arrays(_finite(X), _finite(Y))
+    coords = np.broadcast_arrays(_as_finite(X), _as_finite(Y))
     return _blocked(lambda x, y: _schmidt_sum(terms, x, y), coords, complex)[()]
 
 

@@ -10,7 +10,7 @@ several multiplies per element. For p <= 64, alpha <= 10 and
 0 <= x <= 300 the values stay within 1.2e-13 of C(p+alpha, p) e^{x/2} of
 the exact series; the worst seen is 1.0e-13, just above 0 (x = 1e-5,
 p = 64, alpha = 0), and a division per step gives 8.9e-14 there.
-Scalar inputs run on plain floats and array inputs broadcast through
+Every input is a float ndarray (0-d for a scalar) that broadcasts through
 numpy, and an array alpha stacks several recurrences in one. The public
 ``laguerre`` returns a signed infinity where the value overflows.
 ``laguerre_scaled`` keeps the division, so that it stays independent of
@@ -41,16 +41,11 @@ def _check_degree(value, name, cap=MAX_DEGREE):
     return int(value)
 
 
-def _as_finite(x):
-    """Return x as a float (scalar input) or float ndarray, rejecting non-finite values."""
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"argument must be finite, got {x}")
-        return x
+def _as_finite(x, name="argument"):
+    """x as a float ndarray, 0-d for a scalar; ValueError naming x if an entry is not finite."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
-        raise ValueError("argument must be finite")
+        raise ValueError(f"{name} must be finite")
     return x
 
 
@@ -74,7 +69,7 @@ def _blocked(kernel, coords, dtype=float):
 
 
 def _laguerres(alpha, x):
-    """Yield L_0^alpha(x), L_1^alpha(x), ... for a float or a float array x, unvalidated.
+    """Yield L_0^alpha(x), L_1^alpha(x), ... for a float array x, unvalidated.
 
     Each step makes one new array and updates the others in place, so a
     yielded array is overwritten two steps later: a caller that keeps L_k
@@ -111,23 +106,21 @@ def laguerre(p, alpha, x):
     alpha : int
         Associated index, alpha >= 0.
     x : float or ndarray
-        Evaluation point(s); must be finite.
+        Evaluation point(s); must be finite. A scalar runs on the same array
+        path, as a 0-d array, and returns a float with the same bits.
 
     Where the value overflows a float (|x| far beyond 4p + 2 alpha, as
     L_64(1e7) ~ 1e359), it is the infinity with the sign of the leading
     term (-x)^p / p!, and no RuntimeWarning is raised.
     """
     p, alpha, x = _check_degree(p, "p"), _check_degree(alpha, "alpha", cap=None), _as_finite(x)
-    # x is finite, so a NaN is inf - inf, two steps after the recurrence overflowed
-    if isinstance(x, float):  # float arithmetic overflows quietly
-        value = _laguerre(p, alpha, x)
-        return value if value == value else math.copysign(math.inf, -x if p % 2 else 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         value = _laguerre(p, alpha, x)
+    # x is finite, so a NaN is inf - inf, two steps after the recurrence overflowed
     overflowed = np.isnan(value)
     if overflowed.any():
-        value = np.where(overflowed, np.copysign(np.inf, -x if p % 2 else 1.0), value)[()]
-    return value
+        value = np.where(overflowed, np.copysign(np.inf, -x if p % 2 else 1.0), value)
+    return value if np.ndim(value) else float(value)
 
 
 def laguerre_scaled(p, alpha, x):
@@ -139,7 +132,7 @@ def laguerre_scaled(p, alpha, x):
     """
     p = _check_degree(p, "p")
     alpha = _check_degree(alpha, "alpha", cap=None)
-    x = np.asarray(_as_finite(x))
+    x = _as_finite(x)
     shift = np.zeros_like(x)
     if p == 0:
         return np.ones_like(x), shift

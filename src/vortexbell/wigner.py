@@ -38,9 +38,9 @@ from functools import partial
 
 import numpy as np
 
-from .modes import _finite, as_mode, lg_amplitude
+from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import _blocked, _laguerre, _laguerres
+from .specfun import _as_finite, _blocked, _laguerre, _laguerres
 
 __all__ = [
     "EllipticalParams",
@@ -236,9 +236,9 @@ class NumericWignerPlan:
     def __call__(self, point):
         """W at a point or coordinate arrays; a non-finite point or integral raises ValueError."""
         coords = _coords(point)
-        rows = list(zip(*(c.ravel().tolist() for c in coords)))
-        if not np.isfinite(rows).all():
+        if not np.isfinite(coords).all():
             raise ValueError("phase-space point must be finite")
+        rows = list(zip(*(c.ravel().tolist() for c in coords)))
         momenta = {}  # by position; np.unique(axis=0) made a one-point call a third slower
         for i, (x, px, y, py) in enumerate(rows):
             momenta.setdefault((x, y), []).append((i, px, py))
@@ -279,7 +279,7 @@ def elliptical_field(params, X, Y):
     """
     if not isinstance(params, EllipticalParams):
         params = EllipticalParams(*params)
-    X, Y = _finite(X), _finite(Y)
+    X, Y = _as_finite(X), _as_finite(Y)
     with np.errstate(over="ignore"):
         plus, minus = X + params.sign * Y, X - params.sign * Y
         arg = -0.25 * (math.exp(-2.0 * params.t) * (plus * plus)

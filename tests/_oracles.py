@@ -53,9 +53,9 @@ from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre
 
 from vortexbell import bell, specfun, wigner
-from vortexbell.modes import (_finite, _hermite_function, _hermite_functions, _lg_norm, as_mode,
+from vortexbell.modes import (_hermite_function, _hermite_functions, _lg_norm, as_mode,
                               lg_amplitude, schmidt_coefficients)
-from vortexbell.specfun import _laguerre
+from vortexbell.specfun import _as_finite, _laguerre
 
 
 def laguerre_series(p, alpha, x):
@@ -118,7 +118,7 @@ def lg_amplitude_product(mode, X, Y):
     """LG amplitude as sign norm (X + i sgn(l) Y)^|l| L_p^|l|(r^2) e^{-r^2/2}, 0 on underflow."""
     mode = as_mode(mode)
     p, a, l = mode.radial, abs(mode.l), mode.l
-    X, Y = _finite(X), _finite(Y)
+    X, Y = _as_finite(X), _as_finite(Y)
     sign = -1.0 if p % 2 else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = X * X + Y * Y
@@ -214,7 +214,7 @@ def lg_gradient(mode, X, Y):
     mode = as_mode(mode)
     p, a, l = mode.radial, abs(mode.l), mode.l
     s = math.copysign(1.0, l)
-    X, Y = _finite(X), _finite(Y)
+    X, Y = _as_finite(X), _as_finite(Y)
     norm = (-1.0 if p % 2 else 1.0) * _lg_norm(p, a)
     # a huge point overflows r2 quietly; the inf * 0 it leaves is masked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -429,7 +429,7 @@ def schmidt_sum_unblocked(mode, X, Y):
     """sum_k c_k psi_{N-k}(X) psi_k(Y) in one pass over full-size arrays (Clenshaw in X)."""
     terms = schmidt_coefficients(mode)
     total = len(terms) - 1
-    X, Y = _finite(X), _finite(Y)
+    X, Y = _as_finite(X), _as_finite(Y)
     shape = np.broadcast_shapes(X.shape, Y.shape)
     parts = [[np.zeros(shape), np.zeros(shape)] for _ in range(2)]
     tmp = np.empty(shape)

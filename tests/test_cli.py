@@ -423,6 +423,16 @@ class TestEllipticalProfile:
         values = [float(v) for _, v in rows]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("argv, ts", [
+        (["--t-min", "0", "--t-max", "2", "--t-samples", "21"], bell.DEFAULT_T_GRID),
+        (["--t-min", "1.0", "--t-max", "1.2", "--t-samples", "3"], (1.0, 1.1, 1.2)),
+        (["--t-min", "0.5", "--t-max", "1.5", "--t-samples", "1"], (0.5,)),
+    ], ids=["readme", "cli-workload", "one-sample"])
+    def test_t_column_is_the_library_grid(self, capsys, argv, ts):
+        assert main(["elliptical-profile", *argv]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert tuple(float(row.split(",")[0]) for row in rows) == ts
+
     def test_out_of_range_t_is_usage_error(self, capsys):
         assert main(["elliptical-profile", "--t-min", "0", "--t-max", "3"]) == 2
 
@@ -455,6 +465,19 @@ class TestHarness:
     def test_library_error_shows_the_subcommand_usage(self, capsys, argv):
         assert main(argv) == 2
         assert f"usage: vortexbell {argv[0]} [-h]" in capsys.readouterr().err
+
+    def test_request_too_large_for_memory_exits_two(self, capsys, monkeypatch):
+        # the library call raises as numpy does; nothing here really allocates
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.9 GiB for an array with shape "
+                              "(4, 100000000, 4) and data type float64")
+
+        monkeypatch.setattr("vortexbell.cli.bell_scan", too_large)
+        assert main(["bell-scan", "--n", "1", "--m", "0", "--samples", "100000000"]) == 2
+        run = capsys.readouterr()
+        assert run.out == ""
+        assert run.err.splitlines() == ["error: out of memory: Unable to allocate 11.9 GiB for an "
+                                        "array with shape (4, 100000000, 4) and data type float64"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -118,6 +118,36 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             specfun.laguerre(-1, 0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0, 3])
+    @pytest.mark.parametrize("p", [0, 1, 30, 64])
+    def test_every_scalar_kind_has_the_array_bits(self, p, alpha):
+        for x in (0.0, -0.0, 0.75, 2.0, 31.0, -4.5, 250.0):
+            inside = specfun.laguerre(p, alpha, np.array([1.5, x, 2.0]))[1]
+            kinds = [float, np.float64, np.asarray] + ([int] if x.is_integer() else [])
+            for kind in kinds:
+                got = specfun.laguerre(p, alpha, kind(x))
+                assert type(got) is float, (kind, x)
+                assert _same_bits(np.float64(got), inside), (kind, x)
+
+    @pytest.mark.parametrize("p, alpha, x", [(63, 0, 1e7), (64, 0, 1e7), (63, 3, -1e7),
+                                             (64, 3, 1.7e308)])
+    def test_overflow_is_one_signed_infinity_in_every_form(self, p, alpha, x):
+        expected = -math.inf if p % 2 and x > 0 else math.inf
+        kinds = [float, np.float64, np.asarray] + ([int] if abs(x) < 1e8 else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in kinds:
+                got = specfun.laguerre(p, alpha, kind(x))
+                assert type(got) is float and got == expected, kind
+            assert specfun.laguerre(p, alpha, np.array([2.0, x]))[1] == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_kind_of_nonfinite_input_is_rejected(self, bad):
+        for kind in (float, np.float64, np.asarray, lambda v: np.array([1.0, v]),
+                     lambda v: [[v, 0.5]]):
+            with pytest.raises(ValueError, match="must be finite"):
+                specfun.laguerre(4, 1, kind(bad))
+
 
 def _same_bits(a, b):
     return type(a) is type(b) and np.shape(a) == np.shape(b) and (
