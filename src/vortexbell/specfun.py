@@ -1,24 +1,25 @@
 """Stable special-function evaluation: Laguerre polynomials.
 
-Laguerre polynomials are evaluated with their three-term recurrence (never
-a factorial series), which stays accurate for the degrees this package
-needs. ``_laguerres`` yields L_0, L_1, ... and makes one new array per
-step, updating the others in place; each element meets the operations of
-the one-expression step, so the values have the same bits. Each step ends
-with a multiplication by the reciprocal 1/k, not a division, which costs
-several multiplies per element. For p <= 64, alpha <= 10 and
-0 <= x <= 300 the values stay within 1.2e-13 of C(p+alpha, p) e^{x/2} of
-the exact series; the worst seen is 1.0e-13, just above 0 (x = 1e-5,
-p = 64, alpha = 0), and a division per step gives 8.9e-14 there.
-Every input is a float ndarray (0-d for a scalar) that broadcasts through
-numpy, and an array alpha stacks several recurrences in one. The public
-``laguerre`` returns a signed infinity where the value overflows.
-``laguerre_scaled`` keeps the division, so that it stays independent of
-the evaluators' recurrence, and always returns numpy arrays; no evaluator
-calls it.
+A Laguerre polynomial is the scaled product over its zeros,
+
+    L_p^alpha(x) = (-1)^p / p! * prod_i (x - r_i),
+
+never a factorial series or a recurrence. ``_zeros`` computes the zeros once
+per (p, alpha) as correctly rounded double words hi + lo. Both words and x
+are scaled exactly by a power of 2, chosen so that the product overflows
+only where the value does, to the infinity with the sign of the leading
+term. Each zero costs three numpy passes, ((x 2^-e - hi) - lo) and a
+multiplication, where the three-term recurrence took five per degree, and
+the values are within 5e-15 of C(p+alpha, p) e^{x/2} of the exact series
+(see ``laguerre``), where the recurrence reached 1.0e-13. Every input is a
+float ndarray (0-d for a scalar) that broadcasts through numpy;
+``_product`` stacks the factors of several degrees on a leading axis, each
+row with its own bits. ``laguerre_scaled`` keeps the three-term recurrence
+with a division, independent of the product, and always returns numpy
+arrays; no evaluator calls it.
 """
 
-import itertools
+import functools
 import math
 
 import numpy as np
@@ -68,32 +69,101 @@ def _blocked(kernel, coords, dtype=float):
         return blocks.operands[-1]
 
 
-def _laguerres(alpha, x):
-    """Yield L_0^alpha(x), L_1^alpha(x), ... for a float array x, unvalidated.
+@functools.lru_cache(maxsize=256)
+def _zeros(p, alpha):
+    """The p zeros of L_p^alpha, ascending, as double words: a tuple hi and a tuple lo.
 
-    Each step makes one new array and updates the others in place, so a
-    yielded array is overwritten two steps later: a caller that keeps L_k
-    must stop the generator there or copy it. x itself is never written.
-    L_0 = x**0 is 1 in the broadcast shape of x and alpha, even where x is
-    not finite.
+    hi is the zero correctly rounded and hi + lo is nearer it than hi. The
+    Golub-Welsch eigenvalues of the Jacobi matrix of the weight x^alpha e^-x
+    start two Newton steps x + L_p^alpha / L_{p-1}^(alpha+1), run in exact
+    integers: for x = a/d, N_k = k! d^k L_k^alpha(x) is an integer, and
+    x L_p' = p L_p - (p + alpha) L_{p-1} gives the step from N_p and N_{p-1}.
     """
-    prev = x ** (0.0 * alpha)
-    yield prev
-    cur = 1.0 + alpha - x
-    for k in itertools.count(2):
-        yield cur
-        # ((2k-1+alpha - x) L_{k-1} - (k-1+alpha) L_{k-2}) * (1/k), one operation at a time
-        new = 2.0 * k - 1.0 + alpha - x
-        new *= cur
-        prev *= k - 1.0 + alpha
-        new -= prev
-        new *= 1.0 / k
-        prev, cur = cur, new
+    k = np.arange(1.0, p)
+    jacobi = np.diag(2.0 * np.arange(p) + alpha + 1.0) - np.diag(np.sqrt(k * (k + alpha)), -1)
+    hi, lo = [], []
+    for start in np.linalg.eigvalsh(jacobi).tolist():
+        top, bottom = _newton(p, alpha, start)
+        top, bottom = _newton(p, alpha, top / bottom)  # int / int rounds correctly
+        hi.append(top / bottom)
+        h_top, h_bottom = hi[-1].as_integer_ratio()
+        lo.append((top * h_bottom - h_top * bottom) / (bottom * h_bottom))
+    return tuple(hi), tuple(lo)
+
+
+def _newton(p, alpha, x):
+    """The Newton step x + L_p^alpha(x) / L_{p-1}^(alpha+1)(x), p >= 1, at a float x, exactly:
+    an integer numerator and denominator."""
+    a, d = x.as_integer_ratio()
+    prev, cur = 1, (1 + alpha) * d - a  # N_0, N_1
+    for k in range(2, p + 1):
+        prev, cur = cur, ((2 * k - 1 + alpha) * d - a) * cur - (k - 1) * (k - 1 + alpha) * d * d * prev
+    # L_p / L_{p-1}^(alpha+1) = x N_p / (p ((p + alpha) d N_{p-1} - N_p))
+    below = p * ((p + alpha) * d * prev - cur)
+    return a * (below + cur), d * below
+
+
+@functools.lru_cache(maxsize=64)
+def _factors(p, alpha, rows=1, ndim=0):
+    """The product of L_{p-j}^(alpha+j), j < rows <= p, as ``_product`` takes it.
+
+    Returns (scale, kappa, full, tail). Row j is kappa_j prod_i ((x scale_j -
+    hi_i) - lo_i) over its zeros scaled by scale_j = 2^-e_j, with e_j =
+    ceil(log2((p-j)!)/(p-j)), and kappa_j = (-1)^(p-j) 2^(e_j (p-j)) / (p-j)!
+    rounded once, so |kappa_j| >= 1. ``full`` holds the (hi, lo) of the zeros
+    every row has and ``tail`` the (row count, hi, lo) of the last rows - 1,
+    which only the leading rows have. One row gives floats, its scale None
+    where it is 1 (p = 1); more give columns of shape (rows, 1, ...) for a
+    leading row axis over an x of ``ndim`` dimensions. A lo of 0 is None.
+    The skipped steps are exact, so they change no bit.
+    """
+    degrees = range(p, p - rows, -1)
+    exponents = [math.ceil(math.log2(math.factorial(q)) / q) for q in degrees]
+    scale = [2.0 ** -e for e in exponents]
+    kappa = [(-1) ** q * 2 ** (e * q) / math.factorial(q) for q, e in zip(degrees, exponents)]
+    # each row's zeros, scaled exactly by its power of 2, as (hi, lo) pairs
+    zeros = [[(math.ldexp(h, -e), math.ldexp(l, -e)) for h, l in zip(*_zeros(q, alpha + j))]
+             for j, (q, e) in enumerate(zip(degrees, exponents))]
+    if rows == 1:
+        return scale[0] if exponents[0] else None, kappa[0], [(h, l or None) for h, l in zeros[0]], ()
+    shape = (-1,) + (1,) * ndim
+    # zero i of the leading rows that have it, p - i of them at most
+    columns = [zip(*(row[i] for row in zeros[:p - i])) for i in range(p)]
+    stacked = [(len(hi), np.reshape(hi, shape), np.reshape(lo, shape) if any(lo) else None)
+               for hi, lo in columns]
+    return (np.reshape(scale, shape), np.reshape(kappa, shape),
+            [(hi, lo) for _, hi, lo in stacked[:p - rows + 1]], stacked[p - rows + 1:])
+
+
+def _product(factors, x):
+    """The rows of ``_factors`` at a float array x, unvalidated: 3 passes per zero.
+
+    Each row meets the operations of its own one-row product, so it has its
+    bits. x itself is never written.
+    """
+    scale, kappa, full, tail = factors
+    t = x if scale is None else x * scale
+    (hi, lo), *rest = full
+    out = t - hi
+    if lo is not None:
+        out -= lo
+    for hi, lo in rest:
+        factor = t - hi
+        if lo is not None:
+            factor -= lo
+        out *= factor
+    for rows, hi, lo in tail:
+        factor = t[:rows] - hi
+        if lo is not None:
+            factor -= lo
+        out[:rows] *= factor
+    out *= kappa
+    return out
 
 
 def _laguerre(p, alpha, x):
-    """L_p^alpha(x), the p-th value of ``_laguerres``."""
-    return next(itertools.islice(_laguerres(alpha, x), p, None))
+    """L_p^alpha(x) for a float array x, unvalidated; L_0 = x**0 is 1 even where x is not finite."""
+    return _product(_factors(p, alpha), x) if p else x ** 0.0
 
 
 def laguerre(p, alpha, x):
@@ -109,17 +179,17 @@ def laguerre(p, alpha, x):
         Evaluation point(s); must be finite. A scalar runs on the same array
         path, as a 0-d array, and returns a float with the same bits.
 
-    Where the value overflows a float (|x| far beyond 4p + 2 alpha, as
-    L_64(1e7) ~ 1e359), it is the infinity with the sign of the leading
-    term (-x)^p / p!, and no RuntimeWarning is raised.
+    For p <= 64, alpha <= 10 and 0 <= x <= 300 the value is within 5e-15 of
+    C(p+alpha, p) e^{x/2} of the exact one (2.5e-15 at worst, seen just
+    above 0). The first call for a (p, alpha) computes its zeros, once per
+    process: about 7 ms for (64, 0), 1.3 ms for (30, 0). Where the value
+    overflows a float (|x| far beyond 4p + 2 alpha, as L_64(1e7) ~ 1e359),
+    it is the infinity with the sign of the leading term (-x)^p / p!, and no
+    RuntimeWarning is raised.
     """
     p, alpha, x = _check_degree(p, "p"), _check_degree(alpha, "alpha", cap=None), _as_finite(x)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         value = _laguerre(p, alpha, x)
-    # x is finite, so a NaN is inf - inf, two steps after the recurrence overflowed
-    overflowed = np.isnan(value)
-    if overflowed.any():
-        value = np.where(overflowed, np.copysign(np.inf, -x if p % 2 else 1.0), value)
     return value if np.ndim(value) else float(value)
 
 

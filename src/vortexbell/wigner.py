@@ -31,7 +31,6 @@ phase vector per axis, and E(R - xi) is E(R + xi) on reversed node axes
 is an independent cross-check of the closed forms and of user-supplied fields.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -40,7 +39,7 @@ import numpy as np
 
 from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import _as_finite, _blocked, _laguerre, _laguerres
+from .specfun import _as_finite, _blocked, _factors, _laguerre, _product
 
 __all__ = [
     "EllipticalParams",
@@ -132,27 +131,21 @@ def _evaluate(forms, beam, point, order=0):
         return value[()], forms, g_q, g_qq
 
 
-# alpha = 0, 1, 2 for the stacked recurrence of ``_damped_derivatives``
-_ALPHAS = np.arange(3.0)
-
-
 def _damped_derivatives(p, u):
     """(L_p(u), D L_p(u), D^2 L_p(u)), D = d/du - 1/2.
 
     D L_p and D^2 L_p are the derivatives of L_p(u) e^{-u/2} over e^{-u/2}.
-    L_p, L_p' = -L_{p-1}^(1) and L_p'' = L_{p-2}^(2) come from one recurrence
-    with alpha = 0, 1, 2 on a leading axis of 3 rows; each row does the
-    operations of its own recurrence, so it has the bits of ``_laguerre``.
+    L_p, L_p' = -L_{p-1}^(1) and L_p'' = L_{p-2}^(2) are the rows of one
+    product over zeros on a leading axis, one row per factor of degree >= 1
+    (L_0 = 1); each row has the bits of ``_laguerre`` for its own factor.
     """
-    rows = _laguerres(_ALPHAS.reshape((3,) + (1,) * np.ndim(u)), u)
-    d1 = d2 = 0.0  # L_p' and L_p''
-    if p >= 2:
-        d2 = next(itertools.islice(rows, p - 2, None))[2]
-    if p >= 1:
-        d1 = -next(rows)[1]
-        d2 = d2 - d1  # before the next step overwrites L_{p-2}^(2)
-    lp = next(rows)[0]
-    return lp, d1 - 0.5 * lp, d2 + 0.25 * lp
+    if p < 2:  # L_p' = -p, L_p'' = 0
+        lp = _laguerre(p, 0, u)
+        return lp, -float(p) - 0.5 * lp, float(p) + 0.25 * lp
+    rows = _product(_factors(p, 0, min(p, 3), np.ndim(u)), u)
+    lp, d1 = rows[0], -rows[1]
+    d2 = rows[2] if p > 2 else 1.0
+    return lp, d1 - 0.5 * lp, d2 - d1 + 0.25 * lp
 
 
 # the forms of the LG beam: u+- = 4Q0 +- 4Q2 = z^T (I +- J) z, with 4 Q2 = z^T J z

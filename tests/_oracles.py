@@ -13,10 +13,9 @@ The Bell search is the multi-start Nelder-Mead loop that
 seeds and Bell sums, so it gives a maximum the Newton search must reach.
 The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
 recurrence, so it checks the plain-product Pi far from the origin.
-The Laguerre recurrence is the package's in one expression per step, as
-it was before each step went in place, ending in the same multiplication
-by 1/k: every element meets the same operations, so the package must
-match it bit for bit.
+The Laguerre recurrence is the three-term recurrence the package evaluated
+before the product over zeros, one expression per step, ending in a
+multiplication by 1/k; it stays as a reference, to compare the two.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
 at a time, so the one-call search must return its points bit for bit.
@@ -58,13 +57,18 @@ from vortexbell.modes import (_hermite_function, _hermite_functions, _lg_norm, a
 from vortexbell.specfun import _as_finite, _laguerre
 
 
+def laguerre_exact(p, alpha, x):
+    """Direct series sum_k C(p+alpha, p-k) (-x)^k / k! at a float or Fraction x, as a Fraction."""
+    a, d = Fraction(x).as_integer_ratio()
+    # p! d^p times the series, summed in integers
+    total = sum((-1) ** k * math.comb(p + alpha, p - k) * (math.factorial(p) // math.factorial(k))
+                * a**k * d ** (p - k) for k in range(p + 1))
+    return Fraction(total, math.factorial(p) * d**p)
+
+
 def laguerre_series(p, alpha, x):
-    """Direct series sum_k C(p+alpha, p-k) (-x)^k / k!, in exact rationals."""
-    xf = Fraction(x)
-    total = Fraction(0)
-    for k in range(p + 1):
-        total += Fraction((-1) ** k * math.comb(p + alpha, p - k), math.factorial(k)) * xf**k
-    return float(total)
+    """``laguerre_exact`` rounded once to a float."""
+    return float(laguerre_exact(p, alpha, x))
 
 
 def laguerre_recurrence(p, alpha, x):

@@ -8,8 +8,7 @@ import pytest
 from vortexbell import modes, quadrature, specfun, wigner
 from vortexbell.quadrature import QuadratureConfig
 
-from _oracles import (laguerre_recurrence, log_domain_pi, numeric_wigner_two_fields, wigner_args,
-                      z_jet)
+from _oracles import log_domain_pi, numeric_wigner_two_fields, wigner_args, z_jet
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
@@ -197,8 +196,8 @@ class TestDegreeZeroFactor:
         fourq0 = x * x + y * y + px * px + py * py
         fourq2 = 2.0 * (x * py - y * px)
         sign = -1.0 if (n + m) % 2 else 1.0
-        product = (sign * laguerre_recurrence(n, 0, fourq0 + fourq2)
-                   * laguerre_recurrence(m, 0, fourq0 - fourq2) * np.exp(-fourq0))
+        product = (sign * specfun._laguerre(n, 0, fourq0 + fourq2)
+                   * specfun._laguerre(m, 0, fourq0 - fourq2) * np.exp(-fourq0))
         values = wigner.wigner_transform(nm, (x, px, y, py))
         assert values.dtype == float and values.tobytes() == product.tobytes()
         for k in range(0, 3000, 293):
@@ -585,16 +584,17 @@ class TestDerivatives:
             wigner.wigner_transform((1, 0), (1.0, 2.0, 3.0))
 
 
-def _three_recurrences(p, u):
-    """(L_p, D L_p, D^2 L_p) from separate L_p, L_{p-1}^(1) and L_{p-2}^(2) recurrences."""
-    lp = laguerre_recurrence(p, 0, u)
-    d1 = -laguerre_recurrence(p - 1, 1, u) if p >= 1 else 0.0 * u
-    d2 = laguerre_recurrence(p - 2, 2, u) if p >= 2 else 0.0 * u
+def _three_factors(p, u):
+    """(L_p, D L_p, D^2 L_p) from separate L_p, L_{p-1}^(1) and L_{p-2}^(2) products."""
+    lp = specfun._laguerre(p, 0, u)
+    d1 = -specfun._laguerre(p - 1, 1, u) if p >= 1 else 0.0 * u
+    d2 = specfun._laguerre(p - 2, 2, u) if p >= 2 else 0.0 * u
     return lp, d1 - 0.5 * lp, d2 - d1 + 0.25 * lp
 
 
 class TestStackedRecurrence:
-    """``_damped_derivatives`` runs alpha = 0, 1, 2 as one recurrence with the bits of three."""
+    """``_damped_derivatives`` stacks L_p, L_{p-1}^(1) and L_{p-2}^(2) in one product with the
+    bits of three ``_laguerre`` calls."""
 
     def test_bit_identical_to_three_recurrences(self):
         rng = np.random.default_rng(83)
@@ -603,7 +603,7 @@ class TestStackedRecurrence:
             for u in (flat, flat.reshape(2, 13), np.float64(1.25), np.asarray(0.5)):
                 for p in range(65):
                     got = wigner._damped_derivatives(p, u)
-                    for g, r in zip(got, _three_recurrences(p, u)):
+                    for g, r in zip(got, _three_factors(p, u)):
                         assert np.shape(g) == np.shape(u) and np.asarray(g).tobytes() == np.asarray(r).tobytes(), (
                             np.shape(u), p)
 
