@@ -112,10 +112,9 @@ def _factors(p, alpha, rows=1, ndim=0):
     ceil(log2((p-j)!)/(p-j)), and kappa_j = (-1)^(p-j) 2^(e_j (p-j)) / (p-j)!
     rounded once, so |kappa_j| >= 1. ``full`` holds the (hi, lo) of the zeros
     every row has and ``tail`` the (row count, hi, lo) of the last rows - 1,
-    which only the leading rows have. One row gives floats, its scale None
-    where it is 1 (p = 1); more give columns of shape (rows, 1, ...) for a
-    leading row axis over an x of ``ndim`` dimensions. A lo of 0 is None.
-    The skipped steps are exact, so they change no bit.
+    which only the leading rows have. One row gives floats; more give
+    columns of shape (rows, 1, ...) for a leading row axis over an x of
+    ``ndim`` dimensions.
     """
     degrees = range(p, p - rows, -1)
     exponents = [math.ceil(math.log2(math.factorial(q)) / q) for q in degrees]
@@ -125,12 +124,11 @@ def _factors(p, alpha, rows=1, ndim=0):
     zeros = [[(math.ldexp(h, -e), math.ldexp(l, -e)) for h, l in zip(*_zeros(q, alpha + j))]
              for j, (q, e) in enumerate(zip(degrees, exponents))]
     if rows == 1:
-        return scale[0] if exponents[0] else None, kappa[0], [(h, l or None) for h, l in zeros[0]], ()
+        return scale[0], kappa[0], zeros[0], ()
     shape = (-1,) + (1,) * ndim
     # zero i of the leading rows that have it, p - i of them at most
     columns = [zip(*(row[i] for row in zeros[:p - i])) for i in range(p)]
-    stacked = [(len(hi), np.reshape(hi, shape), np.reshape(lo, shape) if any(lo) else None)
-               for hi, lo in columns]
+    stacked = [(len(hi), np.reshape(hi, shape), np.reshape(lo, shape)) for hi, lo in columns]
     return (np.reshape(scale, shape), np.reshape(kappa, shape),
             [(hi, lo) for _, hi, lo in stacked[:p - rows + 1]], stacked[p - rows + 1:])
 
@@ -142,20 +140,17 @@ def _product(factors, x):
     bits. x itself is never written.
     """
     scale, kappa, full, tail = factors
-    t = x if scale is None else x * scale
+    t = x * scale
     (hi, lo), *rest = full
     out = t - hi
-    if lo is not None:
-        out -= lo
+    out -= lo
     for hi, lo in rest:
         factor = t - hi
-        if lo is not None:
-            factor -= lo
+        factor -= lo
         out *= factor
     for rows, hi, lo in tail:
         factor = t[:rows] - hi
-        if lo is not None:
-            factor -= lo
+        factor -= lo
         out[:rows] *= factor
     out *= kappa
     return out
@@ -182,10 +177,12 @@ def laguerre(p, alpha, x):
     For p <= 64, alpha <= 10 and 0 <= x <= 300 the value is within 5e-15 of
     C(p+alpha, p) e^{x/2} of the exact one (2.5e-15 at worst, seen just
     above 0). The first call for a (p, alpha) computes its zeros, once per
-    process: about 7 ms for (64, 0), 1.3 ms for (30, 0). Where the value
-    overflows a float (|x| far beyond 4p + 2 alpha, as L_64(1e7) ~ 1e359),
-    it is the infinity with the sign of the leading term (-x)^p / p!, and no
-    RuntimeWarning is raised.
+    process: about 7 ms for (64, 0), 1.3 ms for (30, 0). The Hessian path
+    of a Bell search also needs the zeros of L_{p-1}^(1) and L_{p-2}^(2),
+    so its first call for a degree costs about three times that: 21 ms for
+    p = 64, 4 ms for p = 30. Where the value overflows a float (|x| far
+    beyond 4p + 2 alpha, as L_64(1e7) ~ 1e359), it is the infinity with the
+    sign of the leading term (-x)^p / p!, and no RuntimeWarning is raised.
     """
     p, alpha, x = _check_degree(p, "p"), _check_degree(alpha, "alpha", cap=None), _as_finite(x)
     with np.errstate(over="ignore"):

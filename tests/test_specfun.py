@@ -180,22 +180,32 @@ class TestInPlaceRecurrence:
         return np.concatenate([[0.0, -0.0, 1.0, 3.0 - 1e-16], rng.uniform(-5.0, 60.0, 24),
                                [1e40, -1e40, 1e200, -1e300, 1.7e308]])
 
+    def _check_against_series(self, p, alpha, x, got):
+        for xi, value in zip(np.ravel(x).tolist(), np.ravel(got).tolist()):
+            exact = laguerre_exact(p, alpha, xi)
+            if abs(exact) > sys.float_info.max:
+                assert value == (math.inf if exact > 0 else -math.inf), (alpha, p, xi)
+                continue
+            scale = max(abs(exact), math.comb(p + alpha, p) * math.exp(min(xi, 700.0) / 2.0))
+            assert abs(Fraction(value) - exact) <= self.TOLERANCE * scale, (alpha, p, xi)
+
     def test_bit_identical_to_one_expression_oracle(self):
-        # the product against the exact series on the same arguments: within TOLERANCE where
-        # the value is a float, and the leading term's signed infinity where it overflows
-        x = self._arguments()
+        # the product against the exact series for every degree: within TOLERANCE where the
+        # value is a float, and the leading term's signed infinity where it overflows; a 0-d
+        # argument is checked the same way, and reshaped, broadcast and strided views of the
+        # arguments give the bits of the flat result
+        flat = self._arguments()
         with np.errstate(over="ignore"):
             for alpha in self.ALPHAS:
-                for p in (*range(0, specfun.MAX_DEGREE, 3), specfun.MAX_DEGREE):
-                    got = specfun._laguerre(p, alpha, x)
-                    assert got.shape == x.shape
-                    for xi, value in zip(x.tolist(), got.tolist()):
-                        exact = laguerre_exact(p, alpha, xi)
-                        if abs(exact) > sys.float_info.max:
-                            assert value == (math.inf if exact > 0 else -math.inf), (alpha, p, xi)
-                            continue
-                        scale = max(abs(exact), math.comb(p + alpha, p) * math.exp(min(xi, 700.0) / 2.0))
-                        assert abs(Fraction(value) - exact) <= self.TOLERANCE * scale, (alpha, p, xi)
+                for p in range(specfun.MAX_DEGREE + 1):
+                    got = specfun._laguerre(p, alpha, flat)
+                    assert got.shape == flat.shape
+                    self._check_against_series(p, alpha, flat, got)
+                    self._check_against_series(p, alpha, 2.5, specfun._laguerre(p, alpha, np.asarray(2.5)))
+                    for x, ref in ((flat.reshape(3, 11), got.reshape(3, 11)),
+                                   (np.broadcast_to(flat[:5], (4, 5)), np.broadcast_to(got[:5], (4, 5))),
+                                   (flat[::3], got[::3])):  # a strided view
+                        assert _same_bits(specfun._laguerre(p, alpha, x), ref), (x.shape, alpha, p)
 
     def test_python_floats(self):
         # a Python float runs through the same operations as the entry of an array
