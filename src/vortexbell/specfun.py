@@ -8,15 +8,15 @@ never a factorial series or a recurrence. ``_zeros`` computes the zeros once
 per (p, alpha) as correctly rounded double words hi + lo. Both words and x
 are scaled exactly by a power of 2, chosen so that the product overflows
 only where the value does, to the infinity with the sign of the leading
-term. Each zero costs three numpy passes, ((x 2^-e - hi) - lo) and a
-multiplication, where the three-term recurrence took five per degree, and
-the values are within 5e-15 of C(p+alpha, p) e^{x/2} of the exact series
-(see ``laguerre``), where the recurrence reached 1.0e-13. Every input is a
-float ndarray (0-d for a scalar) that broadcasts through numpy;
-``_product`` stacks the factors of several degrees on a leading axis, each
-row with its own bits. ``laguerre_scaled`` keeps the three-term recurrence
-with a division, independent of the product, and always returns numpy
-arrays; no evaluator calls it.
+term. ``_factors`` holds one table per (p, alpha), and ``_product``
+multiplies its factors ((x 2^-e - hi) - lo) in the order of the zeros:
+one numpy reduce over the whole table for search-sized inputs, a zero at
+a time for large ones, with the same bits. The values are within 5e-15 of
+C(p+alpha, p) e^{x/2} of the exact series (see ``laguerre``), where the
+three-term recurrence reached 1.0e-13. Every input is a float ndarray
+(0-d for a scalar) that broadcasts through numpy. ``laguerre_scaled``
+keeps the three-term recurrence with a division, independent of the
+product, and always returns numpy arrays; no evaluator calls it.
 """
 
 import functools
@@ -45,7 +45,7 @@ def _check_degree(value, name, cap=MAX_DEGREE):
 def _as_finite(x, name="argument"):
     """x as a float ndarray, 0-d for a scalar; ValueError naming x if an entry is not finite."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     return x
 
@@ -103,55 +103,49 @@ def _newton(p, alpha, x):
     return a * (below + cur), d * below
 
 
-@functools.lru_cache(maxsize=64)
-def _factors(p, alpha, rows=1, ndim=0):
-    """The product of L_{p-j}^(alpha+j), j < rows <= p, as ``_product`` takes it.
+# entries of a factor table, zeros by points, up to which ``_product`` reduces it whole
+_TABLE = 1 << 18
 
-    Returns (scale, kappa, full, tail). Row j is kappa_j prod_i ((x scale_j -
-    hi_i) - lo_i) over its zeros scaled by scale_j = 2^-e_j, with e_j =
-    ceil(log2((p-j)!)/(p-j)), and kappa_j = (-1)^(p-j) 2^(e_j (p-j)) / (p-j)!
-    rounded once, so |kappa_j| >= 1. ``full`` holds the (hi, lo) of the zeros
-    every row has and ``tail`` the (row count, hi, lo) of the last rows - 1,
-    which only the leading rows have. One row gives floats; more give
-    columns of shape (rows, 1, ...) for a leading row axis over an x of
-    ``ndim`` dimensions.
+
+@functools.lru_cache(maxsize=64)
+def _factors(p, alpha):
+    """The factor table of L_p^alpha, p >= 1, as ``_product`` takes it: (scale, kappa, hi, lo).
+
+    L_p^alpha(x) = kappa prod_i ((x scale - hi_i) - lo_i) over its zeros,
+    ascending, with scale = 2^-e, e = ceil(log2(p!)/p), and kappa =
+    (-1)^p 2^(ep) / p! rounded once, so |kappa| >= 1; hi and lo are arrays
+    of the p zero words of ``_zeros``, scaled exactly by 2^-e.
     """
-    degrees = range(p, p - rows, -1)
-    exponents = [math.ceil(math.log2(math.factorial(q)) / q) for q in degrees]
-    scale = [2.0 ** -e for e in exponents]
-    kappa = [(-1) ** q * 2 ** (e * q) / math.factorial(q) for q, e in zip(degrees, exponents)]
-    # each row's zeros, scaled exactly by its power of 2, as (hi, lo) pairs
-    zeros = [[(math.ldexp(h, -e), math.ldexp(l, -e)) for h, l in zip(*_zeros(q, alpha + j))]
-             for j, (q, e) in enumerate(zip(degrees, exponents))]
-    if rows == 1:
-        return scale[0], kappa[0], zeros[0], ()
-    shape = (-1,) + (1,) * ndim
-    # zero i of the leading rows that have it, p - i of them at most
-    columns = [zip(*(row[i] for row in zeros[:p - i])) for i in range(p)]
-    stacked = [(len(hi), np.reshape(hi, shape), np.reshape(lo, shape)) for hi, lo in columns]
-    return (np.reshape(scale, shape), np.reshape(kappa, shape),
-            [(hi, lo) for _, hi, lo in stacked[:p - rows + 1]], stacked[p - rows + 1:])
+    e = math.ceil(math.log2(math.factorial(p)) / p)
+    hi, lo = (np.ldexp(words, -e) for words in _zeros(p, alpha))
+    return 2.0 ** -e, (-1) ** p * 2 ** (e * p) / math.factorial(p), hi, lo
 
 
 def _product(factors, x):
-    """The rows of ``_factors`` at a float array x, unvalidated: 3 passes per zero.
+    """The Laguerre factor of a ``_factors`` table at a float array x, unvalidated.
 
-    Each row meets the operations of its own one-row product, so it has its
-    bits. x itself is never written.
+    The factors multiply in the order of the zeros, by one of two traversals
+    with the same bits: up to ``_TABLE`` entries the table ((x scale - hi) -
+    lo) is built whole on a leading zero axis and reduced by one
+    ``np.multiply.reduce``, which multiplies its rows in order; past that,
+    and for one zero, the zeros run one at a time, 3 passes each, in one
+    reused factor buffer. x itself is never written.
     """
-    scale, kappa, full, tail = factors
+    scale, kappa, hi, lo = factors
     t = x * scale
-    (hi, lo), *rest = full
-    out = t - hi
-    out -= lo
-    for hi, lo in rest:
-        factor = t - hi
-        factor -= lo
-        out *= factor
-    for rows, hi, lo in tail:
-        factor = t[:rows] - hi
-        factor -= lo
-        out[:rows] *= factor
+    if len(hi) > 1 and len(hi) * np.size(t) <= _TABLE:
+        column = (slice(None),) + (None,) * np.ndim(t)
+        table = t - hi[column]
+        table -= lo[column]
+        out = np.multiply.reduce(table, axis=0)
+    else:  # a 0-d x never gets here with more than one zero
+        out = t - hi[0]
+        out -= lo[0]
+        factor = None
+        for i in range(1, len(hi)):
+            factor = np.subtract(t, hi[i], out=factor)
+            factor -= lo[i]
+            out *= factor
     out *= kappa
     return out
 

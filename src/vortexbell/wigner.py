@@ -39,7 +39,7 @@ import numpy as np
 
 from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import _as_finite, _blocked, _factors, _laguerre, _product
+from .specfun import _as_finite, _blocked, _laguerre
 
 __all__ = [
     "EllipticalParams",
@@ -134,17 +134,13 @@ def _evaluate(forms, beam, point, order=0):
 def _damped_derivatives(p, u):
     """(L_p(u), D L_p(u), D^2 L_p(u)), D = d/du - 1/2.
 
-    D L_p and D^2 L_p are the derivatives of L_p(u) e^{-u/2} over e^{-u/2}.
-    L_p, L_p' = -L_{p-1}^(1) and L_p'' = L_{p-2}^(2) are the rows of one
-    product over zeros on a leading axis, one row per factor of degree >= 1
-    (L_0 = 1); each row has the bits of ``_laguerre`` for its own factor.
+    D L_p and D^2 L_p are the derivatives of L_p(u) e^{-u/2} over e^{-u/2},
+    from L_p' = -L_{p-1}^(1) and L_p'' = L_{p-2}^(2), three ``_laguerre``
+    factors; one of degree 0 is the float 1, and one of negative degree 0.
     """
-    if p < 2:  # L_p' = -p, L_p'' = 0
-        lp = _laguerre(p, 0, u)
-        return lp, -float(p) - 0.5 * lp, float(p) + 0.25 * lp
-    rows = _product(_factors(p, 0, min(p, 3), np.ndim(u)), u)
-    lp, d1 = rows[0], -rows[1]
-    d2 = rows[2] if p > 2 else 1.0
+    lp = _laguerre(p, 0, u)
+    d1 = -_laguerre(p - 1, 1, u) if p > 1 else -float(p)
+    d2 = _laguerre(p - 2, 2, u) if p > 2 else float(p == 2)
     return lp, d1 - 0.5 * lp, d2 - d1 + 0.25 * lp
 
 

@@ -13,9 +13,6 @@ The Bell search is the multi-start Nelder-Mead loop that
 seeds and Bell sums, so it gives a maximum the Newton search must reach.
 The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
 recurrence, so it checks the plain-product Pi far from the origin.
-The Laguerre recurrence is the three-term recurrence the package evaluated
-before the product over zeros, one expression per step, ending in a
-multiplication by 1/k; it stays as a reference, to compare the two.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
 at a time, so the one-call search must return its points bit for bit.
@@ -69,18 +66,6 @@ def laguerre_exact(p, alpha, x):
 def laguerre_series(p, alpha, x):
     """``laguerre_exact`` rounded once to a float."""
     return float(laguerre_exact(p, alpha, x))
-
-
-def laguerre_recurrence(p, alpha, x):
-    """L_p^alpha(x) by the three-term recurrence, one expression and fresh arrays per step."""
-    one = x * 0.0 + 1.0
-    if p == 0:
-        return one
-    prev = one
-    cur = 1.0 + alpha - x
-    for k in range(2, p + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) * (1.0 / k)
-    return cur
 
 
 # pi to 50 digits

@@ -24,7 +24,7 @@ class TestLaguerre:
         assert laguerre_series(2, 0, 2.0) == -1.0
         assert specfun.laguerre(2, 0, 2.0) == pytest.approx(-1.0, abs=1e-13)
 
-    def test_recurrence_matches_series_on_grid(self):
+    def test_product_matches_series_on_grid(self):
         xs = np.linspace(-10.0, 40.0, 26)
         for p in range(11):
             for alpha in range(11):
@@ -165,11 +165,11 @@ def _same_bits(a, b):
         np.asarray(a).tobytes() == np.asarray(b).tobytes())
 
 
-class TestInPlaceRecurrence:
-    """``_laguerre`` multiplies its factors into one array in place and never writes x."""
+class TestProductAgainstSeries:
+    """``_laguerre``, the product over the zeros, against the exact series; x is never written."""
 
     ALPHAS = (0, 1, 2, 7)
-    # the error test_bit_identical_to_one_expression_oracle allows, relative to the larger of
+    # the error test_every_degree_matches_exact_series allows, relative to the larger of
     # |L| and C(p+alpha, p) e^{x/2}: twice the worst seen, 2.0e-15 at (63, 7, -1.05)
     TOLERANCE = 4e-15
 
@@ -189,7 +189,7 @@ class TestInPlaceRecurrence:
             scale = max(abs(exact), math.comb(p + alpha, p) * math.exp(min(xi, 700.0) / 2.0))
             assert abs(Fraction(value) - exact) <= self.TOLERANCE * scale, (alpha, p, xi)
 
-    def test_bit_identical_to_one_expression_oracle(self):
+    def test_every_degree_matches_exact_series(self):
         # the product against the exact series for every degree: within TOLERANCE where the
         # value is a float, and the leading term's signed infinity where it overflows; a 0-d
         # argument is checked the same way, and reshaped, broadcast and strided views of the
@@ -230,12 +230,48 @@ class TestInPlaceRecurrence:
         view = np.broadcast_to(frozen, (2, 9))
         assert specfun._laguerre(12, 0, view).shape == (2, 9)
         assert all(d.shape == (2, 9) for d in wigner._damped_derivatives(12, view))
+        # past the table limit of L_64, whose factors then run one zero at a time
+        big = np.linspace(-3.0, 300.0, specfun._TABLE // 64 + 1)
+        frozen = big.copy()
+        big.setflags(write=False)
+        for p in (1, 2, 30, 63, 64):
+            specfun._laguerre(p, 2, big)
+            wigner._damped_derivatives(p, big)
+        assert np.array_equal(big, frozen)
 
     def test_public_laguerre_keeps_scalar_types(self):
         assert type(specfun.laguerre(5, 0, 1.5)) is float
         assert type(specfun.laguerre(0, 0, 1.5)) is float
         assert type(specfun.laguerre(5, 1, 2)) is float
         assert specfun.laguerre(5, 1, np.array([1.5, 2.0])).shape == (2,)
+
+
+class TestTraversals:
+    """``_product`` reduces a factor table of up to ``_TABLE`` entries whole and runs a larger
+    one, or one zero, a zero at a time: both multiply in the order of the zeros, with the same
+    bits."""
+
+    @pytest.mark.parametrize("alpha", [0, 2])
+    @pytest.mark.parametrize("p", [1, 2, 5, 30, 64])
+    def test_table_and_loop_give_the_same_bits(self, p, alpha):
+        limit = specfun._TABLE // p  # the most points of a table
+        half = limit // 2 + 4  # two halves make one more than limit points
+        x = np.random.default_rng(p + alpha).uniform(-5.0, 4.0 * p + 2.0 * alpha + 10.0, 4 * half)
+        flat = x[:2 * half]
+        # limit points take the table, the rest another table, and all of them the loop
+        ref = np.concatenate([specfun._laguerre(p, alpha, flat[:limit]),
+                              specfun._laguerre(p, alpha, flat[limit:])])
+        assert _same_bits(specfun._laguerre(p, alpha, flat), ref)
+        for k in (0, limit - 1, limit, 2 * half - 1):  # a 0-d point, in its own table
+            assert _same_bits(specfun._laguerre(p, alpha, flat[k:k + 1]), ref[k:k + 1])
+            assert _same_bits(specfun._laguerre(p, alpha, flat[k]), ref[k])
+        pairs = [(flat.reshape(2, half), ref.reshape(2, half)),  # 2-D, past the limit
+                 (np.broadcast_to(flat[:half], (2, half)), np.broadcast_to(ref[:half], (2, half))),
+                 (x[::2], np.concatenate([specfun._laguerre(p, alpha, x[:2 * half:2]),
+                                          specfun._laguerre(p, alpha, x[2 * half::2])])),
+                 (flat[::2], ref[::2])]  # strided, in one table
+        for view, expected in pairs:
+            assert _same_bits(specfun._laguerre(p, alpha, view), np.ascontiguousarray(expected)), view.shape
 
 
 class TestZeros:

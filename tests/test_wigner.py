@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from vortexbell import modes, quadrature, specfun, wigner
 from vortexbell.quadrature import QuadratureConfig
 
-from _oracles import log_domain_pi, numeric_wigner_two_fields, wigner_args, z_jet
+from _oracles import laguerre_exact, log_domain_pi, numeric_wigner_two_fields, wigner_args, z_jet
 
 ALL_MODES_10 = [(n, m) for n in range(11) for m in range(11) if n + m <= 10]
 
@@ -584,28 +585,41 @@ class TestDerivatives:
             wigner.wigner_transform((1, 0), (1.0, 2.0, 3.0))
 
 
-def _three_factors(p, u):
-    """(L_p, D L_p, D^2 L_p) from separate L_p, L_{p-1}^(1) and L_{p-2}^(2) products."""
-    lp = specfun._laguerre(p, 0, u)
-    d1 = -specfun._laguerre(p - 1, 1, u) if p >= 1 else 0.0 * u
-    d2 = specfun._laguerre(p - 2, 2, u) if p >= 2 else 0.0 * u
-    return lp, d1 - 0.5 * lp, d2 - d1 + 0.25 * lp
+class TestDampedDerivatives:
+    """``_damped_derivatives``' rows against L_p, L_{p-1}^(1) and L_{p-2}^(2) summed exactly."""
 
+    # the error allowed, relative to each row's bound: about twice the worst seen, 1.03e-15
+    # in the D row at p = 41, u = 0
+    TOLERANCE = 2e-15
 
-class TestStackedRecurrence:
-    """``_damped_derivatives`` stacks L_p, L_{p-1}^(1) and L_{p-2}^(2) in one product with the
-    bits of three ``_laguerre`` calls."""
-
-    def test_bit_identical_to_three_recurrences(self):
+    def test_rows_match_exact_series(self):
         rng = np.random.default_rng(83)
         flat = np.concatenate([[0.0, -0.0, 1.0, 2.0], rng.uniform(-2.0, 80.0, 20), [1e200, 1e300]])
         with np.errstate(all="ignore"):
-            for u in (flat, flat.reshape(2, 13), np.float64(1.25), np.asarray(0.5)):
-                for p in range(65):
-                    got = wigner._damped_derivatives(p, u)
-                    for g, r in zip(got, _three_factors(p, u)):
-                        assert np.shape(g) == np.shape(u) and np.asarray(g).tobytes() == np.asarray(r).tobytes(), (
-                            np.shape(u), p)
+            for p in range(65):
+                rows = wigner._damped_derivatives(p, flat)
+                for u in (flat.reshape(2, 13), np.float64(1.25), np.asarray(0.5)):
+                    assert all(np.shape(g) == np.shape(u) for g in wigner._damped_derivatives(p, u)), (
+                        np.shape(u), p)
+                assert all(np.shape(g) == np.shape(flat) for g in rows)
+                for i, u in enumerate(flat[:-2].tolist()):  # the last two overflow
+                    self._check(p, u, [row[i] for row in rows])
+                self._check(p, 1.25, wigner._damped_derivatives(p, np.float64(1.25)))
+
+    def _check(self, p, u, got):
+        # exact L_p, L_{p-1}^(1) and L_{p-2}^(2), 0 for a negative degree, each with its bound
+        # max(|L|, C(q+a, q) e^{u/2})
+        terms = []
+        for q, a in ((p, 0), (p - 1, 1), (p - 2, 2)):
+            exact = laguerre_exact(q, a, u) if q >= 0 else 0
+            terms.append((exact, max(abs(float(exact)), math.comb(q + a, q) * math.exp(u / 2.0))
+                          if q >= 0 else 0.0))
+        (lp, b0), (l1, b1), (l2, b2) = terms
+        # D L_p = L_p' - L_p/2 and D^2 L_p = L_p'' - L_p' + L_p/4, with L_p' = -L_{p-1}^(1)
+        exact = (lp, -l1 - lp / 2, l2 + l1 + lp / 4)
+        bounds = (b0, b1 + b0 / 2, b2 + b1 + b0 / 4)
+        for g, e, b in zip(got, exact, bounds):
+            assert abs(Fraction(float(g)) - e) <= self.TOLERANCE * b, (p, u)
 
 
 class TestPhaseRotationSymmetry:
