@@ -404,7 +404,7 @@ def elliptical_profile(t_values=None, kind=GENERAL, config=None):
     one onto the other), so the per-t maxima are sign-independent and the
     search runs once on the canonical +1 branch. The supremum over the
     scanned grid is reported alongside the profile; ties resolve to the
-    smallest t. An empty ``t_values`` raises ValueError.
+    first t in the order given. An empty ``t_values`` raises ValueError.
     """
     ts = DEFAULT_T_GRID if t_values is None else tuple(float(t) for t in t_values)
     if not ts:

@@ -4,12 +4,12 @@ A Laguerre polynomial is the scaled product over its zeros,
 
     L_p^alpha(x) = (-1)^p / p! * prod_i (x - r_i),
 
-never a factorial series or a recurrence. ``_zeros`` computes the zeros once
-per (p, alpha) as correctly rounded double words hi + lo. Both words and x
-are scaled exactly by a power of 2, chosen so that the product overflows
-only where the value does, to the infinity with the sign of the leading
-term. ``_factors`` holds one table per (p, alpha), and ``_product``
-multiplies its factors ((x 2^-e - hi) - lo) in the order of the zeros:
+never a factorial series or a recurrence. ``_zeros`` computes the zeros as
+correctly rounded double words hi + lo, one exact Newton step from each
+Golub-Welsch eigenvalue. Words and x are scaled exactly by a power of 2, so
+the product overflows only where the value does, to the infinity with the
+sign of the leading term. ``_factors`` caches one table per (p, alpha), and
+``_product`` multiplies its factors ((x 2^-e - hi) - lo) in zero order:
 one numpy reduce over the whole table for search-sized inputs, a zero at
 a time for large ones, with the same bits. The values are within 5e-15 of
 C(p+alpha, p) e^{x/2} of the exact series (see ``laguerre``), where the
@@ -39,6 +39,8 @@ def _check_degree(value, name, cap=MAX_DEGREE):
         raise ValueError(f"{name} must be nonnegative, got {value}")
     if cap is not None and value > cap:
         raise ValueError(f"{name}={value} exceeds the supported cap {cap}")
+    if value > float(np.finfo(float).max):  # an exact comparison, where numpy's would overflow
+        raise ValueError(f"{name} must fit a float, got one above {np.finfo(float).max}")
     return int(value)
 
 
@@ -69,23 +71,21 @@ def _blocked(kernel, coords, dtype=float):
         return blocks.operands[-1]
 
 
-@functools.lru_cache(maxsize=256)
 def _zeros(p, alpha):
     """The p zeros of L_p^alpha, ascending, as double words: a tuple hi and a tuple lo.
 
-    hi is the zero correctly rounded and hi + lo is nearer it than hi. The
-    Golub-Welsch eigenvalues of the Jacobi matrix of the weight x^alpha e^-x
-    start two Newton steps x + L_p^alpha / L_{p-1}^(alpha+1), run in exact
-    integers: for x = a/d, N_k = k! d^k L_k^alpha(x) is an integer, and
-    x L_p' = p L_p - (p + alpha) L_{p-1} gives the step from N_p and N_{p-1}.
+    hi is the zero correctly rounded and hi + lo is nearer it than hi: one
+    Newton step x + L_p^alpha / L_{p-1}^(alpha+1) in exact integers from each
+    Golub-Welsch eigenvalue (weight x^alpha e^-x) lands there (tested where the
+    package uses it, not proven). For x = a/d, N_k = k! d^k L_k^alpha(x) is an
+    integer, and x L_p' = p L_p - (p + alpha) L_{p-1} gives the step from N_p and N_{p-1}.
     """
     k = np.arange(1.0, p)
     jacobi = np.diag(2.0 * np.arange(p) + alpha + 1.0) - np.diag(np.sqrt(k * (k + alpha)), -1)
     hi, lo = [], []
     for start in np.linalg.eigvalsh(jacobi).tolist():
         top, bottom = _newton(p, alpha, start)
-        top, bottom = _newton(p, alpha, top / bottom)  # int / int rounds correctly
-        hi.append(top / bottom)
+        hi.append(top / bottom)  # int / int rounds correctly
         h_top, h_bottom = hi[-1].as_integer_ratio()
         lo.append((top * h_bottom - h_top * bottom) / (bottom * h_bottom))
     return tuple(hi), tuple(lo)
@@ -103,18 +103,20 @@ def _newton(p, alpha, x):
     return a * (below + cur), d * below
 
 
-# entries of a factor table, zeros by points, up to which ``_product`` reduces it whole
+# entries of a factor table, zeros by points, up to which ``_product`` reduces it whole; the
+# loop wins from 2^17 entries (1 MB), but it stays: a 2^16 limit moved no workload in 40 rounds
 _TABLE = 1 << 18
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=256)
 def _factors(p, alpha):
     """The factor table of L_p^alpha, p >= 1, as ``_product`` takes it: (scale, kappa, hi, lo).
 
     L_p^alpha(x) = kappa prod_i ((x scale - hi_i) - lo_i) over its zeros,
     ascending, with scale = 2^-e, e = ceil(log2(p!)/p), and kappa =
     (-1)^p 2^(ep) / p! rounded once, so |kappa| >= 1; hi and lo are arrays
-    of the p zero words of ``_zeros``, scaled exactly by 2^-e.
+    of the p zero words of ``_zeros``, scaled exactly by 2^-e. The one
+    Laguerre cache: a process computes each (p, alpha) once.
     """
     e = math.ceil(math.log2(math.factorial(p)) / p)
     hi, lo = (np.ldexp(words, -e) for words in _zeros(p, alpha))
@@ -163,7 +165,7 @@ def laguerre(p, alpha, x):
     p : int
         Degree, 0 <= p <= MAX_DEGREE.
     alpha : int
-        Associated index, alpha >= 0.
+        Associated index, alpha >= 0, that fits a float.
     x : float or ndarray
         Evaluation point(s); must be finite. A scalar runs on the same array
         path, as a 0-d array, and returns a float with the same bits.
@@ -171,10 +173,10 @@ def laguerre(p, alpha, x):
     For p <= 64, alpha <= 10 and 0 <= x <= 300 the value is within 5e-15 of
     C(p+alpha, p) e^{x/2} of the exact one (2.5e-15 at worst, seen just
     above 0). The first call for a (p, alpha) computes its zeros, once per
-    process: about 7 ms for (64, 0), 1.3 ms for (30, 0). The Hessian path
+    process: about 5 ms for (64, 0), 0.9 ms for (30, 0). The Hessian path
     of a Bell search also needs the zeros of L_{p-1}^(1) and L_{p-2}^(2),
-    so its first call for a degree costs about three times that: 21 ms for
-    p = 64, 4 ms for p = 30. Where the value overflows a float (|x| far
+    so its first call for a degree costs about three times that: 14 ms for
+    p = 64, 2.5 ms for p = 30. Where the value overflows a float (|x| far
     beyond 4p + 2 alpha, as L_64(1e7) ~ 1e359), it is the infinity with the
     sign of the leading term (-x)^p / p!, and no RuntimeWarning is raised.
     """

@@ -743,3 +743,9 @@ class TestEllipticalProfile:
         values = [v for _, v in profile.rows]
         assert profile.sup_value == max(values)
         assert profile.sup_t == profile.rows[int(np.argmax(values))][0]
+
+    def test_a_tie_resolves_to_the_first_t_given(self):
+        # both restricted maxima are |B| = 2 exactly, so the unsorted grid's first t wins
+        profile = bell.elliptical_profile([1.0, 0.5], kind=bell.RESTRICTED)
+        assert [v for _, v in profile.rows] == [2.0, 2.0]
+        assert profile.sup_t == 1.0 and profile.sup_value == 2.0

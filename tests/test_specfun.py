@@ -129,6 +129,14 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             specfun.laguerre(-1, 0, 1.0)
 
+    def test_rejects_alpha_beyond_a_float(self):
+        for p in (0, 1, 2, 64):
+            for evaluate in (specfun.laguerre, specfun.laguerre_scaled):
+                with pytest.raises(ValueError, match="alpha"):
+                    evaluate(p, 10**400, 1.0)
+        # an alpha that fits a float keeps the overflow rule: the leading term's infinity
+        assert specfun.laguerre(2, 10**308, 1.0) == math.inf
+
     @pytest.mark.parametrize("alpha", [0, 3])
     @pytest.mark.parametrize("p", [0, 1, 30, 64])
     def test_every_scalar_kind_has_the_array_bits(self, p, alpha):
@@ -297,8 +305,19 @@ class TestZeros:
             assert value * laguerre_exact(p, alpha, h + Fraction(l) / 2) > 0, (h, l)
             assert laguerre_exact(p, alpha, h + Fraction(l) / 2) * laguerre_exact(p, alpha, beyond) < 0
 
+    # every (p, alpha) of the Hessian path, and every (p, |l|) of lg_amplitude
+    ONE_STEP_SETS = sorted({(p, alpha) for p in range(1, 65) for alpha in range(3)}
+                           | {(p, l) for p in range(1, 33) for l in range(65 - 2 * p)})
+
+    def test_one_exact_newton_step_reaches_the_rounded_zero(self):
+        # hi is one exact Newton step from a Golub-Welsch start, rounded; one more step from hi
+        # must round back to hi, which most bare Golub-Welsch starts fail (12744 of 16160 zeros)
+        for p, alpha in self.ONE_STEP_SETS:
+            for h in specfun._zeros(p, alpha)[0]:
+                top, bottom = specfun._newton(p, alpha, h)
+                assert top / bottom == h, (p, alpha, h)
+
     def test_caches_are_bounded(self):
-        assert specfun._zeros.cache_info().maxsize is not None
         assert specfun._factors.cache_info().maxsize is not None
 
 
