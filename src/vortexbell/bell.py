@@ -17,7 +17,8 @@ quadratically spaced, dense near 0, where the violation basin of the mode
 start's ladder of halved steps in one Pi call. A short pure-Newton step
 skips the Armijo test, whose gain near a maximum is below the rounding
 noise of B. A start below the incumbent, the best value of a start that
-has stopped, stops at the end of the iteration. Every evaluation is
+has stopped, stops at the end of the iteration. A start's maximum test
+reads the eigenvalues of its last Newton step. Every evaluation is
 batched over the starts; everything is deterministic for a fixed seed.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _as_finite
+from .specfun import _as_finite, _check_integer
 from .wigner import elliptical_transform_evaluator, lg_transform_evaluator
 
 __all__ = [
@@ -147,22 +148,12 @@ class OptimizerConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        for name in ("grid_points", "restarts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("grid_points", 3), ("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            _check_integer(getattr(self, name), name, low, rule=f">= {low}")
         if not 0.0 < self.grid_bounds < math.inf:
             raise ValueError(f"grid_bounds must be positive and finite, got {self.grid_bounds}")
-        if self.grid_points < 3:
-            raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if not 1e-12 <= self.simplex_tol < math.inf:
             raise ValueError(f"simplex_tol must be >= 1e-12 and finite, got {self.simplex_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -260,11 +251,13 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
     start takes its first Armijo point, the one that halving one trial at a
     time finds. A pure-Newton step of length <= 1e-5 is taken without the
     Armijo test. Returns x, f = sigma * B, whether each start retired within
-    ``max_iters``, and the gradient and Hessian of sigma * B at the last
-    point where they were taken.
+    ``max_iters``, and whether it converged: it retired, and its last jet
+    passed the maximum test, |grad| <= 1e-7, no upward curvature by that
+    jet's ``_newton_step``, and a Hessian not all zero (as on a plateau where
+    Pi underflowed, or for a jet that was not finite and was zeroed).
     """
     x, f = x.copy(), f.copy()
-    grad, hess = np.zeros(x.shape), np.zeros(x.shape + x.shape[1:])
+    converged = np.zeros(len(x), dtype=bool)
     # the searching rows idx, with their x, f and sigma
     idx = np.flatnonzero(np.isfinite(f))
     xs, fs, ss = x[idx], f[idx], sigma[idx]
@@ -282,14 +275,13 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
         _, g, h = bell(xs, 2)
         g *= ss[:, None]
         h *= ss[:, None, None]
-        grad[idx], hess[idx] = g, h
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
             # a jet that is not finite is zeroed: its row takes no step and retires
             stuck = ~(np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2)))
             g[stuck], h[stuck] = 0.0, 0.0
         step, curved, pure = _newton_step(g, h)
-        size = np.sqrt((step * step).sum(axis=1))
-        moving = (size > tol) & ((np.sqrt((g * g).sum(axis=1)) > tol) | curved)
+        size, gnorm = np.sqrt((step * step).sum(axis=1)), np.sqrt((g * g).sum(axis=1))
+        moving = (size > tol) & ((gnorm > tol) | curved)
         # near a maximum the Armijo gain of a Newton step falls below the
         # rounding noise of B, so a short pure-Newton step is taken untested
         trusted = pure & (size <= _TRUSTED_STEP)
@@ -314,9 +306,11 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
         out |= fs < best
         if out.any():
             x[idx[out]], f[idx[out]] = xs[out], fs[out]
+            converged[idx[out]] = ((gnorm[out] <= _GRADIENT_TOL) & ~curved[out]
+                                   & h[out].any(axis=(1, 2)))
             idx, xs, fs, ss = (a[~out] for a in (idx, xs, fs, ss))
     x[idx], f[idx] = xs, fs
-    return x, f, np.bincount(idx, minlength=len(x)) == 0, grad, hess
+    return x, f, np.bincount(idx, minlength=len(x)) == 0, converged
 
 
 def maximize_bell(pi, kind, config=None):
@@ -331,8 +325,8 @@ def maximize_bell(pi, kind, config=None):
     of a retired start. The best start is then polished alone, without the
     gain rule. ``converged`` means the polish stopped within ``max_iters``,
     with |grad B| <= 1e-7, a Hessian not all zero (as on a plateau where Pi
-    underflowed) and no Hessian eigenvalue above 1e-6 max|lambda| (zero
-    modes of the beam's rotation symmetry are allowed). ``evaluations``
+    underflowed) and no eigenvalue of its last Newton step above 1e-6
+    max|lambda| (zero modes of the beam's rotation symmetry are allowed). ``evaluations``
     counts every Bell sum computed, value or derivative, so not those a
     trailing start would have taken after it was cut; since each Newton
     step evaluates its whole backtracking ladder at once, it includes the
@@ -353,22 +347,13 @@ def maximize_bell(pi, kind, config=None):
     key = np.where(np.isfinite(values), -np.abs(values), np.inf)
     starts = key.argsort(kind="stable")[: cfg.restarts]
     sigma = np.where(values[starts] < 0.0, -1.0, 1.0)
-    x, f, _, _, _ = _ascend(bell, seeds[starts], sigma * values[starts], sigma,
-                            cfg.simplex_tol, cfg.max_iters, gain_rule=True)
+    x, f, _, _ = _ascend(bell, seeds[starts], sigma * values[starts], sigma,
+                         cfg.simplex_tol, cfg.max_iters, gain_rule=True)
     w = [int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))]
-    x, f, stopped, grad, hess = _ascend(bell, x[w], f[w], sigma[w],
-                                        cfg.simplex_tol, cfg.max_iters, gain_rule=False)
-    lam = np.linalg.eigvalsh(hess[0]) if np.all(np.isfinite(hess)) else np.array([np.nan])
-    curvature = np.abs(lam).max()
-    converged = bool(
-        stopped[0]
-        and np.isfinite(f[0])
-        and np.linalg.norm(grad[0]) <= _GRADIENT_TOL
-        and curvature > 0.0
-        and lam[-1] <= _CURVATURE_FLOOR * curvature
-    )
+    x, f, _, converged = _ascend(bell, x[w], f[w], sigma[w],
+                                 cfg.simplex_tol, cfg.max_iters, gain_rule=False)
     return OptimizationResult(best_value=float(f[0]), argmax=tuple(x[0].tolist()),
-                              evaluations=evaluations, converged=converged)
+                              evaluations=evaluations, converged=bool(converged[0]))
 
 
 def bell_scan(mode, x_range, samples, py=None):
@@ -376,8 +361,7 @@ def bell_scan(mode, x_range, samples, py=None):
 
     ``py=None`` scans the diagonal py = x; a float holds py fixed.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    samples = _check_integer(samples, "samples", 2, rule=">= 2")
     lo, hi = (float(x_range[0]), float(x_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ValueError(f"bad scan range [{lo}, {hi}]")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modes import as_mode
+from .specfun import _check_integer
 
 __all__ = [
     "QuadratureConfig",
@@ -39,10 +40,7 @@ class QuadratureConfig:
     half_width: float = 8.0
 
     def __post_init__(self):
-        if not isinstance(self.order, (int, np.integer)) or isinstance(self.order, bool):
-            raise TypeError(f"order must be an integer, got {self.order!r}")
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
+        _check_integer(self.order, "order", 1, MAX_ORDER, f"in [1, {MAX_ORDER}]")
         if not 0.0 < self.half_width < math.inf:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 

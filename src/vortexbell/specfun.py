@@ -32,16 +32,32 @@ _RESCALE = 1e150
 _LN_RESCALE = math.log(_RESCALE)
 
 
-def _check_degree(value, name, cap=MAX_DEGREE):
+def _shown(value):
+    """repr(value) for a message, or the size of an integer too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
+def _check_integer(value, name, low=0, high=None, rule="nonnegative"):
+    """The package's one integer check: value as a Python int; TypeError unless it is an
+    integer (numpy's too, not a bool), ValueError "must be {rule}" unless low <= value <= high."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+        raise TypeError(f"{name} must be an integer, got {_shown(value)}")
+    value = int(value)
+    if value < low or high is not None and value > high:
+        raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
+    return value
+
+
+def _check_degree(value, name, cap=MAX_DEGREE):
+    value = _check_integer(value, name)
     if cap is not None and value > cap:
-        raise ValueError(f"{name}={value} exceeds the supported cap {cap}")
+        raise ValueError(f"{name}={_shown(value)} exceeds the supported cap {cap}")
     if value > float(np.finfo(float).max):  # an exact comparison, where numpy's would overflow
         raise ValueError(f"{name} must fit a float, got one above {np.finfo(float).max}")
-    return int(value)
+    return value
 
 
 def _as_finite(x, name="argument"):

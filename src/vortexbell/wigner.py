@@ -39,7 +39,7 @@ import numpy as np
 
 from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import _as_finite, _blocked, _laguerre
+from .specfun import _as_finite, _blocked, _laguerre, _shown
 
 __all__ = [
     "EllipticalParams",
@@ -115,7 +115,7 @@ def _evaluate(forms, beam, point, order=0):
     ``_blocked``, so beyond ``_BLOCK`` points in blocks with the same bits.
     """
     if order not in (0, 2) or isinstance(order, bool):
-        raise ValueError(f"derivative order must be 0 or 2, got {order!r}")
+        raise ValueError(f"derivative order must be 0 or 2, got {_shown(order)}")
     coords = _coords(point)
     # a huge point overflows to inf quietly, and inf * 0 is masked where the envelope is 0
     with np.errstate(over="ignore", invalid="ignore"):

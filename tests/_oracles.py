@@ -16,6 +16,9 @@ recurrence, so it checks the plain-product Pi far from the origin.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
 at a time, so the one-call search must return its points bit for bit.
+The maximum verdict is the test ``maximize_bell`` applied to its polish's
+last gradient and Hessian before ``_ascend`` took it from the Newton step's
+eigendecomposition: one ``eigvalsh`` per row, on the sequential ascent's jets.
 The einsum Newton step is the modified-Newton step as three einsums, with
 the escape step added after, as it was before the step became two matmuls
 around ``eigh``: the same step, rounded differently.
@@ -351,6 +354,20 @@ def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule, prune=Tru
         if prune and stopped.any():
             active &= ~(f < f[stopped].max())
     return x, f, ~active, grad, hess
+
+
+def maximum_verdict(f, stopped, grad, hess):
+    """Per row, the ``converged`` rule ``maximize_bell`` applied to one start:
+    stopped, f finite, |grad| <= 1e-7, and a finite Hessian, not all zero,
+    with no eigenvalue above 1e-6 max|lambda|."""
+    verdict = []
+    for f_i, stopped_i, g, h in zip(f, stopped, grad, hess):
+        lam = np.linalg.eigvalsh(h) if np.all(np.isfinite(h)) else np.array([np.nan])
+        curvature = np.abs(lam).max()
+        verdict.append(bool(stopped_i and np.isfinite(f_i)
+                            and np.linalg.norm(g) <= bell._GRADIENT_TOL
+                            and curvature > 0.0 and lam[-1] <= bell._CURVATURE_FLOOR * curvature))
+    return np.array(verdict)
 
 
 def einsum_newton_step(grad, hess):

@@ -7,8 +7,8 @@ import pytest
 
 from vortexbell import bell, wigner
 
-from _oracles import (bell_jet_by_lift_sums, einsum_newton_step, scipy_maximize_bell,
-                      sequential_ascend)
+from _oracles import (bell_jet_by_lift_sums, einsum_newton_step, maximum_verdict,
+                      scipy_maximize_bell, sequential_ascend)
 
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
@@ -235,6 +235,13 @@ def _misled_bell(u, order=0):
 _TOL = bell.OptimizerConfig().simplex_tol
 
 
+def _same_search(new, old):
+    """``_ascend``'s x, f and stopped are the sequential search's bits, and each row's
+    ``converged`` is the verdict ``maximize_bell`` gave on that search's last jet."""
+    assert _bits(*new[:3]) == _bits(*old[:3])
+    assert np.array_equal(new[3], maximum_verdict(*old[1:]))
+
+
 class TestLineSearch:
     """The one-call backtracking against the sequential search it replaced."""
 
@@ -271,15 +278,15 @@ class TestLineSearch:
         x, f, sigma = _search_starts(pi, kind)
         new, old = self._both(lambda u, order=0: bell._bell(pi, kind, u, order),
                               x, f, sigma, gain_rule)
-        assert _bits(*new) == _bits(*old)
+        _same_search(new, old)
 
     @pytest.mark.parametrize("gain_rule", [True, False])
     def test_spent_ladder_retires_start(self, gain_rule):
         x = np.array([[-0.5, 1.0], [0.8, -0.4], [-2.0, -1.0], [1.5, 0.2]])
         sigma = np.ones(len(x))
         new, old = self._both(_misled_bell, x, _misled_bell(x), sigma, gain_rule)
-        assert _bits(*new) == _bits(*old)
-        x_end, f_end, stopped, _, _ = new
+        _same_search(new, old)
+        x_end, f_end, stopped, _ = new
         assert stopped.all()
         # misled starts use up every rung and stay put; the others reach the maximum
         misled = x[:, 0] < 0.0
@@ -291,7 +298,7 @@ class TestLineSearch:
         for max_iters in (1, 2, 5):
             new, old = self._both(lambda u, order=0: bell._bell(PI_10, bell.GENERAL, u, order),
                                   x, f, sigma, True, max_iters)
-            assert _bits(*new) == _bits(*old)
+            _same_search(new, old)
 
     @pytest.mark.parametrize("tol", [1.0, 1.5, 4.0, 1e200])
     def test_coarse_tolerance(self, tol):
@@ -307,7 +314,7 @@ class TestLineSearch:
                 for rows in (slice(None), slice(1)):
                     new, old = self._both(bell_fn, x[rows], f[rows], sigma[rows], gain_rule,
                                           tol=tol)
-                    assert _bits(*new) == _bits(*old)
+                    _same_search(new, old)
             result = bell.maximize_bell(PI_10, kind, bell.OptimizerConfig(simplex_tol=tol))
             assert result.best_value >= np.abs(f).max()
 
@@ -335,12 +342,52 @@ class TestLineSearch:
                                   4000, gain_rule))
             sizes.append(seen)
         (new, old), (seen, _) = results, sizes
-        assert _bits(*new) == _bits(*old)
+        _same_search(new, old)
         assert seen[3] == len(x) and seen[4] < seen[3]
         assert len(set(seen)) > 2  # rows retire at more than one iteration
-        stuck = np.flatnonzero(~np.isfinite(new[3]).all(axis=1))
-        assert stuck.size == 1 and new[2][stuck[0]]
-        assert np.isinf(new[4][stuck[0], 0, 0])
+        stuck = np.flatnonzero(~np.isfinite(old[3]).all(axis=1))
+        assert stuck.size == 1 and new[2][stuck[0]] and not new[3][stuck[0]]
+        assert np.isinf(old[4][stuck[0], 0, 0])
+
+
+
+class TestConverged:
+    """Each clause of the maximum test behind ``converged``, on jets made to fail one."""
+
+    @staticmethod
+    def _from_origin(value, grad, hess):
+        """``_ascend`` from u = 0 with sigma = 1 on the jet (value, grad, hess) of rows u."""
+        def bell_fn(u, order=0):
+            return (value(u), grad(u), hess(u)) if order else value(u)
+
+        x = np.zeros((1, 2))
+        x, f, stopped, converged = bell._ascend(bell_fn, x, value(x), np.ones(1), _TOL, 4000,
+                                                False)
+        assert stopped[0] and np.array_equal(x, np.zeros((1, 2)))
+        return bool(converged[0])
+
+    @pytest.mark.parametrize("top, converged", [(1.0, False), (-1.0, True)])
+    def test_upward_curvature_is_no_maximum(self, top, converged):
+        # B = -|u|^2 with a zero gradient: the escape step along a top eigenvalue of +1
+        # finds no Armijo point and the start stops at 0, on a saddle of its jet
+        assert self._from_origin(
+            lambda u: -(u * u).sum(axis=1), np.zeros_like,
+            lambda u: np.repeat(np.diag([top, -1.0])[None], len(u), axis=0)) is converged
+
+    @pytest.mark.parametrize("offset, converged", [(1e-6, False), (1e-8, True)])
+    def test_a_steep_gradient_is_no_maximum(self, offset, converged):
+        # B = -1e9 |u|^2 with its gradient offset: the Newton step from 0 is below the
+        # tolerance, so the start stops at 0 with |grad| = sqrt(2) offset
+        assert self._from_origin(
+            lambda u: -1e9 * (u * u).sum(axis=1), lambda u: -2e9 * u + offset,
+            lambda u: np.repeat(-2e9 * np.eye(2)[None], len(u), axis=0)) is converged
+
+    def test_a_coarse_tolerance_stops_short_of_the_gradient_test(self):
+        # the gradient test stays at 1e-7 whatever simplex_tol is
+        pi = wigner.lg_transform_evaluator((30, 0))
+        coarse = bell.maximize_bell(pi, bell.RESTRICTED, bell.OptimizerConfig(simplex_tol=1e-6))
+        assert not coarse.converged
+        assert bell.maximize_bell(pi, bell.RESTRICTED).converged
 
 
 # the benchmark's LG searches and four elliptical squeezes
@@ -613,9 +660,16 @@ class TestMaximize:
                     {"seed": 1.5}, {"seed": "x"}, {"seed": True}):
             with pytest.raises(TypeError):
                 bell.OptimizerConfig(**bad)
-        with pytest.raises(ValueError):
-            bell.OptimizerConfig(seed=-1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            bell.OptimizerConfig(seed=np.int64(-1))
         assert bell.OptimizerConfig(seed=np.int64(0)).seed == 0
+        # a printable value is shown as it was; one too long to print is named by its size
+        with pytest.raises(ValueError, match=r"^grid_points must be >= 3, got 2$"):
+            bell.OptimizerConfig(grid_points=2)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got "):
+            bell.OptimizerConfig(seed=-10**5000)
+        # huge values that fit the rules stay accepted
+        assert bell.OptimizerConfig(seed=10**30, restarts=10**30).restarts == 10**30
 
 
 class TestSeeds:
@@ -696,8 +750,14 @@ class TestScan:
         assert rows.shape == (2, 3)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^samples must be >= 2, got 1$"):
             bell.bell_scan((1, 0), (0.0, 1.0), 1)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(TypeError, match="samples"):
+                bell.bell_scan((1, 0), (0.0, 1.0), bad)
+        with pytest.raises(ValueError, match="samples"):
+            bell.bell_scan((1, 0), (0.0, 1.0), -10**5000)
+        assert bell.bell_scan((1, 0), (0.0, 1.0), np.int64(3)).shape == (3, 3)
         with pytest.raises(ValueError):
             bell.bell_scan((1, 0), (2.0, 1.0), 5)
         with pytest.raises(ValueError):

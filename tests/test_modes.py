@@ -362,6 +362,12 @@ class TestModeIndex:
         with pytest.raises(TypeError):
             modes.ModeIndex(1.5, 0)
 
+    def test_messages_name_an_index_too_long_to_print(self):
+        with pytest.raises(ValueError, match=r"^n must be nonnegative, got "):
+            modes.ModeIndex(-10**5000, 0)
+        with pytest.raises(ValueError, match=r"^m must fit a float"):
+            modes.ModeIndex(0, 10**5000)
+
     def test_as_mode_does_not_truncate(self):
         assert modes.as_mode((np.int64(2), 1)) == modes.ModeIndex(2, 1)
         # numpy integers are stored as Python ints, so Schmidt weights stay exact

@@ -61,8 +61,13 @@ class TestGaussNodes:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             quadrature.QuadratureConfig(order=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^order must be in \[1, 256\], got 300$"):
             quadrature.QuadratureConfig(order=300)
+        with pytest.raises(ValueError, match=r"^order must be in \[1, 256\], got "):
+            quadrature.QuadratureConfig(order=10**5000)
+        for bad in (16.0, True):
+            with pytest.raises(TypeError, match="order"):
+                quadrature.QuadratureConfig(order=bad)
         with pytest.raises(ValueError):
             quadrature.QuadratureConfig(order=16, half_width=-1.0)
         with pytest.raises(ValueError):

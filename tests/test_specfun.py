@@ -116,8 +116,12 @@ class TestLaguerre:
             assert mant * math.exp(scale) == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_degree_above_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p=65 exceeds the supported cap 64$"):
             specfun.laguerre(specfun.MAX_DEGREE + 1, 0, 1.0)
+        # a degree too long to print is named by its size
+        for evaluate in (specfun.laguerre, specfun.laguerre_scaled):
+            with pytest.raises(ValueError, match=r"^p=.* exceeds the supported cap 64$"):
+                evaluate(10**5000, 0, 1.0)
 
     def test_rejects_nonfinite_argument(self):
         with pytest.raises(ValueError):
@@ -126,8 +130,13 @@ class TestLaguerre:
             specfun.laguerre(3, 0, np.array([1.0, math.inf]))
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must be nonnegative, got -1$"):
             specfun.laguerre(-1, 0, 1.0)
+        for evaluate in (specfun.laguerre, specfun.laguerre_scaled):
+            with pytest.raises(ValueError, match=r"^p must be nonnegative, got "):
+                evaluate(-10**5000, 0, 1.0)
+            with pytest.raises(ValueError, match=r"^alpha must be nonnegative, got "):
+                evaluate(1, -10**5000, 1.0)
 
     def test_rejects_alpha_beyond_a_float(self):
         for p in (0, 1, 2, 64):

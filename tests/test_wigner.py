@@ -565,8 +565,8 @@ class TestDerivatives:
     def test_rejects_bad_order_and_points(self):
         for pi in (wigner.lg_transform_evaluator((1, 0)),
                    wigner.elliptical_transform_evaluator((0.5, +1))):
-            for order in (1, 3, -1, True):
-                with pytest.raises(ValueError):
+            for order in (1, 3, -1, True, 10**5000):
+                with pytest.raises(ValueError, match="derivative order"):
                     pi((0.1, 0.2, 0.3, 0.4), order)
             for order in (0, 2):
                 with pytest.raises(ValueError):
