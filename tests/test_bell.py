@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import warnings
 
@@ -322,9 +323,9 @@ class TestLineSearch:
     def test_compaction_with_a_stuck_row(self, gain_rule):
         # the fourth Newton iteration's jet is not finite in the sixth row it is taken on,
         # a row low enough that the incumbent it sets cuts no other, and rows retire at
-        # different iterations; each side counts its own calls
+        # three different iterations (seed 112's starts); each side counts its own calls
         pi = PI_10
-        x, f, sigma = _search_starts(pi, bell.GENERAL)
+        x, f, sigma = _search_starts(pi, bell.GENERAL, bell.OptimizerConfig(seed=112))
         results, sizes = [], []
         for search in (bell._ascend, sequential_ascend):
             calls, seen = [0], []
@@ -344,7 +345,8 @@ class TestLineSearch:
         (new, old), (seen, _) = results, sizes
         _same_search(new, old)
         assert seen[3] == len(x) and seen[4] < seen[3]
-        assert len(set(seen)) > 2  # rows retire at more than one iteration
+        assert seen[4] == seen[3] - 1  # the stuck row's incumbent cuts no other row
+        assert len(set(seen)) > 2  # rows retire at more than two iterations
         stuck = np.flatnonzero(~np.isfinite(old[3]).all(axis=1))
         assert stuck.size == 1 and new[2][stuck[0]] and not new[3][stuck[0]]
         assert np.isinf(old[4][stuck[0], 0, 0])
@@ -671,17 +673,30 @@ class TestMaximize:
         # huge values that fit the rules stay accepted
         assert bell.OptimizerConfig(seed=10**30, restarts=10**30).restarts == 10**30
 
+    def test_repr_shows_every_field(self):
+        assert repr(bell.OptimizerConfig(seed=np.int64(7))) == (
+            "OptimizerConfig(grid_bounds=2.0, grid_points=21, restarts=8, simplex_tol=1e-09, "
+            f"max_iters=4000, seed={np.int64(7)!r})")
+        # a field too long for Python to print is named by its size
+        for name in ("seed", "restarts"):
+            shown = repr(bell.OptimizerConfig(**{name: 10**5000}))
+            assert f"{name}=an integer of {(10**5000).bit_length()} bits" in shown
+
 
 class TestSeeds:
     def test_default_general_seeds_keep_their_draws(self):
-        # draws on [-1, 1] scaled by the bound 2 have the bits of draws on [-2, 2]
-        for seed in (0, 7, 12345):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            picks = rng.integers(0, 7, size=(16, 8))
-            expected = np.vstack([np.zeros((1, 8)), np.linspace(-2.0, 2.0, 7)[picks],
-                                  rng.uniform(-2.0, 2.0, size=(64, 8))])
+        # the origin, then 80 rows of the standard library's random() stream; draws on
+        # [-1, 1] scaled by the bound 2 have the bits of random.uniform(-2, 2), -2 + 4 u
+        drawn = []
+        for seed in (0, 7, 12345, np.int64(7), 2**64 + 7):
+            stream = random.Random(int(seed))
+            expected = [[0.0] * 8] + [[stream.uniform(-2.0, 2.0) for _ in range(8)]
+                                      for _ in range(80)]
             seeds = bell._seed_points(bell.GENERAL, bell.OptimizerConfig(seed=seed))
-            assert _bits(seeds) == _bits(expected)
+            assert _bits(seeds) == _bits(np.array(expected))
+            drawn.append(_bits(seeds))
+        # a numpy integer draws as its int; a seed past 64 bits keys a stream of its own
+        assert drawn[3] == drawn[1] != drawn[4]
 
     def test_seeds_are_made_once_and_read_only(self):
         seeds = bell._seed_points(bell.GENERAL, bell.OptimizerConfig(seed=3))
@@ -803,6 +818,21 @@ class TestEllipticalProfile:
         values = [v for _, v in profile.rows]
         assert profile.sup_value == max(values)
         assert profile.sup_t == profile.rows[int(np.argmax(values))][0]
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_restricted_settings_never_violate(self, t, sign):
+        # B(x, py) = 2 - (1 - e^{-c x^2})(1 - e^{-c py^2}), c = cosh 2t, so |B| <= 2
+        pi = wigner.elliptical_transform_evaluator((t, sign))
+        c = math.cosh(2.0 * t)
+        for x, py in np.random.default_rng(97).uniform(-3.0, 3.0, (200, 2)):
+            closed = 2.0 - (1.0 - math.exp(-c * x * x)) * (1.0 - math.exp(-c * py * py))
+            assert abs(bell.bell_sum(pi, bell.RESTRICTED, (x, py)) - closed) <= 1e-15
+
+    def test_restricted_profile_reaches_two_and_no_more(self):
+        profile = bell.elliptical_profile([0.0, 0.5, 2.0, 5.0], kind=bell.RESTRICTED)
+        assert [v for _, v in profile.rows] == [2.0] * 4
+        assert profile.sup_value == 2.0
 
     def test_a_tie_resolves_to_the_first_t_given(self):
         # both restricted maxima are |B| = 2 exactly, so the unsorted grid's first t wins

@@ -492,6 +492,20 @@ class TestHarness:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_searches_load_no_numpy_random(self):
+        # this process cannot tell: the scipy oracles of the tests load numpy.random
+        code = (
+            "import sys, numpy as np, vortexbell as vb; "
+            "vb.maximize_bell(vb.lg_transform_evaluator((1, 0)), vb.GENERAL, "
+            "vb.OptimizerConfig(seed=np.int64(3))); "
+            "vb.elliptical_profile([0.5]); "
+            "print([m for m in sys.modules if m == 'numpy.random' or m.startswith('numpy.random.')])"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=120, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_reader_gone_before_output_exits_zero(self, unbuffered):
         read_end, write_end = os.pipe()
