@@ -6,20 +6,20 @@ form varies only X on one side and P_Y on the other,
     B = Pi(0,0;0,0) + Pi(x,0;0,0) + Pi(0,0;0,py) - Pi(x,0;0,py),
 
 while the general form assigns each side two full phase-plane settings.
-|B| > 2 signals correlations that no local model of the two transverse modes
-reproduces. Maximization ranks grid or uniform candidates and refines the
-best of them together by damped Newton ascent, with the exact gradient and
-Hessian of B chained from the forms and partials the Pi evaluators give at
-order 2, and Hessian eigenvalues flipped to ascend (modified Newton, Nocedal
-& Wright 2006, sec. 3.4). The restricted grid is quadratically spaced, dense
-near 0, where the violation basin of the mode (n, 0) sits at
-|x| ~ 0.6/sqrt(n). Each Newton step backtracks over every start's ladder of
-halved steps in one Pi call. A short pure-Newton step skips the Armijo test,
-whose gain near a maximum is below the rounding noise of B. A start below
-the incumbent, the best value of a start that has stopped, stops at the end
-of the iteration. A start's maximum test reads the eigenvalues of its last
-Newton step. Every evaluation is batched over the starts. General candidates
-are ``random.Random(seed)`` draws, the same on every Python version.
+|B| > 2 signals correlations that no local model of the two transverse
+modes reproduces. Maximization ranks grid or uniform candidates and
+refines the best of them together by damped Newton ascent, with the exact
+gradient and Hessian of B chained from the forms and partials the Pi
+evaluators give at order 2, and Hessian eigenvalues flipped to ascend
+(modified Newton, Nocedal & Wright 2006, sec. 3.4). The restricted grid is
+quadratically spaced, dense near 0, where the violation basin of the mode
+(n, 0) sits at |x| ~ 0.6/sqrt(n). Each Newton step backtracks over every
+start's ladder of halved steps in one Pi call. A short pure-Newton step
+skips the Armijo test, whose gain near a maximum is below the rounding
+noise of B. A start below the incumbent, the best value of a start that
+has stopped, stops at the end of the iteration. A start's maximum test
+reads the eigenvalues of its last Newton step. Every evaluation is
+batched over the starts; a seed fixes everything, on every Python version.
 """
 
 import functools
@@ -315,23 +315,23 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
 def maximize_bell(pi, kind, config=None):
     """Maximize |B| for a Wigner-transform evaluator.
 
-    Seeds come from a deterministic grid (restricted) or the origin and 80 draws
-    uniform on [-1, 1]^8 times ``grid_bounds`` (general), from
-    ``random.Random(seed)``, a stream that is the same on every Python version.
-    The best ``restarts`` seeds ascend together by damped modified Newton on
-    sigma * B, sigma the sign of B at the seed, with the gradient and Hessian
-    that ``_bell`` chains from ``pi(points, 2)``; a start retires once its step,
-    gradient or gain is within ``simplex_tol``, or once it is below the best
-    value of a retired start. The best start is then polished alone, without the
-    gain rule. ``converged`` means the polish stopped within ``max_iters``, with
-    |grad B| <= 1e-7, a Hessian not all zero (as on a plateau where Pi
+    Seeds come from a deterministic grid (restricted) or the origin plus 80
+    draws uniform on [-1, 1]^8 times ``grid_bounds`` (general), from
+    ``random.Random(seed)``, the same on every Python version. The best ``restarts``
+    seeds ascend together by damped modified Newton on sigma * B, sigma the
+    sign of B at the seed, with the gradient and Hessian that ``_bell``
+    chains from ``pi(points, 2)``; a start retires once its step, gradient
+    or gain is within ``simplex_tol``, or once it is below the best value
+    of a retired start. The best start is then polished alone, without the
+    gain rule. ``converged`` means the polish stopped within ``max_iters``,
+    with |grad B| <= 1e-7, a Hessian not all zero (as on a plateau where Pi
     underflowed) and no eigenvalue of its last Newton step above 1e-6
-    max|lambda| (zero modes of the beam's rotation symmetry are allowed).
-    ``evaluations`` counts every Bell sum computed, value or derivative, so not
-    those a trailing start would have taken after it was cut; since each Newton
-    step evaluates its whole backtracking ladder at once, it includes the trials
-    past the one a start accepts. Non-finite values are rejected. A config fixes
-    the result bit for bit.
+    max|lambda| (zero modes of the beam's rotation symmetry are allowed). ``evaluations``
+    counts every Bell sum computed, value or derivative, so not those a
+    trailing start would have taken after it was cut; since each Newton
+    step evaluates its whole backtracking ladder at once, it includes the
+    trials past the one a start accepts. Non-finite values are rejected.
+    The result is bit-reproducible for a fixed config.
     """
     _check_kind(kind)
     cfg = config if config is not None else OptimizerConfig()

@@ -829,13 +829,8 @@ class TestEllipticalProfile:
             closed = 2.0 - (1.0 - math.exp(-c * x * x)) * (1.0 - math.exp(-c * py * py))
             assert abs(bell.bell_sum(pi, bell.RESTRICTED, (x, py)) - closed) <= 1e-15
 
-    def test_restricted_profile_reaches_two_and_no_more(self):
-        profile = bell.elliptical_profile([0.0, 0.5, 2.0, 5.0], kind=bell.RESTRICTED)
-        assert [v for _, v in profile.rows] == [2.0] * 4
-        assert profile.sup_value == 2.0
-
     def test_a_tie_resolves_to_the_first_t_given(self):
-        # both restricted maxima are |B| = 2 exactly, so the unsorted grid's first t wins
-        profile = bell.elliptical_profile([1.0, 0.5], kind=bell.RESTRICTED)
-        assert [v for _, v in profile.rows] == [2.0, 2.0]
+        # every restricted maximum is |B| = 2 exactly, so the unsorted grid's first t wins
+        profile = bell.elliptical_profile([1.0, 0.5, 0.0, 2.0, 5.0], kind=bell.RESTRICTED)
+        assert [v for _, v in profile.rows] == [2.0] * 5
         assert profile.sup_t == 1.0 and profile.sup_value == 2.0

@@ -493,13 +493,18 @@ class TestHarness:
         assert result.stdout.strip() == "[]"
 
     def test_searches_load_no_numpy_random(self):
-        # this process cannot tell: the scipy oracles of the tests load numpy.random
+        # this process cannot tell: the scipy oracles of the tests load numpy.random;
+        # numpy 1.x imports numpy.random with numpy itself, numpy >= 2 only on use,
+        # so the child reports what vortexbell and its searches add beyond numpy
         code = (
-            "import sys, numpy as np, vortexbell as vb; "
+            "import sys, numpy as np; "
+            "rand = lambda: {m for m in sys.modules "
+            "if m == 'numpy.random' or m.startswith('numpy.random.')}; "
+            "before = rand(); import vortexbell as vb; "
             "vb.maximize_bell(vb.lg_transform_evaluator((1, 0)), vb.GENERAL, "
             "vb.OptimizerConfig(seed=np.int64(3))); "
             "vb.elliptical_profile([0.5]); "
-            "print([m for m in sys.modules if m == 'numpy.random' or m.startswith('numpy.random.')])"
+            "print(sorted(rand() - before))"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, timeout=120, env=_child_env())
