@@ -8,7 +8,7 @@ form varies only X on one side and P_Y on the other,
 while the general form assigns each side two full phase-plane settings.
 |B| > 2 signals correlations that no local model of the two transverse
 modes reproduces. Maximization ranks grid or uniform candidates and
-refines the best of them together by damped Newton ascent, with the exact
+refines the best of them together in one damped Newton ascent, with the exact
 gradient and Hessian of B chained from the forms and partials the Pi
 evaluators give at order 2, and Hessian eigenvalues flipped to ascend
 (modified Newton, Nocedal & Wright 2006, sec. 3.4). The restricted grid is
@@ -128,11 +128,11 @@ class OptimizerConfig:
 
     Restricted seeds are the ``grid_points`` x ``grid_points`` grid with axis
     ``grid_bounds * s * |s|``, ``s`` evenly spaced in [-1, 1], so the seeds
-    are densest near 0. ``restarts`` seeds are refined until they stop or
-    fall behind a stopped start. ``simplex_tol`` is the step and gain
-    tolerance at which a start retires (the name predates the Newton
-    search), and ``max_iters`` caps the Newton iterations of the lockstep
-    phase and of the polish each. ``converged`` keeps its fixed gradient
+    are densest near 0. ``restarts`` seeds are refined in one Newton phase
+    until they stop or fall behind a stopped start. ``simplex_tol`` is the
+    step and gradient tolerance at which a start retires (the name predates
+    the Newton search), and ``max_iters`` caps the Newton iterations of the
+    whole search. ``converged`` keeps its fixed gradient
     test, |grad B| <= 1e-7, whatever ``simplex_tol`` is, so a coarse
     tolerance can stop a search short of it and report False.
     """
@@ -236,14 +236,13 @@ def _newton_step(grad, hess):
     return (vec @ coef[:, :, None])[:, :, 0], top > floor, top < 0.0
 
 
-def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
+def _ascend(bell, x, f, sigma, tol, max_iters):
     """Damped modified-Newton ascent of sigma * B from every row of x, in lockstep.
 
     ``bell(u, order)`` evaluates B on rows of settings. A start stops when
     its step, or its gradient with no uphill curvature left, is within
-    ``tol`` (it is not moving: no ladder), when backtracking finds no Armijo
-    point with a step above ``tol``, or, with ``gain_rule``, when its gain in
-    sigma * B is within ``tol``; so then does a start below the incumbent,
+    ``tol`` (it is not moving: no ladder), or when backtracking finds no
+    Armijo point with a step above ``tol``; so then does a start below the incumbent,
     the highest f of a stopped start, and all leave the search in one pass at
     the end of the iteration. Backtracking halves the step while alpha *
     |step| > ``tol``; the moving starts' ladders are one ``bell`` call, and a
@@ -295,14 +294,12 @@ def _ascend(bell, x, f, sigma, tol, max_iters, gain_rule):
         armijo = ft >= fs + _ARMIJO * alpha[:width, None] * slope
         ok = np.isfinite(ft) & (armijo | trusted)
         # each start takes its first acceptable rung; one with none retires,
-        # and so does one the gain rule stops or one below the incumbent
+        # and so does one below the incumbent
         taken = ok.any(axis=0)
         rung = (ok.argmax(axis=0), np.arange(idx.size))
-        gain = ft[rung] - fs
         xs, fs = np.where(taken[:, None], trial[rung], xs), np.where(taken, ft[rung], fs)
-        out = ~taken | (gain <= tol) if gain_rule else ~taken
-        best = fs[out].max(initial=best)
-        out |= fs < best
+        best = fs[~taken].max(initial=best)
+        out = ~taken | (fs < best)
         if out.any():
             x[idx[out]], f[idx[out]] = xs[out], fs[out]
             converged[idx[out]] = ((gnorm[out] <= _GRADIENT_TOL) & ~curved[out]
@@ -320,11 +317,12 @@ def maximize_bell(pi, kind, config=None):
     ``random.Random(seed)``, the same on every Python version. The best ``restarts``
     seeds ascend together by damped modified Newton on sigma * B, sigma the
     sign of B at the seed, with the gradient and Hessian that ``_bell``
-    chains from ``pi(points, 2)``; a start retires once its step, gradient
-    or gain is within ``simplex_tol``, or once it is below the best value
-    of a retired start. The best start is then polished alone, without the
-    gain rule. ``converged`` means the polish stopped within ``max_iters``,
-    with |grad B| <= 1e-7, a Hessian not all zero (as on a plateau where Pi
+    chains from ``pi(points, 2)``, in one phase of at most ``max_iters``
+    iterations; a start retires once its step or gradient is within
+    ``simplex_tol``, once its backtracking finds no Armijo point, or once it
+    is below the best value of a retired start. The best start gives the
+    result. ``converged`` means it stopped within ``max_iters``, with
+    |grad B| <= 1e-7, a Hessian not all zero (as on a plateau where Pi
     underflowed) and no eigenvalue of its last Newton step above 1e-6
     max|lambda| (zero modes of the beam's rotation symmetry are allowed). ``evaluations``
     counts every Bell sum computed, value or derivative, so not those a
@@ -347,13 +345,11 @@ def maximize_bell(pi, kind, config=None):
     key = np.where(np.isfinite(values), -np.abs(values), np.inf)
     starts = key.argsort(kind="stable")[: cfg.restarts]
     sigma = np.where(values[starts] < 0.0, -1.0, 1.0)
-    x, f, _, _ = _ascend(bell, seeds[starts], sigma * values[starts], sigma,
-                         cfg.simplex_tol, cfg.max_iters, gain_rule=True)
-    w = [int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))]
-    x, f, _, converged = _ascend(bell, x[w], f[w], sigma[w],
-                                 cfg.simplex_tol, cfg.max_iters, gain_rule=False)
-    return OptimizationResult(best_value=float(f[0]), argmax=tuple(x[0].tolist()),
-                              evaluations=evaluations, converged=bool(converged[0]))
+    x, f, _, converged = _ascend(bell, seeds[starts], sigma * values[starts], sigma,
+                                 cfg.simplex_tol, cfg.max_iters)
+    w = int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))
+    return OptimizationResult(best_value=float(f[w]), argmax=tuple(x[w].tolist()),
+                              evaluations=evaluations, converged=bool(converged[w]))
 
 
 def bell_scan(mode, x_range, samples, py=None):

@@ -123,11 +123,11 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--restarts", type=int, default=defaults.restarts,
                         help="number of best seeds refined together by Newton ascent")
     parser.add_argument("--simplex-tol", type=float, default=defaults.simplex_tol,
-                        help="step, gradient and gain tolerance at which a start stops; "
+                        help="step and gradient tolerance at which a start stops; "
                              "converged still needs |grad B| <= 1e-7, so a coarse "
                              "tolerance can exit 3")
     parser.add_argument("--max-iters", type=int, default=defaults.max_iters,
-                        help="Newton iteration cap for the refinement and for the polish")
+                        help="Newton iteration cap for the whole search")
 
 
 def _cmd_bell_max(args):

@@ -195,6 +195,9 @@ def laguerre(p, alpha, x):
     p = 64, 2.5 ms for p = 30. Where the value overflows a float (|x| far
     beyond 4p + 2 alpha, as L_64(1e7) ~ 1e359), it is the infinity with the
     sign of the leading term (-x)^p / p!, and no RuntimeWarning is raised.
+    For alpha <= 2 and 0 <= x <= 4p + 2 alpha + 10 it is also within
+    gamma_{3p+1} |L|, gamma_n = nu/(1 - nu), u = 2^-53 (tested; 1.3 p u seen),
+    but not at a zero's hi word or its float neighbours (4.8e4 p u at (30, 2)).
     """
     p, alpha, x = _check_degree(p, "p"), _check_degree(alpha, "alpha", cap=None), _as_finite(x)
     with np.errstate(over="ignore"):

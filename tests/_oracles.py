@@ -15,10 +15,16 @@ The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
 recurrence, so it checks the plain-product Pi far from the origin.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
-at a time, so the one-call search must return its points bit for bit.
-The maximum verdict is the test ``maximize_bell`` applied to its polish's
-last gradient and Hessian before ``_ascend`` took it from the Newton step's
-eigendecomposition: one ``eigvalsh`` per row, on the sequential ascent's jets.
+at a time, so the one-call search must return its points bit for bit. Like
+``maximize_bell`` it runs every start in one phase.
+The maximum verdict is the test ``maximize_bell`` applied to the winning
+start's last gradient and Hessian before ``_ascend`` took it from the Newton
+step's eigendecomposition: one ``eigvalsh`` per row, on the sequential
+ascent's jets.
+The exact Bell sum evaluates B at float settings in 60-digit ``decimal``
+arithmetic: the term points and forms as Fractions, the Laguerre factors by
+``laguerre_exact`` and the exponentials in ``decimal``, so it checks the
+rounding of a reported maximum at its argmax.
 The einsum Newton step is the modified-Newton step as three einsums, with
 the escape step added after, as it was before the step became two matmuls
 around ``eigh``: the same step, rounded differently.
@@ -69,6 +75,52 @@ def laguerre_exact(p, alpha, x):
 def laguerre_series(p, alpha, x):
     """``laguerre_exact`` rounded once to a float."""
     return float(laguerre_exact(p, alpha, x))
+
+
+def _decimal(q):
+    """A Fraction as a Decimal, rounded once in the current context."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def lg_pi_exact(mode):
+    """Pi_nm at a point of Fractions, (-1)^{n+m} L_n(u+) L_m(u-) e^{-4Q0} with
+    u+- = 4Q0 +- 4Q2: the Laguerre factors and forms exact, one rounding to
+    Decimal, then e^{-4Q0} in the current Decimal context."""
+    n, m = mode
+
+    def pi(point):
+        x, px, y, py = point
+        four_q0, four_q2 = x * x + y * y + px * px + py * py, 2 * (x * py - y * px)
+        poly = laguerre_exact(n, 0, four_q0 + four_q2) * laguerre_exact(m, 0, four_q0 - four_q2)
+        return (-1) ** (n + m) * _decimal(poly) * (-_decimal(four_q0)).exp()
+    return pi
+
+
+def elliptical_pi_exact(t):
+    """Pi of the + branch at a point of Fractions, exp(-4Q0 cosh 2t + 2 sinh 2t (XY - P_X P_Y)),
+    with cosh and sinh of the float t from e^{2t} in the current Decimal context."""
+    def pi(point):
+        x, px, y, py = point
+        e2t = (2 * Decimal(t)).exp()
+        cosh, sinh = (e2t + 1 / e2t) / 2, (e2t - 1 / e2t) / 2
+        return (-_decimal(x * x + y * y + px * px + py * py) * cosh
+                + 2 * sinh * _decimal(x * y - px * py)).exp()
+    return pi
+
+
+def bell_exact(pi_exact, kind, settings):
+    """B at float settings to 60 digits, a Decimal: each term point read off
+    ``bell._LIFT`` as exact Fractions of the settings, and Pi from ``pi_exact``."""
+    lift = bell._LIFT[kind]
+    u = [Fraction(float(v)) for v in settings]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(0)
+        for k, sign in enumerate(bell._SIGNS):
+            point = [sum((u[d] for d in range(len(u)) if lift[k, d, i]), Fraction(0))
+                     for i in range(4)]
+            total += int(sign) * pi_exact(point)
+        return total
 
 
 # pi to 50 digits
@@ -294,7 +346,7 @@ def scipy_maximize_bell(pi, kind, config=None):
     )
 
 
-def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule, prune=True):
+def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, prune=True):
     """``bell._ascend`` with its Armijo backtracking halving one trial per call.
 
     The search as it was before its ladder of step lengths went into one
@@ -341,10 +393,7 @@ def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, gain_rule, prune=Tru
             ft = sigma[rows] * bell_fn(trial)
             armijo = ft >= f[rows] + bell._ARMIJO * alpha[pending] * slope[pending]
             ok = np.isfinite(ft) & (armijo | trusted[pending])
-            gain = ft[ok] - f[rows[ok]]
             x[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
-            if gain_rule:
-                active[rows[ok][gain <= tol]] = False
             pending = pending[~ok]
             alpha[pending] *= 0.5
             spent = alpha[pending] * size[pending] <= tol

@@ -224,6 +224,22 @@ class TestProductAgainstSeries:
                                    (flat[::3], got[::3])):  # a strided view
                         assert _same_bits(specfun._laguerre(p, alpha, x), ref), (x.shape, alpha, p)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 20, 30, 45, 64])
+    def test_relative_error_within_gamma(self, p):
+        # |error| <= gamma_{3p+1} |L|, gamma_n = nu / (1 - nu), u = 2^-53: a factor rounds at
+        # most twice and kappa and the p products once each (Higham 2002, sec. 3.1); worst
+        # seen 1.26 p u, at (3, 1). Near each zero too, but not at its hi word or the hi
+        # word's float neighbours, where the lo word is only nearer the zero than hi
+        n = Fraction(3 * p + 1, 2**53)
+        gamma = n / (1 - n)
+        for alpha in (0, 1, 2):
+            hi = np.array(specfun._zeros(p, alpha)[0])
+            x = np.concatenate([np.linspace(0.0, 4.0 * p + 2.0 * alpha + 10.0, 101),
+                                hi * (1.0 + 1e-9), hi * (1.0 - 1e-6)])
+            for xi, value in zip(x.tolist(), specfun._laguerre(p, alpha, x).tolist()):
+                exact = laguerre_exact(p, alpha, xi)
+                assert abs(Fraction(value) - exact) <= gamma * abs(exact), (alpha, xi)
+
     def test_python_floats(self):
         # a Python float runs through the same operations as the entry of an array
         x = self._arguments()
