@@ -36,7 +36,8 @@ print(f"closed-form check at (0.45, 0.45): B = {bell_closed_form_10(0.45, 0.45):
 
 print("\n=== The ground Gaussian never violates ===")
 ground = maximize_bell(lg_transform_evaluator((0, 0)), RESTRICTED)
-print(f"  mode (0,0): max |B| = {ground.best_value:.6f}  (local model exists)")
+print(f"  mode (0,0): max |B| = {ground.best_value:.6f}, violation: {ground.violation}, "
+      f"converged: {ground.converged}  (local model exists)")
 
 print("\n=== General eight-parameter settings buy a little more ===")
 general = maximize_bell(lg_transform_evaluator((1, 0)), GENERAL)

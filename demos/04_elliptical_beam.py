@@ -13,7 +13,6 @@ import numpy as np
 
 from vortexbell import (
     EllipticalParams,
-    OptimizerConfig,
     elliptical_field,
     elliptical_profile,
     wigner_elliptical,
@@ -35,9 +34,7 @@ for pt in [(0, 0, 0, 0), (0.5, 0.0, 0.5, 0.0), (0.5, 0.3, -0.5, 0.3)]:
 
 print("\n=== Bell profile over the squeeze parameter ===")
 print("general settings, default optimizer; |B| = 2 exactly at t = 0:")
-profile = elliptical_profile(
-    np.linspace(0.0, 2.0, 11), config=OptimizerConfig(restarts=6)
-)
+profile = elliptical_profile(np.linspace(0.0, 2.0, 11))
 for t, value in profile.rows:
     bar = "#" * int((value - 2.0) * 120)
     print(f"  t = {t:.1f}:  |B|max = {value:.4f}  {bar}")

@@ -7,24 +7,20 @@ form varies only X on one side and P_Y on the other,
 
 while the general form assigns each side two full phase-plane settings.
 |B| > 2 signals correlations that no local model of the two transverse
-modes reproduces. Maximization ranks grid or uniform candidates and
-refines the best of them together in one damped Newton ascent, with the exact
-gradient and Hessian of B chained from the forms and partials the Pi
-evaluators give at order 2, and Hessian eigenvalues flipped to ascend
-(modified Newton, Nocedal & Wright 2006, sec. 3.4). The restricted grid is
-quadratically spaced, dense near 0, where the violation basin of the mode
-(n, 0) sits at |x| ~ 0.6/sqrt(n). Each Newton step backtracks over every
-start's ladder of halved steps in one Pi call. A short pure-Newton step
-skips the Armijo test, whose gain near a maximum is below the rounding
-noise of B. A start below the incumbent, the best value of a start that
-has stopped, stops at the end of the iteration. A start's maximum test
-reads the eigenvalues of its last Newton step. Every evaluation is
-batched over the starts; a seed fixes everything, on every Python version.
+modes reproduces. Maximization is one damped Newton ascent from the origin,
+with the exact gradient and Hessian of B chained from the forms and partials
+the Pi evaluators give at order 2, and Hessian eigenvalues flipped to ascend
+(modified Newton, Nocedal & Wright 2006, sec. 3.4). The gradient of B
+vanishes at the origin, and where the origin is a saddle the first step
+leaves it along the top eigenvector. Each Newton step backtracks over its
+ladder of halved steps in one Pi call. A short pure-Newton step skips the
+Armijo test, whose gain near a maximum is below the rounding noise of B. The
+maximum test reads the eigenvalues of the last Newton step, and a maximum of
+|B| = 2 to within 1e-12 is reported as no violation. No search draws a
+random number, so a beam fixes its result.
 """
 
-import functools
 import math
-import random
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,8 +43,6 @@ __all__ = [
 
 RESTRICTED = "restricted"
 GENERAL = "general"
-
-_GENERAL_DRAWS = 80  # general seeds beside the origin; an exhaustive 8D grid is infeasible
 
 
 def _t_grid(t_min, t_max, samples):
@@ -84,6 +78,7 @@ _CURVATURE_FLOOR = 1e-6
 _ARMIJO = 1e-4
 _TRUSTED_STEP = 1e-5
 _GRADIENT_TOL = 1e-7
+_TIE = 1e-12  # |B| within this of 2 is no violation
 _TINY = np.finfo(float).tiny
 
 
@@ -124,22 +119,17 @@ def _damped(s, q):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start search box, seeding, and Newton termination knobs.
+    """Newton termination knobs of the one search from the origin.
 
-    Restricted seeds are the ``grid_points`` x ``grid_points`` grid with axis
-    ``grid_bounds * s * |s|``, ``s`` evenly spaced in [-1, 1], so the seeds
-    are densest near 0. ``restarts`` seeds are refined in one Newton phase
-    until they stop or fall behind a stopped start. ``simplex_tol`` is the
-    step and gradient tolerance at which a start retires (the name predates
-    the Newton search), and ``max_iters`` caps the Newton iterations of the
-    whole search. ``converged`` keeps its fixed gradient
+    ``simplex_tol`` is the step and gradient tolerance at which the search
+    retires (the name predates the Newton search), and ``max_iters`` caps
+    its Newton iterations. ``converged`` keeps its fixed gradient
     test, |grad B| <= 1e-7, whatever ``simplex_tol`` is, so a coarse
-    tolerance can stop a search short of it and report False.
+    tolerance can stop a search short of it and report False. ``seed`` must
+    be an integer >= 0, and no search reads it: the benchmark harness in
+    ``perfbench/`` still passes one (ROADMAP.md, item 1).
     """
 
-    grid_bounds: float = 2.0
-    grid_points: int = 21
-    restarts: int = 8
     simplex_tol: float = 1e-9
     max_iters: int = 4000
     seed: int = 12345
@@ -149,40 +139,24 @@ class OptimizerConfig:
         return f"OptimizerConfig({', '.join(shown)})"
 
     def __post_init__(self):
-        for name, low in (("grid_points", 3), ("restarts", 1), ("max_iters", 1), ("seed", 0)):
+        for name, low in (("max_iters", 1), ("seed", 0)):
             _check_integer(getattr(self, name), name, low, rule=f">= {low}")
-        if not 0.0 < self.grid_bounds < math.inf:
-            raise ValueError(f"grid_bounds must be positive and finite, got {self.grid_bounds}")
         if not 1e-12 <= self.simplex_tol < math.inf:
             raise ValueError(f"simplex_tol must be >= 1e-12 and finite, got {self.simplex_tol}")
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """|B| at the maximum, the maximizing settings, and search diagnostics."""
+    """|B| at the maximum, its settings, search diagnostics, and whether |B| > 2 + 1e-12."""
 
     best_value: float
     argmax: tuple
     evaluations: int
     converged: bool
 
-
-@functools.lru_cache(maxsize=64)
-def _seed_points(kind, cfg):
-    """The seeds of a search, read-only, made once per kind and config; every
-    draw is on [-1, 1] times ``grid_bounds``, so none overflows."""
-    bound = cfg.grid_bounds
-    if kind == RESTRICTED:
-        # quadratic spacing, dense near 0: the violation basin has |x| ~ 0.6/sqrt(n)
-        s = np.linspace(-1.0, 1.0, cfg.grid_points)
-        axis = bound * s * np.abs(s)
-        seeds = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    else:
-        draw = random.Random(int(cfg.seed)).random  # the stream Python keeps for an int seed
-        unit = np.array([draw() for _ in range(8 * _GENERAL_DRAWS)]).reshape(-1, 8)
-        seeds = np.vstack([np.zeros((1, 8)), bound * (2.0 * unit - 1.0)])
-    seeds.flags.writeable = False
-    return seeds
+    @property
+    def violation(self):
+        return abs(self.best_value) - 2.0 > _TIE
 
 
 def _bell(pi, kind, u, order=0):
@@ -239,32 +213,31 @@ def _newton_step(grad, hess):
 def _ascend(bell, x, f, sigma, tol, max_iters):
     """Damped modified-Newton ascent of sigma * B from every row of x, in lockstep.
 
-    ``bell(u, order)`` evaluates B on rows of settings. A start stops when
-    its step, or its gradient with no uphill curvature left, is within
-    ``tol`` (it is not moving: no ladder), or when backtracking finds no
-    Armijo point with a step above ``tol``; so then does a start below the incumbent,
-    the highest f of a stopped start, and all leave the search in one pass at
-    the end of the iteration. Backtracking halves the step while alpha *
-    |step| > ``tol``; the moving starts' ladders are one ``bell`` call, and a
-    start takes its first Armijo point, the one that halving one trial at a
-    time finds. A pure-Newton step of length <= 1e-5 is taken without the
-    Armijo test. Returns x, f = sigma * B, whether each start retired within
-    ``max_iters``, and whether it converged: it retired, and its last jet
-    passed the maximum test, |grad| <= 1e-7, no upward curvature by that
-    jet's ``_newton_step``, and a Hessian not all zero (as on a plateau where
-    Pi underflowed, or for a jet that was not finite and was zeroed).
+    ``bell(u, order)`` evaluates B on rows of settings. Rows never interact:
+    each stops when its step, or its gradient with no uphill curvature
+    left, is within ``tol`` (it is not moving: no ladder), or when
+    backtracking finds no Armijo point with a step above ``tol``; stopped
+    rows leave the search at the end of the iteration. Backtracking halves
+    the step while alpha * |step| > ``tol``; the moving rows' ladders are one
+    ``bell`` call, and a row takes its first Armijo point, the one that
+    halving one trial at a time finds. A pure-Newton step of length <= 1e-5
+    is taken without the Armijo test. Returns x, f = sigma * B, whether each
+    row retired within ``max_iters``, and whether it converged: it retired,
+    and its last jet passed the maximum test, a finite jet with |grad| <= 1e-7,
+    no upward curvature by that jet's ``_newton_step``, and a Hessian not all
+    zero (as on a plateau where Pi underflowed) unless f is 2 to within
+    1e-12, no violation, which B can attain where it is flat to second order.
     """
     x, f = x.copy(), f.copy()
     converged = np.zeros(len(x), dtype=bool)
     # the searching rows idx, with their x, f and sigma
     idx = np.flatnonzero(np.isfinite(f))
     xs, fs, ss = x[idx], f[idx], sigma[idx]
-    best = -math.inf  # the incumbent: the highest f of a start that stopped
-    # Armijo backtracking in one call: every moving start's halving ladder
+    # Armijo backtracking in one call: every moving row's halving ladder
     # alpha_j = 2^-j, j = 0 and every j >= 1 with alpha_j * size > tol
     # (exact products, so its length follows from the exponents), as a
-    # (rung, start) rectangle over the widest ladder, NaN past a start's own
-    # ladder; every moving start has size > tol, so with none it is one dead rung
+    # (rung, row) rectangle over the widest ladder, NaN past a row's own
+    # ladder; every moving row has size > tol, so with none it is one dead rung
     tol_exponent = math.frexp(tol)[1]
     alpha = np.ldexp(1.0, -np.arange(np.finfo(float).maxexp - tol_exponent + 1))
     for _ in range(max_iters):
@@ -273,12 +246,13 @@ def _ascend(bell, x, f, sigma, tol, max_iters):
         _, g, h = bell(xs, 2)
         g *= ss[:, None]
         h *= ss[:, None, None]
-        if not (np.isfinite(g).all() and np.isfinite(h).all()):
-            # a jet that is not finite is zeroed: its row takes no step and retires
-            stuck = ~(np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2)))
-            g[stuck], h[stuck] = 0.0, 0.0
+        # a jet that is not finite is zeroed: its row takes no step, and it retires
+        # failing the gradient test
+        stuck = ~(np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2)))
+        g[stuck], h[stuck] = 0.0, 0.0
         step, curved, pure = _newton_step(g, h)
         size, gnorm = np.sqrt((step * step).sum(axis=1)), np.sqrt((g * g).sum(axis=1))
+        gnorm[stuck] = math.inf
         moving = (size > tol) & ((gnorm > tol) | curved)
         # near a maximum the Armijo gain of a Newton step falls below the
         # rounding noise of B, so a short pure-Newton step is taken untested
@@ -293,17 +267,15 @@ def _ascend(bell, x, f, sigma, tol, max_iters):
         slope = np.einsum("ni,ni->n", g, step)
         armijo = ft >= fs + _ARMIJO * alpha[:width, None] * slope
         ok = np.isfinite(ft) & (armijo | trusted)
-        # each start takes its first acceptable rung; one with none retires,
-        # and so does one below the incumbent
+        # each row takes its first acceptable rung; one with none retires
         taken = ok.any(axis=0)
         rung = (ok.argmax(axis=0), np.arange(idx.size))
         xs, fs = np.where(taken[:, None], trial[rung], xs), np.where(taken, ft[rung], fs)
-        best = fs[~taken].max(initial=best)
-        out = ~taken | (fs < best)
+        out = ~taken
         if out.any():
             x[idx[out]], f[idx[out]] = xs[out], fs[out]
             converged[idx[out]] = ((gnorm[out] <= _GRADIENT_TOL) & ~curved[out]
-                                   & h[out].any(axis=(1, 2)))
+                                   & (h[out].any(axis=(1, 2)) | (np.abs(fs[out] - 2.0) <= _TIE)))
             idx, xs, fs, ss = (a[~out] for a in (idx, xs, fs, ss))
     x[idx], f[idx] = xs, fs
     return x, f, np.bincount(idx, minlength=len(x)) == 0, converged
@@ -312,24 +284,23 @@ def _ascend(bell, x, f, sigma, tol, max_iters):
 def maximize_bell(pi, kind, config=None):
     """Maximize |B| for a Wigner-transform evaluator.
 
-    Seeds come from a deterministic grid (restricted) or the origin plus 80
-    draws uniform on [-1, 1]^8 times ``grid_bounds`` (general), from
-    ``random.Random(seed)``, the same on every Python version. The best ``restarts``
-    seeds ascend together by damped modified Newton on sigma * B, sigma the
-    sign of B at the seed, with the gradient and Hessian that ``_bell``
-    chains from ``pi(points, 2)``, in one phase of at most ``max_iters``
-    iterations; a start retires once its step or gradient is within
-    ``simplex_tol``, once its backtracking finds no Armijo point, or once it
-    is below the best value of a retired start. The best start gives the
-    result. ``converged`` means it stopped within ``max_iters``, with
-    |grad B| <= 1e-7, a Hessian not all zero (as on a plateau where Pi
-    underflowed) and no eigenvalue of its last Newton step above 1e-6
-    max|lambda| (zero modes of the beam's rotation symmetry are allowed). ``evaluations``
-    counts every Bell sum computed, value or derivative, so not those a
-    trailing start would have taken after it was cut; since each Newton
-    step evaluates its whole backtracking ladder at once, it includes the
-    trials past the one a start accepts. Non-finite values are rejected.
-    The result is bit-reproducible for a fixed config.
+    One search, started at the origin: damped modified Newton on sigma * B,
+    sigma the sign of B there, with the gradient and Hessian that ``_bell``
+    chains from ``pi(points, 2)``, for at most ``max_iters`` iterations.
+    Every form, and so the gradient of B, vanishes at the origin; where it
+    is a saddle, the first step leaves it along the top eigenvector of
+    sigma times the Hessian. The search retires once its step or gradient is
+    within ``simplex_tol``, or once its backtracking finds no Armijo point.
+    ``converged`` means it stopped within ``max_iters``, with |grad B| <= 1e-7,
+    no eigenvalue of its last Newton step above 1e-6 max|lambda| (zero modes
+    of the beam's rotation symmetry are allowed), and a Hessian not all zero
+    (as on a plateau where Pi underflowed). A maximum of |B| = 2 to within
+    1e-12 has ``violation`` False and needs no curvature, as at the origin
+    of a mode with l = 0. ``evaluations`` counts every Bell sum computed,
+    value or derivative; since each Newton step evaluates its whole
+    backtracking ladder at once, it includes the trials past the one the
+    search accepts. Non-finite values are rejected. The result is
+    bit-reproducible for a beam: no search reads ``config.seed``.
     """
     _check_kind(kind)
     cfg = config if config is not None else OptimizerConfig()
@@ -340,16 +311,12 @@ def maximize_bell(pi, kind, config=None):
         evaluations += len(u)
         return _bell(pi, kind, u, order)
 
-    seeds = _seed_points(kind, cfg)
-    values = bell(seeds)
-    key = np.where(np.isfinite(values), -np.abs(values), np.inf)
-    starts = key.argsort(kind="stable")[: cfg.restarts]
-    sigma = np.where(values[starts] < 0.0, -1.0, 1.0)
-    x, f, _, converged = _ascend(bell, seeds[starts], sigma * values[starts], sigma,
-                                 cfg.simplex_tol, cfg.max_iters)
-    w = int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))
-    return OptimizationResult(best_value=float(f[w]), argmax=tuple(x[w].tolist()),
-                              evaluations=evaluations, converged=bool(converged[w]))
+    origin = np.zeros((1, _LIFT[kind].shape[1]))
+    value = bell(origin)
+    sigma = np.where(value < 0.0, -1.0, 1.0)
+    x, f, _, converged = _ascend(bell, origin, sigma * value, sigma, cfg.simplex_tol, cfg.max_iters)
+    return OptimizationResult(best_value=float(f[0]), argmax=tuple(x[0].tolist()),
+                              evaluations=evaluations, converged=bool(converged[0]))
 
 
 def bell_scan(mode, x_range, samples, py=None):
@@ -369,12 +336,19 @@ def bell_scan(mode, x_range, samples, py=None):
 
 @dataclass(frozen=True)
 class EllipticalProfile:
-    """Per-t Bell maxima for the elliptical beam and the profile supremum."""
+    """Per-t Bell maxima for the elliptical beam, the profile supremum, the t
+    values whose search did not converge, and the Bell sums of all searches;
+    ``violation`` is whether the supremum exceeds 2 by more than 1e-12."""
 
     rows: tuple  # ((t, best_abs_B), ...)
     sup_t: float
     sup_value: float
-    all_converged: bool
+    unconverged_t: tuple
+    evaluations: int
+
+    @property
+    def violation(self):
+        return abs(self.sup_value) - 2.0 > _TIE
 
 
 def elliptical_profile(t_values=None, kind=GENERAL, config=None):
@@ -389,16 +363,15 @@ def elliptical_profile(t_values=None, kind=GENERAL, config=None):
     ts = DEFAULT_T_GRID if t_values is None else tuple(float(t) for t in t_values)
     if not ts:
         raise ValueError("t_values must hold at least one squeeze value")
-    rows = []
+    rows, unconverged, evaluations = [], [], 0
     sup_t, sup_value = None, -math.inf
-    all_converged = True
     for t in ts:
-        pi = elliptical_transform_evaluator((t, +1))
-        result = maximize_bell(pi, kind, config)
+        result = maximize_bell(elliptical_transform_evaluator((t, +1)), kind, config)
         rows.append((t, result.best_value))
-        all_converged = all_converged and result.converged
+        evaluations += result.evaluations
+        if not result.converged:
+            unconverged.append(t)
         if result.best_value > sup_value:
             sup_t, sup_value = t, result.best_value
-    return EllipticalProfile(
-        rows=tuple(rows), sup_t=sup_t, sup_value=sup_value, all_converged=all_converged
-    )
+    return EllipticalProfile(rows=tuple(rows), sup_t=sup_t, sup_value=sup_value,
+                             unconverged_t=tuple(unconverged), evaluations=evaluations)

@@ -13,9 +13,13 @@ Scalar results are JSON on stdout (with an embedded run manifest); tables are
 CSV with one header row, written to stdout or --out (file outputs get a
 sidecar <out>.manifest.json). Every manifest carries elapsed_s, the wall
 seconds of the subcommand up to its output, and the python and numpy
-versions. elliptical-profile adds sup_t, sup_best_abs_B and converged to its
-manifest, which goes to stderr when the CSV goes to stdout, so no stream
-mixes two formats. All numbers carry 17 significant digits.
+versions. bell-max prints violation, whether |B| exceeds 2 by more than
+1e-12; elliptical-profile adds sup_t, sup_best_abs_B, violation, converged,
+unconverged_t and the total evaluations to its manifest, which goes to
+stderr when the CSV goes to stdout, so no stream mixes two formats. All
+numbers carry 17 significant digits. Every subcommand accepts --seed and
+ignores it (bell-max and elliptical-profile require it >= 0): no search
+reads a seed, and perfbench/ still passes one (ROADMAP.md, item 1).
 
 Exit codes: 0 success, 2 argument error (a bad flag, input the library rejects,
 or a request too large for memory), 3 optimizer non-convergence, 4 I/O error.
@@ -72,7 +76,6 @@ def _manifest(command, args):
         "command": command,
         "parameters": parameters,
         "artifact_version": __version__,
-        "seed": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "elapsed_s": time.perf_counter() - args.started,
         "python": ".".join(map(str, sys.version_info[:3])),
@@ -104,8 +107,7 @@ def _emit_csv(header, rows, out, manifest):
 
 
 def _optimizer_config(args):
-    names = ("grid_bounds", "grid_points", "restarts", "simplex_tol", "max_iters", "seed")
-    return OptimizerConfig(**{name: getattr(args, name) for name in names})
+    return OptimizerConfig(simplex_tol=args.simplex_tol, max_iters=args.max_iters, seed=args.seed)
 
 
 def _add_mode_flags(parser):
@@ -115,15 +117,8 @@ def _add_mode_flags(parser):
 
 def _add_optimizer_flags(parser):
     defaults = OptimizerConfig()  # the library states the defaults once
-    parser.add_argument("--grid-bounds", type=float, default=defaults.grid_bounds,
-                        help="half-width of the seeding box per parameter")
-    parser.add_argument("--grid-points", type=int, default=defaults.grid_points,
-                        help="grid points per axis for restricted seeding, "
-                             "quadratically spaced and densest near 0")
-    parser.add_argument("--restarts", type=int, default=defaults.restarts,
-                        help="number of best seeds refined together by Newton ascent")
     parser.add_argument("--simplex-tol", type=float, default=defaults.simplex_tol,
-                        help="step and gradient tolerance at which a start stops; "
+                        help="step and gradient tolerance at which the search stops; "
                              "converged still needs |grad B| <= 1e-7, so a coarse "
                              "tolerance can exit 3")
     parser.add_argument("--max-iters", type=int, default=defaults.max_iters,
@@ -139,6 +134,7 @@ def _cmd_bell_max(args):
         "argmax": list(result.argmax),
         "evaluations": result.evaluations,
         "converged": result.converged,
+        "violation": result.violation,
         "manifest": _manifest("bell-max", args),
     }
     _emit_json(payload, args.out)
@@ -244,14 +240,17 @@ def _cmd_elliptical_profile(args):
     summary = {
         "sup_t": profile.sup_t,
         "sup_best_abs_B": profile.sup_value,
-        "converged": profile.all_converged,
+        "violation": profile.violation,
+        "converged": not profile.unconverged_t,
+        "unconverged_t": list(profile.unconverged_t),
+        "evaluations": profile.evaluations,
         **_manifest("elliptical-profile", args),
     }
     _emit_csv("t,best_abs_B", profile.rows, args.out, summary)
     if args.out is None:
         # stdout carries the CSV alone
         print(json.dumps(summary, indent=2), file=sys.stderr)
-    return EXIT_OK if profile.all_converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if summary["converged"] else EXIT_NOT_CONVERGED
 
 
 def _build_parser():
@@ -318,7 +317,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_elliptical_profile)
 
     for p in sub.choices.values():
-        p.add_argument("--seed", type=int, default=OptimizerConfig().seed)
+        p.add_argument("--seed", type=int, default=OptimizerConfig().seed,
+                       help="accepted and ignored: no search reads a seed")
         p.add_argument("--out", default=None, help="write the output here instead of stdout")
     return parser, sub.choices
 

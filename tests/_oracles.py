@@ -8,15 +8,20 @@ polynomials, and integrals rebuild Gauss-Hermite rules straight from numpy.
 The moment integrals take the package's field and the analytic gradient
 below, so they check the closed-form moment table against the fields it
 describes.
-The Bell search is the multi-start Nelder-Mead loop that
-``maximize_bell``'s Newton search replaced, run by scipy on the package's
-seeds and Bell sums, so it gives a maximum the Newton search must reach.
+The seeded multi-start is the Bell search as it ran before it started at
+the origin alone: a grid (restricted) or the origin and 80 draws of
+``random.Random(seed)`` (general), ranked by |B|, the best of them ascended
+by the package's ``_ascend``, each row alone, so it gives maxima the one
+start must reach. The Bell search is the multi-start Nelder-Mead loop that
+``maximize_bell``'s Newton search replaced, run by scipy on the same seeds
+and the package's Bell sums, so it gives a maximum the Newton search must
+reach.
 The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
 recurrence, so it checks the plain-product Pi far from the origin.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
 at a time, so the one-call search must return its points bit for bit. Like
-``maximize_bell`` it runs every start in one phase.
+``_ascend`` it runs every row in one phase, each as it would alone.
 The maximum verdict is the test ``maximize_bell`` applied to the winning
 start's last gradient and Hessian before ``_ascend`` took it from the Newton
 step's eigendecomposition: one ``eigvalsh`` per row, on the sequential
@@ -50,6 +55,7 @@ rounded differently.
 import cmath
 import itertools
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -306,12 +312,59 @@ def gauss_hermite_mean(nm, which):
     return np.sum(W * np.conj(amp) * image[which]).real
 
 
+def multistart_seeds(kind, seed=12345, bound=2.0, grid_points=21):
+    """The seeds of the multi-start Bell search, every one on [-bound, bound].
+
+    Restricted: the grid_points x grid_points grid with axis bound * s|s|, s
+    evenly spaced on [-1, 1], densest near 0, where the violation basin of
+    the mode (n, 0) sits at |x| ~ 0.6/sqrt(n). General: the origin and 80 rows
+    uniform on [-1, 1]^8 times bound, from ``random.Random(seed)``, a stream
+    Python keeps the same on every version.
+    """
+    if kind == bell.RESTRICTED:
+        s = np.linspace(-1.0, 1.0, grid_points)
+        axis = bound * s * np.abs(s)
+        return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    draw = random.Random(int(seed)).random
+    unit = np.array([draw() for _ in range(8 * 80)]).reshape(-1, 8)
+    return np.vstack([np.zeros((1, 8)), bound * (2.0 * unit - 1.0)])
+
+
+def multistart_starts(pi, kind, seed=12345):
+    """The best 8 seeds by |B| (ties in seed order), with sigma * B and sigma,
+    sigma the sign of B at each."""
+    seeds = multistart_seeds(kind, seed)
+    values = bell._bell(pi, kind, seeds)
+    key = np.where(np.isfinite(values), -np.abs(values), np.inf)
+    starts = key.argsort(kind="stable")[:8]
+    sigma = np.where(values[starts] < 0.0, -1.0, 1.0)
+    return seeds[starts], sigma * values[starts], sigma
+
+
+def multistart_maximize_bell(pi, kind, config=None):
+    """The best of the 8 ranked starts at ``config.seed``, each ascended alone
+    by ``bell._ascend`` with the config's tolerance and iteration cap."""
+    cfg = config if config is not None else bell.OptimizerConfig()
+    evaluations = 0
+
+    def bell_fn(u, order=0):
+        nonlocal evaluations
+        evaluations += len(u)
+        return bell._bell(pi, kind, u, order)
+
+    x, f, sigma = multistart_starts(pi, kind, cfg.seed)
+    x, f, _, converged = bell._ascend(bell_fn, x, f, sigma, cfg.simplex_tol, cfg.max_iters)
+    w = int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))
+    return bell.OptimizationResult(best_value=float(f[w]), argmax=tuple(x[w].tolist()),
+                                   evaluations=evaluations, converged=bool(converged[w]))
+
+
 def scipy_maximize_bell(pi, kind, config=None):
     """Multi-start Nelder-Mead maximum of |B|, each restart run by scipy.
 
-    The package's seeds, ranked by |B|; the best ``restarts`` of them are
-    refined by ``scipy.optimize.minimize`` with ``simplex_tol`` as its
-    tolerances and ``max_iters`` as its iteration cap.
+    The multi-start seeds at ``config.seed``, ranked by |B|; the best 8 of
+    them are refined by ``scipy.optimize.minimize`` with ``simplex_tol`` as
+    its tolerances and ``max_iters`` as its iteration cap.
     """
     cfg = config if config is not None else bell.OptimizerConfig()
     evaluations = 0
@@ -322,10 +375,10 @@ def scipy_maximize_bell(pi, kind, config=None):
         b = bell.bell_sum(pi, kind, v)
         return math.inf if not math.isfinite(b) else -abs(b)
 
-    seeds = bell._seed_points(kind, cfg)
+    seeds = multistart_seeds(kind, cfg.seed)
     seed_values = np.array([objective(s) for s in seeds])
     best = None
-    for idx in np.argsort(seed_values, kind="stable")[: cfg.restarts]:
+    for idx in np.argsort(seed_values, kind="stable")[:8]:
         res = minimize(
             objective,
             seeds[idx],
@@ -346,19 +399,15 @@ def scipy_maximize_bell(pi, kind, config=None):
     )
 
 
-def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, prune=True):
+def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters):
     """``bell._ascend`` with its Armijo backtracking halving one trial per call.
 
     The search as it was before its ladder of step lengths went into one
     ``bell_fn`` call per Newton step; the rest is the package's own
-    ``_newton_step`` and constants. With ``prune``, as in ``_ascend``, a start
-    whose f is below the incumbent, the highest f of a start that stopped,
-    stops at the end of each iteration; without it every start runs until it
-    stops on its own.
+    ``_newton_step`` and constants. Every row runs until it stops on its own.
     """
     x, f = x.copy(), f.copy()
-    began = np.isfinite(f)
-    active = began.copy()
+    active = np.isfinite(f)
     grad = np.zeros(x.shape)
     hess = np.zeros(x.shape + x.shape[1:])
     for _ in range(max_iters):
@@ -399,23 +448,22 @@ def sequential_ascend(bell_fn, x, f, sigma, tol, max_iters, prune=True):
             spent = alpha[pending] * size[pending] <= tol
             active[idx[pending[spent]]] = False
             pending = pending[~spent]
-        stopped = began & ~active
-        if prune and stopped.any():
-            active &= ~(f < f[stopped].max())
     return x, f, ~active, grad, hess
 
 
 def maximum_verdict(f, stopped, grad, hess):
     """Per row, the ``converged`` rule ``maximize_bell`` applied to one start:
-    stopped, f finite, |grad| <= 1e-7, and a finite Hessian, not all zero,
-    with no eigenvalue above 1e-6 max|lambda|."""
+    stopped, f finite, |grad| <= 1e-7, and a finite Hessian with no
+    eigenvalue above 1e-6 max|lambda|, not all zero unless f is 2 to within
+    1e-12 (no violation)."""
     verdict = []
     for f_i, stopped_i, g, h in zip(f, stopped, grad, hess):
         lam = np.linalg.eigvalsh(h) if np.all(np.isfinite(h)) else np.array([np.nan])
         curvature = np.abs(lam).max()
         verdict.append(bool(stopped_i and np.isfinite(f_i)
                             and np.linalg.norm(g) <= bell._GRADIENT_TOL
-                            and curvature > 0.0 and lam[-1] <= bell._CURVATURE_FLOOR * curvature))
+                            and (curvature > 0.0 or abs(f_i - 2.0) <= bell._TIE)
+                            and lam[-1] <= bell._CURVATURE_FLOOR * curvature))
     return np.array(verdict)
 
 

@@ -10,7 +10,8 @@ import pytest
 from vortexbell import bell, wigner
 
 from _oracles import (bell_exact, bell_jet_by_lift_sums, einsum_newton_step, elliptical_pi_exact,
-                      lg_pi_exact, maximum_verdict, scipy_maximize_bell, sequential_ascend)
+                      lg_pi_exact, maximum_verdict, multistart_maximize_bell, multistart_seeds,
+                      multistart_starts, scipy_maximize_bell, sequential_ascend)
 
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
@@ -210,16 +211,6 @@ class TestBellDerivatives:
                 assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref)) + 1e-300
 
 
-def _search_starts(pi, kind, cfg=bell.OptimizerConfig()):
-    """The starts, sigma * B and sigma that maximize_bell's search ascends from."""
-    seeds = bell._seed_points(kind, cfg)
-    values = bell._bell(pi, kind, seeds)
-    key = np.where(np.isfinite(values), -np.abs(values), np.inf)
-    starts = key.argsort(kind="stable")[: cfg.restarts]
-    sigma = np.where(values[starts] < 0.0, -1.0, 1.0)
-    return seeds[starts], sigma * values[starts], sigma
-
-
 def _misled_bell(u, order=0):
     """B = -|u - 0.3|^2, its gradient reported downhill wherever u_0 < 0.
 
@@ -237,6 +228,26 @@ def _misled_bell(u, order=0):
 _TOL = bell.OptimizerConfig().simplex_tol
 
 
+def _ascend_from(pi, kind, x):
+    """``_ascend`` of B from the rows x, with the sign of B at the origin, as
+    ``maximize_bell`` climbs."""
+    def bell_fn(u, order=0):
+        return bell._bell(pi, kind, u, order)
+
+    sigma = np.where(bell_fn(np.zeros((1, x.shape[1]))) < 0.0, -1.0, 1.0).repeat(len(x))
+    return bell._ascend(bell_fn, x, sigma * bell_fn(x), sigma, _TOL, 4000)
+
+
+def _top_eigenspace(pi, kind):
+    """The eigenvectors of sigma * hess B at the origin, as columns, whose eigenvalues
+    are the top one to 1e-12 relative: where the search's first step goes."""
+    d = bell._LIFT[kind].shape[1]
+    value, _, hess = bell._bell(pi, kind, np.zeros((1, d)), 2)
+    lam, vec = np.linalg.eigh(np.where(value[0] < 0.0, -1.0, 1.0) * hess[0])
+    assert lam[-1] > 0.0  # the origin is a saddle
+    return vec[:, lam >= lam[-1] - 1e-12 * lam[-1]]
+
+
 def _same_search(new, old):
     """``_ascend``'s x, f and stopped are the sequential search's bits, and each row's
     ``converged`` is the verdict ``maximize_bell`` gave on that search's last jet."""
@@ -250,7 +261,7 @@ class TestLineSearch:
     @staticmethod
     def _both(bell_fn, x, f, sigma, max_iters=4000, tol=_TOL, alone=False):
         """Both searches from the same starts; ``alone`` runs each start as a search of
-        its own, as with ``restarts=1``, and stacks the rows of the results."""
+        its own, as ``maximize_bell`` runs its one, and stacks the rows of the results."""
         if alone:
             runs = [TestLineSearch._both(bell_fn, x[i:i + 1], f[i:i + 1], sigma[i:i + 1],
                                          max_iters, tol) for i in range(len(x))]
@@ -283,7 +294,7 @@ class TestLineSearch:
              "nan-patched"],
     )
     def test_bit_identical_to_sequential_search(self, pi, kind, alone):
-        x, f, sigma = _search_starts(pi, kind)
+        x, f, sigma = multistart_starts(pi, kind)
         new, old = self._both(lambda u, order=0: bell._bell(pi, kind, u, order), x, f, sigma,
                               alone=alone)
         _same_search(new, old)
@@ -302,7 +313,7 @@ class TestLineSearch:
         assert np.allclose(x_end[~misled], 0.3) and np.allclose(f_end[~misled], 0.0)
 
     def test_iteration_cap(self):
-        x, f, sigma = _search_starts(PI_10, bell.GENERAL)
+        x, f, sigma = multistart_starts(PI_10, bell.GENERAL)
         for max_iters in (1, 2, 5):
             new, old = self._both(lambda u, order=0: bell._bell(PI_10, bell.GENERAL, u, order),
                                   x, f, sigma, max_iters)
@@ -313,7 +324,7 @@ class TestLineSearch:
         # an iteration where no start moves builds a one-rung dead ladder at every
         # tolerance, including those whose binary exponent is at least 1
         for kind in (bell.RESTRICTED, bell.GENERAL):
-            x, f, sigma = _search_starts(PI_10, kind)
+            x, f, sigma = multistart_starts(PI_10, kind)
 
             def bell_fn(u, order=0, kind=kind):
                 return bell._bell(PI_10, kind, u, order)
@@ -321,15 +332,17 @@ class TestLineSearch:
             for rows in (slice(None), slice(1)):
                 new, old = self._both(bell_fn, x[rows], f[rows], sigma[rows], tol=tol)
                 _same_search(new, old)
+            # the escape step from the origin is shorter than 1 here, so the one start
+            # stays on its saddle, and says so
             result = bell.maximize_bell(PI_10, kind, bell.OptimizerConfig(simplex_tol=tol))
-            assert result.best_value >= np.abs(f).max()
+            assert result.best_value == 2.0 and not result.converged
 
     def test_compaction_with_a_stuck_row(self):
         # the fourth Newton iteration's jet is not finite in the sixth row it is taken on,
-        # a row low enough that the incumbent it sets cuts no other, and rows retire at
-        # three different iterations (seed 112's starts); each side counts its own calls
+        # and rows retire at more than two iterations (the multi-start's rows at seed
+        # 112); each side counts its own calls
         pi = PI_10
-        x, f, sigma = _search_starts(pi, bell.GENERAL, bell.OptimizerConfig(seed=112))
+        x, f, sigma = multistart_starts(pi, bell.GENERAL, 112)
         results, sizes = [], []
         for search in (bell._ascend, sequential_ascend):
             calls, seen = [0], []
@@ -348,7 +361,6 @@ class TestLineSearch:
         (new, old), (seen, _) = results, sizes
         _same_search(new, old)
         assert seen[3] == len(x) and seen[4] < seen[3]
-        assert seen[4] == seen[3] - 1  # the stuck row's incumbent cuts no other row
         assert len(set(seen)) > 2  # rows retire at more than two iterations
         stuck = np.flatnonzero(~np.isfinite(old[3]).all(axis=1))
         assert stuck.size == 1 and new[2][stuck[0]] and not new[3][stuck[0]]
@@ -386,6 +398,20 @@ class TestConverged:
             lambda u: -1e9 * (u * u).sum(axis=1), lambda u: -2e9 * u + offset,
             lambda u: np.repeat(-2e9 * np.eye(2)[None], len(u), axis=0)) is converged
 
+    @pytest.mark.parametrize("level, converged", [(2.0, True), (2.0 + 5e-13, True),
+                                                  (2.0 + 2e-12, False), (1.0, False)])
+    def test_a_flat_jet_is_a_maximum_only_without_violation(self, level, converged):
+        # B constant, with a zero gradient and an all-zero Hessian: at |B| = 2 to 1e-12
+        # that is no violation, and nothing ascends; elsewhere it is a plateau where Pi
+        # underflowed, no maximum
+        assert self._from_origin(lambda u: np.full(len(u), level), np.zeros_like,
+                                 lambda u: np.zeros(u.shape + u.shape[1:])) is converged
+
+    def test_a_jet_that_is_not_finite_is_no_maximum_even_without_violation(self):
+        # the row is zeroed and retires; at |B| = 2 the zeroed Hessian is not a flat one
+        assert self._from_origin(lambda u: np.full(len(u), 2.0), np.zeros_like,
+                                 lambda u: np.full(u.shape + u.shape[1:], np.nan)) is False
+
     def test_a_coarse_tolerance_stops_short_of_the_gradient_test(self):
         # the gradient test stays at 1e-7 whatever simplex_tol is
         pi = wigner.lg_transform_evaluator((30, 0))
@@ -394,70 +420,35 @@ class TestConverged:
         assert bell.maximize_bell(pi, bell.RESTRICTED).converged
 
 
-# the benchmark's LG searches and four elliptical squeezes
-_PRUNING_CASES = [
+# the benchmark's LG searches and four elliptical squeezes, and a sample of modes in
+# both kinds and of squeezes
+_MULTISTART_CASES = [
     *[pytest.param(wigner.lg_transform_evaluator(mode), kind, id=f"lg-{mode[0]}-{mode[1]}-{kind}")
       for mode, kind in (((1, 0), bell.RESTRICTED), ((2, 0), bell.RESTRICTED),
                          ((5, 0), bell.RESTRICTED), ((10, 0), bell.RESTRICTED),
                          ((30, 0), bell.RESTRICTED), ((3, 1), bell.RESTRICTED),
                          ((20, 10), bell.RESTRICTED), ((1, 0), bell.GENERAL),
-                         ((5, 0), bell.GENERAL), ((30, 0), bell.GENERAL))],
+                         ((5, 0), bell.GENERAL), ((30, 0), bell.GENERAL),
+                         *(((n, m), kind) for n, m in ((2, 1), (5, 3), (0, 3), (64, 0))
+                           for kind in (bell.RESTRICTED, bell.GENERAL)),
+                         ((20, 10), bell.GENERAL))],
     *[pytest.param(wigner.elliptical_transform_evaluator((t, +1)), bell.GENERAL,
-                   id=f"elliptical-{t}") for t in (0.1, 0.8, 1.1, 1.9)],
+                   id=f"elliptical-{t}") for t in (0.1, 0.8, 1.1, 1.9, 0.3, 1.0, 2.0, 4.0)],
 ]
 
 
 class TestTrailingStarts:
-    """Cutting the starts below the incumbent, the best start that stopped."""
+    """The one start at the origin cuts every other start of the seeded multi-start
+    it replaced: that never lowers the maximum."""
 
-    @staticmethod
-    def _oracle_search(bell_fn, x, f, sigma, prune):
-        """maximize_bell's search on the sequential oracle: the best start's f, whether it
-        stopped, and its maximum verdict."""
-        x, f, stopped, grad, hess = sequential_ascend(bell_fn, x, f, sigma, _TOL, 4000, prune)
-        w = int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))
-        return f[w], stopped[w], maximum_verdict(f, stopped, grad, hess)[w]
-
-    @pytest.mark.parametrize("pi, kind", _PRUNING_CASES)
+    @pytest.mark.parametrize("pi, kind", _MULTISTART_CASES)
     def test_never_lowers_the_maximum(self, pi, kind):
-        def bell_fn(u, order=0):
-            return bell._bell(pi, kind, u, order)
-
+        result = bell.maximize_bell(pi, kind)
         # restricted seeds are a grid, the same at every optimizer seed
-        for seed in range(4) if kind == bell.GENERAL else [0]:
-            x, f, sigma = _search_starts(pi, kind, bell.OptimizerConfig(seed=seed))
-            pruned = self._oracle_search(bell_fn, x, f, sigma, True)
-            full = self._oracle_search(bell_fn, x, f, sigma, False)
-            assert pruned[0] >= full[0] - 1e-12
-            assert pruned[1:] == full[1:]
-
-    def test_cuts_only_starts_below_the_incumbent(self):
-        pi = wigner.lg_transform_evaluator((30, 0))
-        x, f, sigma = _search_starts(pi, bell.GENERAL, bell.OptimizerConfig(seed=12345))
-        calls = {True: 0, False: 0}
-
-        def counted(pruned):
-            def bell_fn(u, order=0):
-                calls[pruned] += order == 2
-                return bell._bell(pi, bell.GENERAL, u, order)
-            return bell_fn
-
-        bell._ascend(counted(True), x, f, sigma, _TOL, 4000)
-        sequential_ascend(counted(False), x, f, sigma, _TOL, 4000, prune=False)
-        assert calls[True] < calls[False]
-        # stop both searches after each iteration: a start stopped here but not in the
-        # unpruned search was cut, below a start that stopped on its own
-        cut = np.zeros(len(x), dtype=bool)
-        for k in range(1, calls[True] + 1):
-            new = bell._ascend(counted(True), x, f, sigma, _TOL, k)
-            old = sequential_ascend(counted(False), x, f, sigma, _TOL, k, prune=False)
-            now = new[2] & ~old[2] & ~cut
-            incumbent = new[1][new[2] & ~cut & ~now].max(initial=-np.inf)
-            assert np.all(new[1][now] < incumbent)
-            cut |= now
-            # every other start is where the unpruned search has it, bit for bit
-            assert _bits(new[0][~cut], new[1][~cut]) == _bits(old[0][~cut], old[1][~cut])
-        assert cut.sum() >= 2
+        for seed in (12345, 1, 2) if kind == bell.GENERAL else [12345]:
+            best = multistart_maximize_bell(pi, kind, bell.OptimizerConfig(seed=seed))
+            assert result.best_value >= best.best_value - 1e-12
+            assert result.converged and best.converged
 
 
 def _hessians(eigenvalues, seed):
@@ -537,6 +528,7 @@ class TestMaximize:
             result = bell.maximize_bell(PI_00, kind)
             assert result.best_value <= 2.0 + 1e-9, kind
             assert result.converged, kind
+            assert not result.violation, kind
 
     def test_general_beats_restricted(self):
         restricted = bell.maximize_bell(PI_10, bell.RESTRICTED)
@@ -553,16 +545,18 @@ class TestMaximize:
         assert values[0] < values[1] < values[2]
 
     def test_deterministic_given_seed(self):
-        cfg = bell.OptimizerConfig(seed=99, restarts=4)
-        a = bell.maximize_bell(PI_10, bell.GENERAL, cfg)
-        b = bell.maximize_bell(PI_10, bell.GENERAL, cfg)
-        assert a == b  # bit-identical dataclasses
+        # no search reads the seed, so two seeds give bit-identical dataclasses
+        for pi, kind in ((PI_10, bell.GENERAL), (PI_10, bell.RESTRICTED),
+                         (wigner.elliptical_transform_evaluator((1.0, +1)), bell.GENERAL)):
+            a = bell.maximize_bell(pi, kind, bell.OptimizerConfig(seed=1))
+            b = bell.maximize_bell(pi, kind, bell.OptimizerConfig(seed=2))
+            assert a == b and _bits(np.array(a.argmax)) == _bits(np.array(b.argmax))
 
     def test_beats_every_grid_seed(self):
-        cfg = bell.OptimizerConfig(grid_points=11, restarts=3)
-        result = bell.maximize_bell(PI_10, bell.RESTRICTED, cfg)
-        seeds = bell._seed_points(bell.RESTRICTED, cfg)
-        assert seeds.shape == (cfg.grid_points**2, 2)
+        # the multi-start's restricted seed grid, 11 points per axis
+        result = bell.maximize_bell(PI_10, bell.RESTRICTED)
+        seeds = multistart_seeds(bell.RESTRICTED, grid_points=11)
+        assert seeds.shape == (11**2, 2)
         worst_seed = max(abs(bell.bell_sum(PI_10, bell.RESTRICTED, u)) for u in seeds)
         assert result.best_value >= worst_seed - 1e-12
 
@@ -571,17 +565,37 @@ class TestMaximize:
         [((30, 0), 2.3323059355), ((50, 0), 2.3355298857), ((64, 0), 2.3365972142)],
         ids=["30-0", "50-0", "64-0"],
     )
-    def test_restricted_maximum_independent_of_seed_order(self, monkeypatch, mode, best_known):
-        # the seeds must reach the violation basin, |x| ~ 0.6/sqrt(n); seeds on
-        # the |B| = 2 plateau would be ranked by the last bits of B
+    def test_restricted_maximum_independent_of_escape_side(self, mode, best_known):
+        # the origin's top eigenvector is 1-D for restricted settings, and eigh may
+        # return it with either sign: a start 1e-3 out on either side reaches the
+        # reported maximum
         pi = wigner.lg_transform_evaluator(mode)
-        seeds = bell._seed_points(bell.RESTRICTED, bell.OptimizerConfig())
-        for p in range(10):
-            permuted = seeds[np.random.default_rng(p).permutation(len(seeds))]
-            monkeypatch.setattr(bell, "_seed_points", lambda kind, cfg: permuted)
-            result = bell.maximize_bell(pi, bell.RESTRICTED)
-            assert result.converged
-            assert result.best_value >= best_known - 1e-9
+        result = bell.maximize_bell(pi, bell.RESTRICTED)
+        assert result.converged
+        assert result.best_value >= best_known - 1e-9
+        top = _top_eigenspace(pi, bell.RESTRICTED)
+        assert top.shape == (2, 1)
+        _, f, _, converged = _ascend_from(pi, bell.RESTRICTED, 1e-3 * np.hstack([top, -top]).T)
+        assert converged.all()
+        assert np.all(np.abs(f - result.best_value) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "pi",
+        [PI_10, wigner.lg_transform_evaluator((5, 3)),
+         wigner.elliptical_transform_evaluator((2.0, +1))],
+        ids=["lg-1-0", "lg-5-3", "elliptical-2"])
+    def test_general_maximum_independent_of_escape_direction(self, pi):
+        # the origin's top eigenspace is 2-D for general settings (the beams' rotation
+        # symmetry), and LAPACK may return any basis of it: starts 1e-3 out along 20
+        # random unit vectors in it each reach the reported maximum
+        result = bell.maximize_bell(pi, bell.GENERAL)
+        space = _top_eigenspace(pi, bell.GENERAL)
+        assert space.shape == (8, 2)
+        angle = np.random.default_rng(83).uniform(0.0, 2.0 * math.pi, 20)
+        x = 1e-3 * (space @ np.array([np.cos(angle), np.sin(angle)])).T
+        _, f, _, converged = _ascend_from(pi, bell.GENERAL, x)
+        assert converged.all()
+        assert np.all(np.abs(f - result.best_value) <= 1e-12)
 
     @pytest.mark.parametrize("kind", [bell.RESTRICTED, bell.GENERAL])
     def test_converges_for_every_radial_mode(self, kind):
@@ -635,24 +649,34 @@ class TestMaximize:
         assert math.isnan(result.best_value)
 
     def test_underflow_plateau_reported_not_converged(self):
-        # every seed but the origin's term sits where Pi underflowed: B is flat at
-        # |B| = 1, with a zero gradient and an all-zero Hessian, and that is no maximum;
-        # near the largest floats the jet's slopes overflow, quietly
-        for bounds in (1e3, 1.7e308):
-            cfg = bell.OptimizerConfig(grid_bounds=bounds, grid_points=4)
-            result = bell.maximize_bell(PI_10, bell.RESTRICTED, cfg)
-            assert result.best_value == 1.0
-            assert not result.converged
+        # far-out rows, where every term but the origin's has Pi underflowed: B is flat
+        # at |B| = 1, with a zero gradient and an all-zero Hessian, and that is no
+        # maximum; near the largest floats the jet's slopes overflow, quietly
+        for bound in (1e3, 1.7e308):
+            x = multistart_seeds(bell.RESTRICTED, bound=bound, grid_points=4)
+            assert np.abs(x).min() > bound / 10.0
+            _, f, stopped, converged = _ascend_from(PI_10, bell.RESTRICTED, x)
+            assert np.all(f == 1.0) and stopped.all()
+            assert not converged.any()
 
     @pytest.mark.parametrize("nm, kind", [((3, 3), bell.RESTRICTED), ((5, 5), bell.GENERAL)])
     def test_balanced_mode_maxima_stay_converged(self, nm, kind):
-        # |B| = 2 on flat sets, where the Hessian is singular but not zero
+        # |B| = 2 at the origin, where the Hessian is zero (restricted) or singular
+        # (general), with no direction that ascends
         result = bell.maximize_bell(wigner.lg_transform_evaluator(nm), kind)
         assert result.converged
         assert result.best_value == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", [bell.RESTRICTED, bell.GENERAL])
+    def test_balanced_modes_report_no_violation(self, kind):
+        # observed, not proven: the modes (p, p), l = 0, reach |B| = 2 and no more,
+        # though (p, p) has Schmidt rank p + 1
+        for p in range(1, 7):
+            result = bell.maximize_bell(wigner.lg_transform_evaluator((p, p)), kind)
+            assert not result.violation and result.converged, p
+
     def test_nonconvergence_reported_not_raised(self):
-        cfg = bell.OptimizerConfig(max_iters=1, restarts=1)
+        cfg = bell.OptimizerConfig(max_iters=1)
         result = bell.maximize_bell(PI_10, bell.RESTRICTED, cfg)
         assert not result.converged
         assert math.isfinite(result.best_value)
@@ -682,14 +706,10 @@ class TestMaximize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             bell.OptimizerConfig(simplex_tol=1e-13)
-        with pytest.raises(ValueError):
-            bell.OptimizerConfig(grid_points=2)
-        for bad in ({"simplex_tol": math.nan}, {"simplex_tol": math.inf}, {"grid_bounds": math.inf},
-                    {"grid_bounds": math.nan}, {"grid_bounds": -1.0}):
+        for bad in ({"simplex_tol": math.nan}, {"simplex_tol": math.inf}):
             with pytest.raises(ValueError):
                 bell.OptimizerConfig(**bad)
-        for bad in ({"max_iters": math.nan}, {"max_iters": 4000.0},
-                    {"grid_points": 21.5}, {"restarts": True},
+        for bad in ({"max_iters": math.nan}, {"max_iters": 4000.0}, {"max_iters": True},
                     {"seed": 1.5}, {"seed": "x"}, {"seed": True}):
             with pytest.raises(TypeError):
                 bell.OptimizerConfig(**bad)
@@ -697,24 +717,30 @@ class TestMaximize:
             bell.OptimizerConfig(seed=np.int64(-1))
         assert bell.OptimizerConfig(seed=np.int64(0)).seed == 0
         # a printable value is shown as it was; one too long to print is named by its size
-        with pytest.raises(ValueError, match=r"^grid_points must be >= 3, got 2$"):
-            bell.OptimizerConfig(grid_points=2)
+        with pytest.raises(ValueError, match=r"^max_iters must be >= 1, got 0$"):
+            bell.OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got "):
             bell.OptimizerConfig(seed=-10**5000)
         # huge values that fit the rules stay accepted
-        assert bell.OptimizerConfig(seed=10**30, restarts=10**30).restarts == 10**30
+        assert bell.OptimizerConfig(seed=10**30, max_iters=10**30).max_iters == 10**30
+        # the retired multi-start's fields are gone
+        for gone in ("grid_bounds", "grid_points", "restarts"):
+            with pytest.raises(TypeError):
+                bell.OptimizerConfig(**{gone: 8})
 
     def test_repr_shows_every_field(self):
         assert repr(bell.OptimizerConfig(seed=np.int64(7))) == (
-            "OptimizerConfig(grid_bounds=2.0, grid_points=21, restarts=8, simplex_tol=1e-09, "
-            f"max_iters=4000, seed={np.int64(7)!r})")
+            f"OptimizerConfig(simplex_tol=1e-09, max_iters=4000, seed={np.int64(7)!r})")
         # a field too long for Python to print is named by its size
-        for name in ("seed", "restarts"):
+        for name in ("seed", "max_iters"):
             shown = repr(bell.OptimizerConfig(**{name: 10**5000}))
             assert f"{name}=an integer of {(10**5000).bit_length()} bits" in shown
 
 
 class TestSeeds:
+    """The multi-start oracle's seeds, which the search drew before it started at the
+    origin alone, and far-out rows of them, which ``_ascend`` takes quietly."""
+
     def test_default_general_seeds_keep_their_draws(self):
         # the origin, then 80 rows of the standard library's random() stream; draws on
         # [-1, 1] scaled by the bound 2 have the bits of random.uniform(-2, 2), -2 + 4 u
@@ -723,29 +749,22 @@ class TestSeeds:
             stream = random.Random(int(seed))
             expected = [[0.0] * 8] + [[stream.uniform(-2.0, 2.0) for _ in range(8)]
                                       for _ in range(80)]
-            seeds = bell._seed_points(bell.GENERAL, bell.OptimizerConfig(seed=seed))
+            seeds = multistart_seeds(bell.GENERAL, seed)
             assert _bits(seeds) == _bits(np.array(expected))
             drawn.append(_bits(seeds))
         # a numpy integer draws as its int; a seed past 64 bits keys a stream of its own
         assert drawn[3] == drawn[1] != drawn[4]
 
-    def test_seeds_are_made_once_and_read_only(self):
-        seeds = bell._seed_points(bell.GENERAL, bell.OptimizerConfig(seed=3))
-        assert bell._seed_points(bell.GENERAL, bell.OptimizerConfig(seed=3)) is seeds
-        with pytest.raises(ValueError):
-            seeds[0, 0] = 1.0
-
     @pytest.mark.parametrize("bound", [1e308, 1.7e308, sys.float_info.max])
     def test_largest_bounds_seed_without_overflow(self, bound):
-        cfg = bell.OptimizerConfig(grid_bounds=bound)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind in (bell.GENERAL, bell.RESTRICTED):
-                seeds = bell._seed_points(kind, cfg)
+                seeds = multistart_seeds(kind, bound=bound)
                 assert np.isfinite(seeds).all()
                 assert 0.5 * bound < np.abs(seeds).max() <= bound
-            result = bell.maximize_bell(PI_10, bell.GENERAL, cfg)
-        assert math.isfinite(result.best_value)
+                _, f, stopped, _ = _ascend_from(PI_10, kind, seeds)
+                assert np.isfinite(f).all() and stopped.all()
 
 
 class TestNelderMead:
@@ -766,9 +785,8 @@ class TestNelderMead:
              "elliptical-1.1", "elliptical-1.9"],
     )
     def test_maximize_bell_matches_scipy_restart_loop(self, pi, kind):
-        cfg = bell.OptimizerConfig(seed=12345)
-        expected = scipy_maximize_bell(pi, kind, cfg)
-        result = bell.maximize_bell(pi, kind, cfg)
+        expected = scipy_maximize_bell(pi, kind, bell.OptimizerConfig(seed=12345))
+        result = bell.maximize_bell(pi, kind)
         assert result.converged
         assert result.best_value >= expected.best_value - 1e-12
 
@@ -812,10 +830,9 @@ class TestScan:
 
 class TestEllipticalProfile:
     def test_zero_squeeze_has_no_violation(self):
-        profile = bell.elliptical_profile(
-            [0.0], kind=bell.GENERAL, config=bell.OptimizerConfig(restarts=4)
-        )
+        profile = bell.elliptical_profile([0.0], kind=bell.GENERAL)
         assert profile.rows[0][1] <= 2.0 + 1e-9
+        assert not profile.violation and profile.unconverged_t == ()
 
     def test_sign_reflection_symmetry_is_exact(self):
         # the property the sign-independent profile rests on: mirroring the
@@ -839,16 +856,27 @@ class TestEllipticalProfile:
 
     def test_default_profile_converges_and_rises(self):
         profile = bell.elliptical_profile()
-        assert profile.all_converged
+        assert profile.unconverged_t == ()
         values = [v for _, v in profile.rows]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_supremum_tracks_rows(self):
-        cfg = bell.OptimizerConfig(restarts=3)
-        profile = bell.elliptical_profile([0.0, 0.5, 1.0], config=cfg)
+        ts = [0.0, 0.5, 1.0]
+        profile = bell.elliptical_profile(ts)
         values = [v for _, v in profile.rows]
         assert profile.sup_value == max(values)
         assert profile.sup_t == profile.rows[int(np.argmax(values))][0]
+        searches = [bell.maximize_bell(wigner.elliptical_transform_evaluator((t, +1)),
+                                       bell.GENERAL) for t in ts]
+        assert profile.evaluations == sum(r.evaluations for r in searches)
+        assert profile.violation
+
+    def test_unconverged_t_names_each_search_that_did_not_converge(self):
+        # one Newton iteration leaves every violating search short, and the t = 0
+        # search, with no violation, retires at the origin in it
+        ts = [0.5, 0.0, 1.0]
+        profile = bell.elliptical_profile(ts, config=bell.OptimizerConfig(max_iters=1))
+        assert profile.unconverged_t == (0.5, 1.0)
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -859,6 +887,10 @@ class TestEllipticalProfile:
         for x, py in np.random.default_rng(97).uniform(-3.0, 3.0, (200, 2)):
             closed = 2.0 - (1.0 - math.exp(-c * x * x)) * (1.0 - math.exp(-c * py * py))
             assert abs(bell.bell_sum(pi, bell.RESTRICTED, (x, py)) - closed) <= 1e-15
+        # so the search, from the origin where |B| = 2, reports no violation
+        result = bell.maximize_bell(pi, bell.RESTRICTED)
+        assert not result.violation and result.converged
+        assert result.best_value == 2.0
 
     def test_a_tie_resolves_to_the_first_t_given(self):
         # every restricted maximum is |B| = 2 exactly, so the unsorted grid's first t wins
