@@ -7,17 +7,18 @@ form varies only X on one side and P_Y on the other,
 
 while the general form assigns each side two full phase-plane settings.
 |B| > 2 signals correlations that no local model of the two transverse
-modes reproduces. Maximization is one damped Newton ascent from the origin,
-with the exact gradient and Hessian of B chained from the forms and partials
-the Pi evaluators give at order 2, and Hessian eigenvalues flipped to ascend
-(modified Newton, Nocedal & Wright 2006, sec. 3.4). The gradient of B
-vanishes at the origin, and where the origin is a saddle the first step
-leaves it along the top eigenvector. Each Newton step backtracks over its
-ladder of halved steps in one Pi call. A short pure-Newton step skips the
-Armijo test, whose gain near a maximum is below the rounding noise of B. The
-maximum test reads the eigenvalues of the last Newton step, and a maximum of
-|B| = 2 to within 1e-12 is reported as no violation. No search draws a
-random number, so a beam fixes its result.
+modes reproduces. Maximization is one damped Newton ascent of a single
+start, the origin, with the exact gradient and Hessian of B chained from the
+forms and partials the Pi evaluators give at order 2, and Hessian eigenvalues
+flipped to ascend (modified Newton, Nocedal & Wright 2006, sec. 3.4). The
+gradient of B vanishes at the origin, and where the origin is a saddle the
+first step leaves it along the top eigenvector. Each Newton step takes one
+jet at the start and backtracks over its ladder of halved steps in one more
+Pi call. A short pure-Newton step skips the Armijo test, whose gain near a
+maximum is below the rounding noise of B. The maximum test reads the
+eigenvalues of the last Newton step, and a maximum of |B| = 2 to within
+1e-12 is reported as no violation. No search draws a random number, so a
+beam fixes its result.
 """
 
 import math
@@ -80,6 +81,8 @@ _TRUSTED_STEP = 1e-5
 _GRADIENT_TOL = 1e-7
 _TIE = 1e-12  # |B| within this of 2 is no violation
 _TINY = np.finfo(float).tiny
+# the backtracking ladder's step factors 2^-j, down to the smallest subnormal
+_HALVINGS = np.ldexp(1.0, -np.arange(1075))
 
 
 def _check_kind(kind):
@@ -211,74 +214,49 @@ def _newton_step(grad, hess):
 
 
 def _ascend(bell, x, f, sigma, tol, max_iters):
-    """Damped modified-Newton ascent of sigma * B from every row of x, in lockstep.
+    """Damped modified-Newton ascent of sigma * B from the one start x, a (1, d) row.
 
-    ``bell(u, order)`` evaluates B on rows of settings. Rows never interact:
-    each stops when its step, or its gradient with no uphill curvature
-    left, is within ``tol`` (it is not moving: no ladder), or when
-    backtracking finds no Armijo point with a step above ``tol``; stopped
-    rows leave the search at the end of the iteration. Backtracking halves
-    the step while alpha * |step| > ``tol``; the moving rows' ladders are one
-    ``bell`` call, and a row takes its first Armijo point, the one that
-    halving one trial at a time finds. A pure-Newton step of length <= 1e-5
-    is taken without the Armijo test. Returns x, f = sigma * B, whether each
-    row retired within ``max_iters``, and whether it converged: it retired,
-    and its last jet passed the maximum test, a finite jet with |grad| <= 1e-7,
-    no upward curvature by that jet's ``_newton_step``, and a Hessian not all
-    zero (as on a plateau where Pi underflowed) unless f is 2 to within
-    1e-12, no violation, which B can attain where it is flat to second order.
+    ``bell(u, order)`` evaluates B on rows of settings; f = sigma * B at x
+    is a float. A start whose f is not finite retires at once, as does one
+    whose jet is not finite: neither is a maximum. The search stops when its
+    step, or its gradient with no uphill curvature left, is within ``tol``
+    (it is not moving: no ladder), or when backtracking finds no Armijo
+    point with a step above ``tol``. Backtracking halves the step while
+    alpha * |step| > ``tol``; the whole ladder is one ``bell`` call, and the
+    search takes its first Armijo point, the one that halving one trial at a
+    time finds. A pure-Newton step of length <= 1e-5 is taken without the
+    Armijo test. Returns x, f, whether the search retired within
+    ``max_iters``, and whether it converged: it retired, and its last jet
+    passed the maximum test, a finite jet with |grad| <= 1e-7, no upward
+    curvature by that jet's ``_newton_step``, and a Hessian not all zero (as
+    on a plateau where Pi underflowed) unless f is 2 to within 1e-12, no
+    violation, which B can attain where it is flat to second order.
     """
-    x, f = x.copy(), f.copy()
-    converged = np.zeros(len(x), dtype=bool)
-    # the searching rows idx, with their x, f and sigma
-    idx = np.flatnonzero(np.isfinite(f))
-    xs, fs, ss = x[idx], f[idx], sigma[idx]
-    # Armijo backtracking in one call: every moving row's halving ladder
-    # alpha_j = 2^-j, j = 0 and every j >= 1 with alpha_j * size > tol
-    # (exact products, so its length follows from the exponents), as a
-    # (rung, row) rectangle over the widest ladder, NaN past a row's own
-    # ladder; every moving row has size > tol, so with none it is one dead rung
-    tol_exponent = math.frexp(tol)[1]
-    alpha = np.ldexp(1.0, -np.arange(np.finfo(float).maxexp - tol_exponent + 1))
+    if not math.isfinite(f):
+        return x, f, True, False
     for _ in range(max_iters):
-        if not idx.size:
-            break
-        _, g, h = bell(xs, 2)
-        g *= ss[:, None]
-        h *= ss[:, None, None]
-        # a jet that is not finite is zeroed: its row takes no step, and it retires
-        # failing the gradient test
-        stuck = ~(np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2)))
-        g[stuck], h[stuck] = 0.0, 0.0
+        _, g, h = bell(x, 2)
+        g *= sigma
+        h *= sigma
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+            return x, f, True, False
         step, curved, pure = _newton_step(g, h)
-        size, gnorm = np.sqrt((step * step).sum(axis=1)), np.sqrt((g * g).sum(axis=1))
-        gnorm[stuck] = math.inf
-        moving = (size > tol) & ((gnorm > tol) | curved)
-        # near a maximum the Armijo gain of a Newton step falls below the
-        # rounding noise of B, so a short pure-Newton step is taken untested
-        trusted = pure & (size <= _TRUSTED_STEP)
-        width = math.frexp(size[moving].max(initial=tol))[1] - tol_exponent + 1
-        ladder = (alpha[:width, None] * size > tol) & moving
-        trial = xs + alpha[:width, None, None] * step
-        ft = np.full(ladder.shape, np.nan)
-        if ladder.any():
-            ft[ladder] = bell(trial[ladder])
-        ft *= ss
-        slope = np.einsum("ni,ni->n", g, step)
-        armijo = ft >= fs + _ARMIJO * alpha[:width, None] * slope
-        ok = np.isfinite(ft) & (armijo | trusted)
-        # each row takes its first acceptable rung; one with none retires
-        taken = ok.any(axis=0)
-        rung = (ok.argmax(axis=0), np.arange(idx.size))
-        xs, fs = np.where(taken[:, None], trial[rung], xs), np.where(taken, ft[rung], fs)
-        out = ~taken
-        if out.any():
-            x[idx[out]], f[idx[out]] = xs[out], fs[out]
-            converged[idx[out]] = ((gnorm[out] <= _GRADIENT_TOL) & ~curved[out]
-                                   & (h[out].any(axis=(1, 2)) | (np.abs(fs[out] - 2.0) <= _TIE)))
-            idx, xs, fs, ss = (a[~out] for a in (idx, xs, fs, ss))
-    x[idx], f[idx] = xs, fs
-    return x, f, np.bincount(idx, minlength=len(x)) == 0, converged
+        size, gnorm, curved = np.sqrt((step * step).sum()), np.sqrt((g * g).sum()), curved[0]
+        if size > tol and (gnorm > tol or curved):
+            alpha = _HALVINGS[_HALVINGS * size > tol]
+            trial = x + alpha[:, None] * step
+            ft = sigma * bell(trial)
+            # near a maximum the Armijo gain of a Newton step falls below the
+            # rounding noise of B, so a short pure-Newton step is taken untested
+            trusted = pure[0] and size <= _TRUSTED_STEP
+            armijo = ft >= f + _ARMIJO * alpha * np.einsum("ni,ni->n", g, step)
+            ok = np.flatnonzero(np.isfinite(ft) & (armijo | trusted))
+            if ok.size:
+                x, f = trial[ok[0], None], float(ft[ok[0]])
+                continue
+        return x, f, True, bool(gnorm <= _GRADIENT_TOL and not curved
+                                and (h.any() or abs(f - 2.0) <= _TIE))
+    return x, f, False, False
 
 
 def maximize_bell(pi, kind, config=None):
@@ -296,11 +274,12 @@ def maximize_bell(pi, kind, config=None):
     of the beam's rotation symmetry are allowed), and a Hessian not all zero
     (as on a plateau where Pi underflowed). A maximum of |B| = 2 to within
     1e-12 has ``violation`` False and needs no curvature, as at the origin
-    of a mode with l = 0. ``evaluations`` counts every Bell sum computed,
-    value or derivative; since each Newton step evaluates its whole
-    backtracking ladder at once, it includes the trials past the one the
-    search accepts. Non-finite values are rejected. The result is
-    bit-reproducible for a beam: no search reads ``config.seed``.
+    of a mode with l = 0. Each Newton iteration is one order-2 Pi call at
+    the start and, unless the start has stopped moving, one order-0 call
+    on its whole backtracking ladder. So ``evaluations``, which counts
+    every Bell sum computed, value or derivative, includes the trials past
+    the one the search accepts. Non-finite values are rejected. The result
+    is bit-reproducible for a beam: no search reads ``config.seed``.
     """
     _check_kind(kind)
     cfg = config if config is not None else OptimizerConfig()
@@ -312,11 +291,11 @@ def maximize_bell(pi, kind, config=None):
         return _bell(pi, kind, u, order)
 
     origin = np.zeros((1, _LIFT[kind].shape[1]))
-    value = bell(origin)
-    sigma = np.where(value < 0.0, -1.0, 1.0)
+    value = float(bell(origin)[0])
+    sigma = -1.0 if value < 0.0 else 1.0
     x, f, _, converged = _ascend(bell, origin, sigma * value, sigma, cfg.simplex_tol, cfg.max_iters)
-    return OptimizationResult(best_value=float(f[0]), argmax=tuple(x[0].tolist()),
-                              evaluations=evaluations, converged=bool(converged[0]))
+    return OptimizationResult(best_value=f, argmax=tuple(x[0].tolist()),
+                              evaluations=evaluations, converged=converged)
 
 
 def bell_scan(mode, x_range, samples, py=None):

@@ -10,18 +10,19 @@ below, so they check the closed-form moment table against the fields it
 describes.
 The seeded multi-start is the Bell search as it ran before it started at
 the origin alone: a grid (restricted) or the origin and 80 draws of
-``random.Random(seed)`` (general), ranked by |B|, the best of them ascended
-by the package's ``_ascend``, each row alone, so it gives maxima the one
-start must reach. The Bell search is the multi-start Nelder-Mead loop that
-``maximize_bell``'s Newton search replaced, run by scipy on the same seeds
-and the package's Bell sums, so it gives a maximum the Newton search must
-reach.
+``random.Random(seed)`` (general), ranked by |B|, the best of them each
+ascended by the package's one-start ``_ascend`` (``ascend_each``), so it
+gives maxima the one start must reach. The Bell search is the multi-start
+Nelder-Mead loop that ``maximize_bell``'s Newton search replaced, run by
+scipy on the same seeds and the package's Bell sums, so it gives a maximum
+the Newton search must reach.
 The log-domain Pi takes the package's renormalizing ``laguerre_scaled``
 recurrence, so it checks the plain-product Pi far from the origin.
 The sequential Newton ascent is the search ``maximize_bell`` ran before its
 backtracking went into one call per step: the same steps, halved one trial
-at a time, so the one-call search must return its points bit for bit. Like
-``_ascend`` it runs every row in one phase, each as it would alone.
+at a time, so the one-call search must return its points bit for bit. It
+takes rows of starts in lockstep, but the tests run it one start at a time,
+as ``_ascend`` runs: a row's bits can depend on the batch it shares.
 The maximum verdict is the test ``maximize_bell`` applied to the winning
 start's last gradient and Hessian before ``_ascend`` took it from the Newton
 step's eigendecomposition: one ``eigvalsh`` per row, on the sequential
@@ -341,6 +342,15 @@ def multistart_starts(pi, kind, seed=12345):
     return seeds[starts], sigma * values[starts], sigma
 
 
+def ascend_each(bell_fn, x, f, sigma, tol, max_iters):
+    """``bell._ascend`` from each row of x as a start of its own, with that
+    row's f and sigma; its x, f, stopped and converged stacked over the rows."""
+    runs = [bell._ascend(bell_fn, x[i:i + 1], float(f[i]), float(sigma[i]), tol, max_iters)
+            for i in range(len(x))]
+    x, f, stopped, converged = zip(*runs)
+    return np.concatenate(x), np.array(f), np.array(stopped), np.array(converged)
+
+
 def multistart_maximize_bell(pi, kind, config=None):
     """The best of the 8 ranked starts at ``config.seed``, each ascended alone
     by ``bell._ascend`` with the config's tolerance and iteration cap."""
@@ -353,7 +363,7 @@ def multistart_maximize_bell(pi, kind, config=None):
         return bell._bell(pi, kind, u, order)
 
     x, f, sigma = multistart_starts(pi, kind, cfg.seed)
-    x, f, _, converged = bell._ascend(bell_fn, x, f, sigma, cfg.simplex_tol, cfg.max_iters)
+    x, f, _, converged = ascend_each(bell_fn, x, f, sigma, cfg.simplex_tol, cfg.max_iters)
     w = int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))
     return bell.OptimizationResult(best_value=float(f[w]), argmax=tuple(x[w].tolist()),
                                    evaluations=evaluations, converged=bool(converged[w]))

@@ -9,9 +9,9 @@ import pytest
 
 from vortexbell import bell, wigner
 
-from _oracles import (bell_exact, bell_jet_by_lift_sums, einsum_newton_step, elliptical_pi_exact,
-                      lg_pi_exact, maximum_verdict, multistart_maximize_bell, multistart_seeds,
-                      multistart_starts, scipy_maximize_bell, sequential_ascend)
+from _oracles import (ascend_each, bell_exact, bell_jet_by_lift_sums, einsum_newton_step,
+                      elliptical_pi_exact, lg_pi_exact, maximum_verdict, multistart_maximize_bell,
+                      multistart_seeds, multistart_starts, scipy_maximize_bell, sequential_ascend)
 
 PI_10 = wigner.lg_transform_evaluator((1, 0))
 PI_00 = wigner.lg_transform_evaluator((0, 0))
@@ -229,13 +229,13 @@ _TOL = bell.OptimizerConfig().simplex_tol
 
 
 def _ascend_from(pi, kind, x):
-    """``_ascend`` of B from the rows x, with the sign of B at the origin, as
+    """``_ascend`` of B from each row of x, with the sign of B at the origin, as
     ``maximize_bell`` climbs."""
     def bell_fn(u, order=0):
         return bell._bell(pi, kind, u, order)
 
     sigma = np.where(bell_fn(np.zeros((1, x.shape[1]))) < 0.0, -1.0, 1.0).repeat(len(x))
-    return bell._ascend(bell_fn, x, sigma * bell_fn(x), sigma, _TOL, 4000)
+    return ascend_each(bell_fn, x, sigma * bell_fn(x), sigma, _TOL, 4000)
 
 
 def _top_eigenspace(pi, kind):
@@ -249,8 +249,8 @@ def _top_eigenspace(pi, kind):
 
 
 def _same_search(new, old):
-    """``_ascend``'s x, f and stopped are the sequential search's bits, and each row's
-    ``converged`` is the verdict ``maximize_bell`` gave on that search's last jet."""
+    """Each start's x, f and stopped from ``_ascend`` are the sequential search's bits,
+    and its ``converged`` is the verdict ``maximize_bell`` gave on that search's last jet."""
     assert _bits(*new[:3]) == _bits(*old[:3])
     assert np.array_equal(new[3], maximum_verdict(*old[1:]))
 
@@ -259,27 +259,31 @@ class TestLineSearch:
     """The one-call backtracking against the sequential search it replaced."""
 
     @staticmethod
-    def _both(bell_fn, x, f, sigma, max_iters=4000, tol=_TOL, alone=False):
-        """Both searches from the same starts; ``alone`` runs each start as a search of
-        its own, as ``maximize_bell`` runs its one, and stacks the rows of the results."""
-        if alone:
-            runs = [TestLineSearch._both(bell_fn, x[i:i + 1], f[i:i + 1], sigma[i:i + 1],
-                                         max_iters, tol) for i in range(len(x))]
-            return tuple(tuple(map(np.concatenate, zip(*side))) for side in zip(*runs))
-        rows = {0: [], 2: []}
+    def _both(bell_fn, x, f, sigma, max_iters=4000, tol=_TOL, negated=False):
+        """Both searches of sigma * B from the same starts, ``_ascend`` one start at a
+        time and the sequential search each start alone. With ``negated``, ``_ascend``
+        climbs -B with sigma negated instead, the same function of the settings."""
+        calls = []
 
         def counted(u, order=0):
-            rows[order].append(len(u))
-            return bell_fn(u, order)
+            calls.append((order, len(u)))
+            out = bell_fn(u, order)
+            if not negated:
+                return out
+            return tuple(-a for a in out) if order else -out
 
-        new = bell._ascend(counted, x, f, sigma, tol, max_iters)
-        old = sequential_ascend(bell_fn, x, f, sigma, tol, max_iters)
-        # at most one backtracking call per Newton step, and none on zero rows
-        # where no start moves
-        assert len(rows[0]) <= len(rows[2]) and 0 not in rows[0]
+        new = ascend_each(counted, x, f, -sigma if negated else sigma, tol, max_iters)
+        runs = [sequential_ascend(bell_fn, x[i:i + 1], f[i:i + 1], sigma[i:i + 1], tol, max_iters)
+                for i in range(len(x))]
+        old = tuple(map(np.concatenate, zip(*runs)))
+        # a jet is one row, and each is followed by at most one backtracking call,
+        # never on zero rows
+        orders = [order for order, _ in calls]
+        assert all(rows == 1 for order, rows in calls if order)
+        assert all(rows > 0 for _, rows in calls) and (0, 0) not in zip(orders, orders[1:])
         return new, old
 
-    @pytest.mark.parametrize("alone", [True, False])
+    @pytest.mark.parametrize("negated", [True, False])
     @pytest.mark.parametrize(
         "pi, kind",
         [(PI_10, bell.RESTRICTED), (PI_10, bell.GENERAL),
@@ -293,17 +297,18 @@ class TestLineSearch:
              "lg-30-0-general", "elliptical-0.5", "elliptical-2", "elliptical-3",
              "nan-patched"],
     )
-    def test_bit_identical_to_sequential_search(self, pi, kind, alone):
+    def test_bit_identical_to_sequential_search(self, pi, kind, negated):
+        # negated, a beam's starts climb with the other sign of sigma
         x, f, sigma = multistart_starts(pi, kind)
         new, old = self._both(lambda u, order=0: bell._bell(pi, kind, u, order), x, f, sigma,
-                              alone=alone)
+                              negated=negated)
         _same_search(new, old)
 
-    @pytest.mark.parametrize("alone", [True, False])
-    def test_spent_ladder_retires_start(self, alone):
+    @pytest.mark.parametrize("negated", [True, False])
+    def test_spent_ladder_retires_start(self, negated):
         x = np.array([[-0.5, 1.0], [0.8, -0.4], [-2.0, -1.0], [1.5, 0.2]])
         sigma = np.ones(len(x))
-        new, old = self._both(_misled_bell, x, _misled_bell(x), sigma, alone=alone)
+        new, old = self._both(_misled_bell, x, _misled_bell(x), sigma, negated=negated)
         _same_search(new, old)
         x_end, f_end, stopped, _ = new
         assert stopped.all()
@@ -337,34 +342,31 @@ class TestLineSearch:
             result = bell.maximize_bell(PI_10, kind, bell.OptimizerConfig(simplex_tol=tol))
             assert result.best_value == 2.0 and not result.converged
 
-    def test_compaction_with_a_stuck_row(self):
-        # the fourth Newton iteration's jet is not finite in the sixth row it is taken on,
-        # and rows retire at more than two iterations (the multi-start's rows at seed
-        # 112); each side counts its own calls
-        pi = PI_10
-        x, f, sigma = multistart_starts(pi, bell.GENERAL, 112)
-        results, sizes = [], []
-        for search in (bell._ascend, sequential_ascend):
-            calls, seen = [0], []
+    def test_a_stuck_jet_retires_the_start(self):
+        # the start's fourth jet is not finite (the sixth of the multi-start's starts at
+        # seed 112, which still moves after three Newton steps); each side counts its
+        # own jets
+        x, f, sigma = (a[5:6] for a in multistart_starts(PI_10, bell.GENERAL, 112))
+        results, jets = [], []
+        for search in (ascend_each, sequential_ascend):
+            calls = [0]
 
-            def patched(u, order=0, calls=calls, seen=seen):
-                out = bell._bell(pi, bell.GENERAL, u, order)
+            def patched(u, order=0, calls=calls):
+                out = bell._bell(PI_10, bell.GENERAL, u, order)
                 if order:
                     calls[0] += 1
-                    seen.append(len(u))
                     if calls[0] == 4:
-                        out[1][5], out[2][5, 0, 0] = math.nan, math.inf
+                        out[1][0], out[2][0, 0, 0] = math.nan, math.inf
                 return out
 
-            results.append(search(patched, x, f, sigma, bell.OptimizerConfig().simplex_tol, 4000))
-            sizes.append(seen)
-        (new, old), (seen, _) = results, sizes
+            results.append(search(patched, x, f, sigma, _TOL, 4000))
+            jets.append(calls[0])
+        new, old = results
         _same_search(new, old)
-        assert seen[3] == len(x) and seen[4] < seen[3]
-        assert len(set(seen)) > 2  # rows retire at more than two iterations
-        stuck = np.flatnonzero(~np.isfinite(old[3]).all(axis=1))
-        assert stuck.size == 1 and new[2][stuck[0]] and not new[3][stuck[0]]
-        assert np.isinf(old[4][stuck[0], 0, 0])
+        # the start moved, then retired at its stuck jet, stopped and not converged
+        assert jets == [4, 4] and not np.array_equal(new[0], x)
+        assert new[2][0] and not new[3][0]
+        assert not np.isfinite(old[3]).all() and np.isinf(old[4][0, 0, 0])
 
 
 
@@ -378,9 +380,9 @@ class TestConverged:
             return (value(u), grad(u), hess(u)) if order else value(u)
 
         x = np.zeros((1, 2))
-        x, f, stopped, converged = bell._ascend(bell_fn, x, value(x), np.ones(1), _TOL, 4000)
-        assert stopped[0] and np.array_equal(x, np.zeros((1, 2)))
-        return bool(converged[0])
+        x, f, stopped, converged = bell._ascend(bell_fn, x, float(value(x)[0]), 1.0, _TOL, 4000)
+        assert stopped and np.array_equal(x, np.zeros((1, 2)))
+        return converged
 
     @pytest.mark.parametrize("top, converged", [(1.0, False), (-1.0, True)])
     def test_upward_curvature_is_no_maximum(self, top, converged):
@@ -449,6 +451,37 @@ class TestTrailingStarts:
             best = multistart_maximize_bell(pi, kind, bell.OptimizerConfig(seed=seed))
             assert result.best_value >= best.best_value - 1e-12
             assert result.converged and best.converged
+
+
+class TestOriginSearch:
+    """``maximize_bell`` is the sequential search from the origin."""
+
+    @pytest.mark.parametrize("pi, kind", _MULTISTART_CASES)
+    def test_bits_and_verdict_of_the_sequential_search(self, pi, kind):
+        orders = []
+
+        def counted(point, *order):
+            orders.append(order[0] if order else 0)
+            return pi(point, *order)
+
+        result = bell.maximize_bell(counted, kind)
+
+        def bell_fn(u, order=0):
+            return bell._bell(pi, kind, u, order)
+
+        origin = np.zeros((1, bell._LIFT[kind].shape[1]))
+        value = bell_fn(origin)
+        sigma = np.where(value < 0.0, -1.0, 1.0)
+        x, f, stopped, grad, hess = sequential_ascend(bell_fn, origin, sigma * value, sigma,
+                                                      _TOL, 4000)
+        assert _bits(np.array(result.argmax), [result.best_value]) == _bits(x[0], f)
+        assert result.converged == maximum_verdict(f, stopped, grad, hess)[0]
+        # B at the origin, then per Newton iteration one jet and at most one ladder
+        assert orders[:2] == [0, 2] and (0, 0) not in zip(orders[1:], orders[2:])
+        # and no ladder after a last jet on which the start has stopped moving
+        step, curved, _ = bell._newton_step(grad, hess)
+        if not (np.linalg.norm(step) > _TOL and (np.linalg.norm(grad) > _TOL or curved[0])):
+            assert orders[-1] == 2
 
 
 def _hessians(eigenvalues, seed):
