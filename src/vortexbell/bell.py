@@ -12,7 +12,8 @@ start, the origin, with the exact gradient and Hessian of B chained from the
 forms and partials the Pi evaluators give at order 2, and Hessian eigenvalues
 flipped to ascend (modified Newton, Nocedal & Wright 2006, sec. 3.4). The
 gradient of B vanishes at the origin, and where the origin is a saddle the
-first step leaves it along the top eigenvector. Each Newton step takes one
+first step leaves it along the top eigenvector; that escape is taken only
+where |grad B| <= 1e-7, where the search would stop. Each Newton step takes one
 jet at the start and backtracks over its ladder of halved steps in one more
 Pi call. A short pure-Newton step skips the Armijo test, whose gain near a
 maximum is below the rounding noise of B. The maximum test reads the
@@ -199,9 +200,10 @@ def _newton_step(grad, hess):
 
     Every eigenvalue is replaced by -max(|lambda|, floor), floor = 1e-6 max|lambda|,
     so the step ascends. Where the top eigenvalue exceeds the floor (a saddle
-    or a valley), the step also goes 1/sqrt(lambda_max) along its eigenvector,
-    uphill (+ on a tie), which moves a start off a saddle where the gradient
-    vanishes. That escape is folded into the step's top eigen-coefficient.
+    or a valley) and |grad| <= 1e-7, so the search would stop there, the step
+    also goes 1/sqrt(lambda_max) along its eigenvector, uphill (+ on a tie),
+    which moves a start off a saddle where the gradient vanishes. That escape
+    is folded into the step's top eigen-coefficient.
     """
     lam, vec = np.linalg.eigh(hess)
     floor = _CURVATURE_FLOOR * np.abs(lam).max(axis=1)
@@ -209,7 +211,8 @@ def _newton_step(grad, hess):
     coef = (grad[:, None] @ vec)[:, 0]
     uphill = np.where(coef[:, -1] < 0.0, -1.0, 1.0)
     coef /= np.maximum(np.abs(lam), np.maximum(floor, _TINY)[:, None])
-    coef[:, -1] += np.where(top > floor, uphill / np.sqrt(np.maximum(top, _TINY)), 0.0)
+    escape = (top > floor) & (np.sqrt((grad * grad).sum(axis=1)) <= _GRADIENT_TOL)
+    coef[:, -1] += np.where(escape, uphill / np.sqrt(np.maximum(top, _TINY)), 0.0)
     return (vec @ coef[:, :, None])[:, :, 0], top > floor, top < 0.0
 
 
@@ -267,7 +270,8 @@ def maximize_bell(pi, kind, config=None):
     chains from ``pi(points, 2)``, for at most ``max_iters`` iterations.
     Every form, and so the gradient of B, vanishes at the origin; where it
     is a saddle, the first step leaves it along the top eigenvector of
-    sigma times the Hessian. The search retires once its step or gradient is
+    sigma times the Hessian; a later step takes that escape only where
+    |grad B| <= 1e-7. The search retires once its step or gradient is
     within ``simplex_tol``, or once its backtracking finds no Armijo point.
     ``converged`` means it stopped within ``max_iters``, with |grad B| <= 1e-7,
     no eigenvalue of its last Newton step above 1e-6 max|lambda| (zero modes

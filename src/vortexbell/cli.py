@@ -52,6 +52,7 @@ from .correlation import correlation_scan, max_correlation
 from .modes import ModeIndex, schmidt_coefficients
 from .quadrature import QuadratureConfig
 from .wigner import (
+    MAX_SQUEEZE,
     EllipticalParams,
     NumericWignerPlan,
     elliptical_field,
@@ -228,9 +229,9 @@ def _cmd_wigner(args):
 
 
 def _cmd_elliptical_profile(args):
-    if not (0.0 <= args.t_min <= args.t_max <= 2.0):
+    if not (0.0 <= args.t_min <= args.t_max <= MAX_SQUEEZE):
         raise ValueError(
-            f"t range [{args.t_min}, {args.t_max}] must sit inside [0, 2]"
+            f"t range [{args.t_min}, {args.t_max}] must sit inside [0, {MAX_SQUEEZE:g}]"
         )
     if args.t_samples < 1:
         raise ValueError(f"--t-samples must be >= 1, got {args.t_samples}")

@@ -478,14 +478,16 @@ def maximum_verdict(f, stopped, grad, hess):
 
 
 def einsum_newton_step(grad, hess):
-    """``bell._newton_step`` as three einsums, the escape step added after them."""
+    """``bell._newton_step`` as three einsums, the escape step added after them
+    where the top eigenvalue passes the floor and |grad| <= ``bell._GRADIENT_TOL``."""
     lam, vec = np.linalg.eigh(hess)
     floor = bell._CURVATURE_FLOOR * np.abs(lam).max(axis=1)
     scale = np.maximum(np.abs(lam), np.maximum(floor, bell._TINY)[:, None])
     step = np.einsum("nij,nj->ni", vec, np.einsum("nij,ni->nj", vec, grad) / scale)
     top, top_vec = lam[:, -1], vec[:, :, -1]
     uphill = np.where(np.einsum("ni,ni->n", grad, top_vec) < 0.0, -1.0, 1.0)
-    escape = np.where(top > floor, uphill / np.sqrt(np.maximum(top, bell._TINY)), 0.0)
+    stalled = np.linalg.norm(grad, axis=1) <= bell._GRADIENT_TOL
+    escape = np.where((top > floor) & stalled, uphill / np.sqrt(np.maximum(top, bell._TINY)), 0.0)
     return step + escape[:, None] * top_vec, top > floor, top < 0.0
 
 

@@ -521,6 +521,8 @@ class TestNewtonStep:
         saddles[:, 0], saddles[:, -1] = -1.5, 0.7
         valleys = rng.uniform(0.1, 3.0, (3, d))
         hess, grad = _hessians(np.vstack([saddles, valleys]), 20 + d)
+        # gradients within the 1e-7 tolerance, where the search would stop
+        grad *= 5e-8 / np.linalg.norm(grad, axis=1, keepdims=True)
         step, curved, pure = self._matches_oracle(grad, hess)
         assert curved.all() and not pure.any()
         lam, vec = np.linalg.eigh(hess)
@@ -529,23 +531,43 @@ class TestNewtonStep:
         uphill = np.einsum("ni,ni->n", grad, top_vec)
         along = np.einsum("ni,ni->n", step, top_vec) - uphill / top
         assert np.allclose(along, np.sign(uphill) / np.sqrt(top))
+        # 20 times those gradients, past the tolerance, take no escape
+        step, curved, _ = self._matches_oracle(20.0 * grad, hess)
+        assert curved.all()
+        along = np.einsum("ni,ni->n", step, top_vec) - 20.0 * uphill / top
+        assert np.all(np.abs(along) <= 1e-13 * np.linalg.norm(step, axis=1))
 
     def test_one_row_batch(self):
+        # a one-row step has the bits of that row in a batch of two, with the
+        # escape (a gradient within 1e-7) and without it
         hess, grad = _hessians([[-2.0, -1.0, 0.5, 3.0]], 3)
-        step, _, _ = self._matches_oracle(grad, hess)
-        assert step.shape == (1, 4)
-        assert _bits(step[0]) == _bits(bell._newton_step(np.vstack([grad, grad]),
-                                                         np.vstack([hess, hess]))[0][1])
+        for g in (grad * (5e-8 / np.linalg.norm(grad)), grad):
+            step, _, _ = self._matches_oracle(g, hess)
+            assert step.shape == (1, 4)
+            assert _bits(step[0]) == _bits(bell._newton_step(np.vstack([g, g]),
+                                                             np.vstack([hess, hess]))[0][1])
 
     def test_gradient_orthogonal_to_the_top_eigenvector_goes_plus(self):
         # diagonal Hessians: the top eigenvector is a unit axis, and the gradient
-        # has an exact zero on it, so the uphill sign is a tie and reads +1
+        # has an exact zero on it, so the uphill sign is a tie and reads +1; row 0's
+        # gradient is past 1e-7, so only row 1, at a zero gradient, escapes
         hess = np.array([np.diag([-3.0, -2.0, -1.0, 4.0]), np.diag([-1.0, 2.0, -4.0, -3.0])])
         grad = np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
         step, curved, _ = self._matches_oracle(grad, hess)
         assert curved.all()
         top_vec = np.linalg.eigh(hess)[1][:, :, -1]
-        assert np.array_equal(np.einsum("ni,ni->n", step, top_vec), [0.5, 1.0 / math.sqrt(2.0)])
+        assert np.array_equal(np.einsum("ni,ni->n", step, top_vec), [0.0, 1.0 / math.sqrt(2.0)])
+
+    def test_escape_only_where_the_gradient_is_within_tolerance(self):
+        # one saddle, with |grad| a part in 1e9 either side of 1e-7 and no
+        # component along the top eigenvector: only the first row goes 1/sqrt(4) there
+        hess = np.array([np.diag([-3.0, -2.0, -1.0, 4.0])] * 2)
+        grad = np.array([[bell._GRADIENT_TOL * (1.0 - 1e-9), 0.0, 0.0, 0.0],
+                         [bell._GRADIENT_TOL * (1.0 + 1e-9), 0.0, 0.0, 0.0]])
+        step, curved, pure = self._matches_oracle(grad, hess)
+        assert curved.all() and not pure.any()
+        assert np.array_equal(step[:, 3], [0.5, 0.0])
+        assert np.array_equal(step[:, 0], grad[:, 0] / 3.0)
 
 
 class TestMaximize:
@@ -639,6 +661,32 @@ class TestMaximize:
         ]
         assert unconverged == []
 
+    @pytest.mark.parametrize(
+        "pi",
+        [PI_10, wigner.lg_transform_evaluator((5, 0)), wigner.lg_transform_evaluator((20, 10)),
+         *(wigner.elliptical_transform_evaluator((t, +1)) for t in (0.6, 1.1, 1.7))],
+        ids=["lg-1-0", "lg-5-0", "lg-20-10", "elliptical-0.6", "elliptical-1.1",
+             "elliptical-1.7"])
+    def test_escape_only_on_the_first_jet(self, pi, monkeypatch):
+        # the gradient vanishes at the origin, a saddle, and nowhere else the search
+        # goes: a step along the soft rotation direction, where lambda ~ |grad B|,
+        # takes no escape
+        escaped, newton_step = [], bell._newton_step
+
+        def recorded(grad, hess):
+            # an escape puts 1/sqrt(lambda_max) on top of the Newton step's component
+            # along the top eigenvector, grad . v / lambda_max where it curves upward
+            step, curved, pure = newton_step(grad, hess)
+            lam, vec = np.linalg.eigh(hess[0])
+            top, top_vec = lam[-1], vec[:, -1]
+            escaped.append(bool(curved[0]) and abs(step[0] @ top_vec - grad[0] @ top_vec / top)
+                           > 0.5 / math.sqrt(top))
+            return step, curved, pure
+
+        monkeypatch.setattr(bell, "_newton_step", recorded)
+        assert bell.maximize_bell(pi, bell.GENERAL).converged
+        assert escaped[0] and not any(escaped[1:])
+
     @pytest.mark.parametrize("kind", [bell.RESTRICTED, bell.GENERAL])
     def test_max_iters_caps_the_whole_search(self, kind):
         # each Newton iteration of the search makes one order-2 Pi call
@@ -660,7 +708,7 @@ class TestMaximize:
              "elliptical-2", "elliptical-5"])
     def test_reported_maximum_is_exact_b_at_its_argmax(self, beam, kind):
         # the reported maximum rounds B at its argmax to within 4e-15, about twice the worst
-        # seen (1.70e-15, general (64, 0)); t = 5 stops unconverged, and it holds there too
+        # seen (1.70e-15, general (64, 0)), out to t = 5, the end of the squeeze range
         if isinstance(beam, tuple):
             pi, exact = wigner.lg_transform_evaluator(beam), lg_pi_exact(beam)
         else:
@@ -892,6 +940,29 @@ class TestEllipticalProfile:
         assert profile.unconverged_t == ()
         values = [v for _, v in profile.rows]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_default_profile_takes_at_most_125_jets(self, monkeypatch):
+        # one order-2 Pi call per Newton iteration: 116 with numpy 2, and 167 when
+        # every upward-curved jet escapes; a bound, as LAPACK's basis may differ
+        jets = []
+
+        def counted(params):
+            pi = wigner.elliptical_transform_evaluator(params)
+
+            def evaluate(point, *order):
+                jets.append(order == (2,))
+                return pi(point, *order)
+            return evaluate
+
+        monkeypatch.setattr(bell, "elliptical_transform_evaluator", counted)
+        assert bell.elliptical_profile().unconverged_t == ()
+        assert 0 < sum(jets) <= 125
+
+    @pytest.mark.parametrize("kind", [bell.RESTRICTED, bell.GENERAL])
+    def test_whole_squeeze_range_converges(self, kind):
+        ts = [k / 20 for k in range(-100, 101)]
+        assert ts[0] == -wigner.MAX_SQUEEZE and ts[-1] == wigner.MAX_SQUEEZE
+        assert bell.elliptical_profile(ts, kind=kind).unconverged_t == ()
 
     def test_supremum_tracks_rows(self):
         ts = [0.0, 0.5, 1.0]

@@ -444,7 +444,14 @@ class TestEllipticalProfile:
         assert tuple(float(row.split(",")[0]) for row in rows) == ts
 
     def test_out_of_range_t_is_usage_error(self, capsys):
-        assert main(["elliptical-profile", "--t-min", "0", "--t-max", "3"]) == 2
+        assert main(["elliptical-profile", "--t-min", "0", "--t-max", "5.5"]) == 2
+        assert "must sit inside [0, 5]" in capsys.readouterr().err
+
+    def test_largest_squeeze_converges(self, capsys):
+        argv = ["elliptical-profile", "--t-min", "4.5", "--t-max", "5", "--t-samples", "3"]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["converged"] is True and summary["sup_t"] == 5.0
 
 
 class TestHarness:
