@@ -23,7 +23,7 @@ beam fixes its result.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,11 +75,14 @@ _FACTORS = {kind: (np.ascontiguousarray(lift.transpose(2, 1, 0)),
 
 # Newton search: curvature floor relative to max|eigenvalue|, Armijo
 # sufficient-increase constant, the longest pure-Newton step taken without the
-# Armijo test, and the gradient norm a converged maximum meets
+# Armijo test, the gradient norm a converged maximum meets, the step and
+# gradient size at which the search stops, and its Newton iteration cap
 _CURVATURE_FLOOR = 1e-6
 _ARMIJO = 1e-4
 _TRUSTED_STEP = 1e-5
 _GRADIENT_TOL = 1e-7
+_STEP_TOL = 1e-9
+_MAX_ITERS = 4000
 _TIE = 1e-12  # |B| within this of 2 is no violation
 _TINY = np.finfo(float).tiny
 # the backtracking ladder's step factors 2^-j, down to the smallest subnormal
@@ -123,30 +126,21 @@ def _damped(s, q):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Newton termination knobs of the one search from the origin.
+    """Accepted and ignored: the search has no tuning knobs.
 
-    ``simplex_tol`` is the step and gradient tolerance at which the search
-    retires (the name predates the Newton search), and ``max_iters`` caps
-    its Newton iterations. ``converged`` keeps its fixed gradient
-    test, |grad B| <= 1e-7, whatever ``simplex_tol`` is, so a coarse
-    tolerance can stop a search short of it and report False. ``seed`` must
-    be an integer >= 0, and no search reads it: the benchmark harness in
-    ``perfbench/`` still passes one (ROADMAP.md, item 1).
+    It stops at a step or gradient within 1e-9 and caps its Newton
+    iterations at 4000, and no search reads ``seed``. ``seed`` must be an
+    integer >= 0: the benchmark harness in ``perfbench/`` still passes one
+    (ROADMAP.md, item 1).
     """
 
-    simplex_tol: float = 1e-9
-    max_iters: int = 4000
     seed: int = 12345
 
     def __repr__(self):  # _shown prints an integer too long for repr by its size
-        shown = (f"{f.name}={_shown(getattr(self, f.name))}" for f in fields(self))
-        return f"OptimizerConfig({', '.join(shown)})"
+        return f"OptimizerConfig(seed={_shown(self.seed)})"
 
     def __post_init__(self):
-        for name, low in (("max_iters", 1), ("seed", 0)):
-            _check_integer(getattr(self, name), name, low, rule=f">= {low}")
-        if not 1e-12 <= self.simplex_tol < math.inf:
-            raise ValueError(f"simplex_tol must be >= 1e-12 and finite, got {self.simplex_tol}")
+        _check_integer(self.seed, "seed", 0, rule=">= 0")
 
 
 @dataclass(frozen=True)
@@ -267,13 +261,13 @@ def maximize_bell(pi, kind, config=None):
 
     One search, started at the origin: damped modified Newton on sigma * B,
     sigma the sign of B there, with the gradient and Hessian that ``_bell``
-    chains from ``pi(points, 2)``, for at most ``max_iters`` iterations.
+    chains from ``pi(points, 2)``, for at most 4000 iterations.
     Every form, and so the gradient of B, vanishes at the origin; where it
     is a saddle, the first step leaves it along the top eigenvector of
     sigma times the Hessian; a later step takes that escape only where
     |grad B| <= 1e-7. The search retires once its step or gradient is
-    within ``simplex_tol``, or once its backtracking finds no Armijo point.
-    ``converged`` means it stopped within ``max_iters``, with |grad B| <= 1e-7,
+    within 1e-9, or once its backtracking finds no Armijo point.
+    ``converged`` means it stopped within 4000 iterations, with |grad B| <= 1e-7,
     no eigenvalue of its last Newton step above 1e-6 max|lambda| (zero modes
     of the beam's rotation symmetry are allowed), and a Hessian not all zero
     (as on a plateau where Pi underflowed). A maximum of |B| = 2 to within
@@ -283,10 +277,9 @@ def maximize_bell(pi, kind, config=None):
     on its whole backtracking ladder. So ``evaluations``, which counts
     every Bell sum computed, value or derivative, includes the trials past
     the one the search accepts. Non-finite values are rejected. The result
-    is bit-reproducible for a beam: no search reads ``config.seed``.
+    is bit-reproducible for a beam: ``config`` is accepted and ignored.
     """
     _check_kind(kind)
-    cfg = config if config is not None else OptimizerConfig()
     evaluations = 0
 
     def bell(u, order=0):
@@ -297,7 +290,7 @@ def maximize_bell(pi, kind, config=None):
     origin = np.zeros((1, _LIFT[kind].shape[1]))
     value = float(bell(origin)[0])
     sigma = -1.0 if value < 0.0 else 1.0
-    x, f, _, converged = _ascend(bell, origin, sigma * value, sigma, cfg.simplex_tol, cfg.max_iters)
+    x, f, _, converged = _ascend(bell, origin, sigma * value, sigma, _STEP_TOL, _MAX_ITERS)
     return OptimizationResult(best_value=f, argmax=tuple(x[0].tolist()),
                               evaluations=evaluations, converged=converged)
 

@@ -17,9 +17,11 @@ versions. bell-max prints violation, whether |B| exceeds 2 by more than
 1e-12; elliptical-profile adds sup_t, sup_best_abs_B, violation, converged,
 unconverged_t and the total evaluations to its manifest, which goes to
 stderr when the CSV goes to stdout, so no stream mixes two formats. All
-numbers carry 17 significant digits. Every subcommand accepts --seed and
-ignores it (bell-max and elliptical-profile require it >= 0): no search
-reads a seed, and perfbench/ still passes one (ROADMAP.md, item 1).
+numbers carry 17 significant digits. The Bell search has no tuning flags: it
+stops at a step or gradient within 1e-9 and caps its Newton iterations at
+4000. Every subcommand accepts --seed and ignores it (bell-max and
+elliptical-profile require it >= 0): no search reads a seed, and perfbench/
+still passes one (ROADMAP.md, item 1).
 
 Exit codes: 0 success, 2 argument error (a bad flag, input the library rejects,
 or a request too large for memory), 3 optimizer non-convergence, 4 I/O error.
@@ -107,29 +109,15 @@ def _emit_csv(header, rows, out, manifest):
             handle.write(json.dumps(manifest, indent=2) + "\n")
 
 
-def _optimizer_config(args):
-    return OptimizerConfig(simplex_tol=args.simplex_tol, max_iters=args.max_iters, seed=args.seed)
-
-
 def _add_mode_flags(parser):
     parser.add_argument("--n", type=int, required=True, help="first mode index (n >= 0)")
     parser.add_argument("--m", type=int, required=True, help="second mode index (m >= 0)")
 
 
-def _add_optimizer_flags(parser):
-    defaults = OptimizerConfig()  # the library states the defaults once
-    parser.add_argument("--simplex-tol", type=float, default=defaults.simplex_tol,
-                        help="step and gradient tolerance at which the search stops; "
-                             "converged still needs |grad B| <= 1e-7, so a coarse "
-                             "tolerance can exit 3")
-    parser.add_argument("--max-iters", type=int, default=defaults.max_iters,
-                        help="Newton iteration cap for the whole search")
-
-
 def _cmd_bell_max(args):
     mode = ModeIndex(args.n, args.m)
-    cfg = _optimizer_config(args)
-    result = maximize_bell(lg_transform_evaluator(mode), args.settings, cfg)
+    result = maximize_bell(lg_transform_evaluator(mode), args.settings,
+                           OptimizerConfig(seed=args.seed))
     payload = {
         "best_value": result.best_value,
         "argmax": list(result.argmax),
@@ -235,9 +223,8 @@ def _cmd_elliptical_profile(args):
         )
     if args.t_samples < 1:
         raise ValueError(f"--t-samples must be >= 1, got {args.t_samples}")
-    cfg = _optimizer_config(args)
     ts = _t_grid(args.t_min, args.t_max, args.t_samples)
-    profile = elliptical_profile(ts, kind=args.settings, config=cfg)
+    profile = elliptical_profile(ts, kind=args.settings, config=OptimizerConfig(seed=args.seed))
     summary = {
         "sup_t": profile.sup_t,
         "sup_best_abs_B": profile.sup_value,
@@ -264,7 +251,6 @@ def _build_parser():
     p = sub.add_parser("bell-max", help="maximize |B| for an LG mode")
     _add_mode_flags(p)
     p.add_argument("--settings", choices=(RESTRICTED, GENERAL), default=RESTRICTED)
-    _add_optimizer_flags(p)
     p.set_defaults(func=_cmd_bell_max)
 
     p = sub.add_parser("bell-scan", help="restricted Bell-sum scan table")
@@ -314,7 +300,6 @@ def _build_parser():
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--t-samples", type=int, default=21)
     p.add_argument("--settings", choices=(RESTRICTED, GENERAL), default=GENERAL)
-    _add_optimizer_flags(p)
     p.set_defaults(func=_cmd_elliptical_profile)
 
     for p in sub.choices.values():

@@ -39,7 +39,7 @@ import numpy as np
 
 from .modes import as_mode, lg_amplitude
 from .quadrature import QuadratureConfig, gauss_nodes
-from .specfun import _as_finite, _blocked, _laguerre, _shown
+from .specfun import _as_finite, _blocked, _check_integer, _laguerre, _shown
 
 __all__ = [
     "EllipticalParams",
@@ -73,8 +73,10 @@ class EllipticalParams:
             raise ValueError(f"squeeze parameter must be finite, got {self.t}")
         if abs(self.t) > MAX_SQUEEZE:
             raise ValueError(f"|t|={abs(self.t)} exceeds the supported range {MAX_SQUEEZE}")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        # stored as a Python int, as ModeIndex stores its indices
+        object.__setattr__(self, "sign", _check_integer(self.sign, "sign", -1, 1, "+1 or -1"))
+        if not self.sign:
+            raise ValueError("sign must be +1 or -1, got 0")
 
 
 def _coords(point):

@@ -353,7 +353,7 @@ def ascend_each(bell_fn, x, f, sigma, tol, max_iters):
 
 def multistart_maximize_bell(pi, kind, config=None):
     """The best of the 8 ranked starts at ``config.seed``, each ascended alone
-    by ``bell._ascend`` with the config's tolerance and iteration cap."""
+    by ``bell._ascend`` with the search's tolerance and iteration cap."""
     cfg = config if config is not None else bell.OptimizerConfig()
     evaluations = 0
 
@@ -363,7 +363,7 @@ def multistart_maximize_bell(pi, kind, config=None):
         return bell._bell(pi, kind, u, order)
 
     x, f, sigma = multistart_starts(pi, kind, cfg.seed)
-    x, f, _, converged = ascend_each(bell_fn, x, f, sigma, cfg.simplex_tol, cfg.max_iters)
+    x, f, _, converged = ascend_each(bell_fn, x, f, sigma, bell._STEP_TOL, bell._MAX_ITERS)
     w = int(np.argmax(np.where(np.isfinite(f), f, -np.inf)))
     return bell.OptimizationResult(best_value=float(f[w]), argmax=tuple(x[w].tolist()),
                                    evaluations=evaluations, converged=bool(converged[w]))
@@ -373,8 +373,8 @@ def scipy_maximize_bell(pi, kind, config=None):
     """Multi-start Nelder-Mead maximum of |B|, each restart run by scipy.
 
     The multi-start seeds at ``config.seed``, ranked by |B|; the best 8 of
-    them are refined by ``scipy.optimize.minimize`` with ``simplex_tol`` as
-    its tolerances and ``max_iters`` as its iteration cap.
+    them are refined by ``scipy.optimize.minimize`` with the search's step
+    tolerance as its tolerances and its iteration cap as its own.
     """
     cfg = config if config is not None else bell.OptimizerConfig()
     evaluations = 0
@@ -394,10 +394,10 @@ def scipy_maximize_bell(pi, kind, config=None):
             seeds[idx],
             method="Nelder-Mead",
             options={
-                "xatol": cfg.simplex_tol,
-                "fatol": cfg.simplex_tol,
-                "maxiter": cfg.max_iters,
-                "maxfev": max(cfg.max_iters, 10 * len(seeds[idx])),
+                "xatol": bell._STEP_TOL,
+                "fatol": bell._STEP_TOL,
+                "maxiter": bell._MAX_ITERS,
+                "maxfev": max(bell._MAX_ITERS, 10 * len(seeds[idx])),
             },
         )
         candidate = (float(res.fun), tuple(float(c) for c in res.x), bool(res.success))

@@ -102,11 +102,9 @@ class TestBellMax:
         assert code == 0
         assert (payload["converged"], payload["violation"]) == (True, False)
 
-    def test_nonconvergence_exit_code(self, capsys):
-        code, payload = run_json(
-            capsys,
-            ["bell-max", "--n", "1", "--m", "0", "--max-iters", "1"],
-        )
+    def test_nonconvergence_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(bell, "_MAX_ITERS", 1)
+        code, payload = run_json(capsys, ["bell-max", "--n", "1", "--m", "0"])
         assert code == 3
         assert payload["converged"] is False
 
@@ -413,10 +411,10 @@ class TestEllipticalProfile:
         # both sign branches give one profile, so the command takes no --sign
         assert main(argv + ["--sign", "1"]) == 2
 
-    def test_unconverged_t_exits_three(self, capsys):
+    def test_unconverged_t_exits_three(self, capsys, monkeypatch):
         # one Newton iteration leaves the violating searches short
-        argv = ["elliptical-profile", "--t-min", "0", "--t-max", "1", "--t-samples", "3",
-                "--max-iters", "1"]
+        monkeypatch.setattr(bell, "_MAX_ITERS", 1)
+        argv = ["elliptical-profile", "--t-min", "0", "--t-max", "1", "--t-samples", "3"]
         assert main(argv) == 3
         summary = json.loads(capsys.readouterr().err)
         assert summary["converged"] is False and summary["unconverged_t"] == [0.5, 1.0]
@@ -467,8 +465,10 @@ class TestHarness:
             ["bell-max", "--n", "1", "--m", "0", "--settings", "general", "--grid-bounds", "2"],
             ["bell-max", "--n", "1", "--m", "0", "--grid-points", "21"],
             ["elliptical-profile", "--restarts", "8"],
-            ["bell-max", "--n", "1", "--m", "0", "--simplex-tol", "nan"],
-            ["bell-max", "--n", "1", "--m", "0", "--simplex-tol", "inf"],
+            ["bell-max", "--n", "1", "--m", "0", "--simplex-tol", "1e-9"],
+            ["bell-max", "--n", "1", "--m", "0", "--max-iters", "4000"],
+            ["elliptical-profile", "--simplex-tol", "1e-9"],
+            ["elliptical-profile", "--max-iters", "4000"],
             ["wigner", "--elliptical-t", "0.5", "--grid-min", "1e308", "--grid-max", "1e308",
              "--grid-samples", "1", "--numeric"],
             ["bell-max", "--n", "1", "--m", "0", "--seed", "-1"],

@@ -478,8 +478,15 @@ class TestElliptical:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             wigner.EllipticalParams(5.5, +1)
-        with pytest.raises(ValueError):
-            wigner.EllipticalParams(0.5, 2)
+        for sign in (2, 0, -2):
+            with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got "):
+                wigner.EllipticalParams(0.5, sign)
+        # the sign is an integer, as every integer parameter is: not a bool or a float
+        for sign in (True, 1.0, -1.0, "1"):
+            with pytest.raises(TypeError):
+                wigner.EllipticalParams(0.5, sign)
+        params = wigner.EllipticalParams(0.5, np.int64(-1))
+        assert type(params.sign) is int and repr(params) == "EllipticalParams(t=0.5, sign=-1)"
 
 
 def _rotate(point, theta, mirror):
